@@ -8,7 +8,9 @@ The moving parts are:
 * nonlocal exchange kernels per angular channel, built from multipole
   Slater potentials and parity-filtered angular weights,
 * one symmetric Fock matrix per occupied l-channel, diagonalized in the
-  z = sqrt(r)·u coordinates where the mesh measure is flat,
+  z = sqrt(r)·u coordinates where the mesh measure is flat and kept,
+  read-only, in the returned state next to the field that builds any other
+  channel's matrix on demand,
 * fixed-point iteration with linear mixing of the mean field, and
 * trace bookkeeping that confronts the eigenvalue sum with the matrix
   quadratic form of the same converged operator.
@@ -24,7 +26,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 import numpy as np
@@ -234,27 +236,24 @@ class DensityMatrix:
 
     `diagonal` is the paired ("pair") radial density Σ_b floor(q_b/2)·u_b²,
     integrating to the pair count; `unpaired` holds the leftover odd
-    electrons.  `offdiag` optionally carries the dense per-channel kernel
-    Σ_b floor(q_b/2)·u_b(r)u_b(r'), symmetric by construction.
+    electrons.
     """
 
     diagonal: np.ndarray
     unpaired: np.ndarray
     pair_count: int
-    offdiag: dict | None = None
 
     def total(self):
         return 2.0 * self.diagonal + self.unpaired
 
 
-def build_density(orbitals, g: RadialGrid, include_offdiagonal: bool = False) -> DensityMatrix:
+def build_density(orbitals, g: RadialGrid) -> DensityMatrix:
     """Assemble the radial density from occupied orbitals.
 
     Each orbital must be normalized on g; its `occupation` counts electrons.
     """
     diag = np.zeros(g.N)
     unpaired = np.zeros(g.N)
-    offdiag: dict[int, np.ndarray] = {}
     pairs = 0
     for o in orbitals:
         nrm = integrate(o.u * o.u, g)
@@ -267,15 +266,7 @@ def build_density(orbitals, g: RadialGrid, include_offdiagonal: bool = False) ->
         pairs += p
         diag += p * o.u**2
         unpaired += (q - 2 * p) * o.u**2
-        if include_offdiagonal and p:
-            block = offdiag.setdefault(o.l, np.zeros((g.N, g.N)))
-            block += p * np.outer(o.u, o.u)
-    return DensityMatrix(
-        diagonal=diag,
-        unpaired=unpaired,
-        pair_count=pairs,
-        offdiag=offdiag if include_offdiagonal else None,
-    )
+    return DensityMatrix(diagonal=diag, unpaired=unpaired, pair_count=pairs)
 
 
 def hartree_potential(rho, g: RadialGrid):
@@ -311,7 +302,6 @@ class _Workspace:
     """Per-solve cache of the N×N multipole kernel factors."""
 
     def __init__(self, g: RadialGrid):
-        self.g = g
         r = g.points
         self.r_lo = np.minimum.outer(r, r)
         self.r_hi = np.maximum.outer(r, r)
@@ -330,11 +320,11 @@ def _pair_weights(q_a: int, l_a: int, q_b: int, l_b: int) -> float:
     return w_a * w_b + (q_a - w_a) * (q_b - w_b)
 
 
-def _exchange_z_matrix(channel_l, sources, g: RadialGrid, ws: _Workspace | None = None):
+def _exchange_z_matrix(channel_l, orbitals, g: RadialGrid, ws: _Workspace | None = None):
     """Symmetric z-space exchange matrix for one angular channel.
 
-    sources: iterable of (u, l, q) for the occupied shells feeding the
-    kernel.  Weight q/2 per source reproduces the closed-shell operator;
+    orbitals: the occupied RadialOrbitals feeding the kernel, each holding
+    q electrons.  Weight q/2 per source reproduces the closed-shell operator;
     odd shells get the rank-two self-action correction described in the
     module docstring.
     """
@@ -347,7 +337,8 @@ def _exchange_z_matrix(channel_l, sources, g: RadialGrid, ws: _Workspace | None 
     h = g.log_step
     e = g.weights / (h * g.points)  # end-corrected quadrature factors
     X = np.zeros((g.N, g.N))
-    for u_b, l_b, q_b in sources:
+    for o in orbitals:
+        u_b, l_b, q_b = o.u, o.l, int(round(o.occupation))
         if l_b > MAX_COUPLING_L:
             raise CapacityError(
                 f"angular coupling table covers l <= {MAX_COUPLING_L}, got {l_b}"
@@ -389,8 +380,7 @@ def exchange_apply(orbitals, target: RadialOrbital, g: RadialGrid):
     """Apply the nonlocal exchange of the occupied orbitals to a target."""
     if np.asarray(target.u).shape != g.points.shape:
         raise ShapeError("target orbital is not sampled on the given grid")
-    sources = [(o.u, o.l, int(round(o.occupation))) for o in orbitals]
-    X = _exchange_z_matrix(target.l, sources, g)
+    X = _exchange_z_matrix(target.l, orbitals, g)
     return z_to_u(X @ u_to_z(target.u, g), g)
 
 
@@ -398,7 +388,7 @@ def exchange_apply(orbitals, target: RadialOrbital, g: RadialGrid):
 # energy bookkeeping
 
 
-def _coulomb_integral(fa, fb, L, g, ws=None):
+def _coulomb_integral(fa, fb, L, g):
     return integrate(fa * slater_potential(fb, L, g), g)
 
 
@@ -416,41 +406,54 @@ def _kinetic_expectation(u, l, g: RadialGrid) -> float:
     return float(np.sum(he * z * _tridiag_apply(diag, off, z)))
 
 
-def _total_energy(z_nuc, shells, g: RadialGrid) -> float:
+def _total_energy(z_nuc, orbitals, g: RadialGrid) -> float:
     """Mean-field total energy of the current orbital set.
 
-    shells: list of dicts with u, l, q.  Direct term pairs all electrons;
-    the exchange term weights each shell pair by its same-spin count, with
-    the bare monopole for a lone electron's self term so one-electron
-    systems reduce exactly to the bare Hamiltonian.
+    orbitals: RadialOrbitals with integer occupations.  Direct term pairs
+    all electrons; the exchange term weights each shell pair by its
+    same-spin count, with the bare monopole for a lone electron's self term
+    so one-electron systems reduce exactly to the bare Hamiltonian.
     """
     E = 0.0
-    for s in shells:
-        h_b = _kinetic_expectation(s["u"], s["l"], g) + integrate(
-            -z_nuc / g.points * s["u"] ** 2, g
+    for a in orbitals:
+        h_a = _kinetic_expectation(a.u, a.l, g) + integrate(
+            -z_nuc / g.points * a.u**2, g
         )
-        E += s["q"] * h_b
-    for a in shells:
-        for b in shells:
-            F0 = _coulomb_integral(a["u"] ** 2, b["u"] ** 2, 0, g)
-            E += 0.5 * a["q"] * b["q"] * F0
-    for a in shells:
-        for b in shells:
-            s_ab = _pair_weights(a["q"], a["l"], b["q"], b["l"])
+        E += a.occupation * h_a
+    for a in orbitals:
+        for b in orbitals:
+            F0 = _coulomb_integral(a.u**2, b.u**2, 0, g)
+            E += 0.5 * a.occupation * b.occupation * F0
+    for a in orbitals:
+        for b in orbitals:
+            s_ab = _pair_weights(a.occupation, a.l, b.occupation, b.l)
             if s_ab == 0:
                 continue
-            if a is b and a["q"] == 1:
-                E -= 0.5 * _coulomb_integral(a["u"] ** 2, a["u"] ** 2, 0, g)
+            if a is b and a.occupation == 1:
+                E -= 0.5 * _coulomb_integral(a.u**2, a.u**2, 0, g)
                 continue
             acc = 0.0
-            for L in _multipoles(a["l"], b["l"]):
-                lam = angular_weight(a["l"], L, b["l"])
+            for L in _multipoles(a.l, b.l):
+                lam = angular_weight(a.l, L, b.l)
                 if lam == 0.0:
                     continue
-                cross = a["u"] * b["u"]
+                cross = a.u * b.u
                 acc += lam * _coulomb_integral(cross, cross, L, g)
             E -= 0.5 * s_ab * acc
     return E
+
+
+def _fock_matrix(l, z_nuc, vsc, X, g: RadialGrid):
+    """Channel-l Fock matrix T_l + (−Z/r + vsc) − X, dense in z-space, read-only."""
+    diag, off = kinetic_tridiagonal(g, l)
+    idx = np.arange(g.N)
+    C = np.zeros((g.N, g.N))
+    C[idx, idx] = diag + (-z_nuc / g.points + vsc)
+    C[idx[:-1], idx[1:]] += off
+    C[idx[1:], idx[:-1]] += off
+    C -= X
+    C.flags.writeable = False
+    return C
 
 
 # ---------------------------------------------------------------------------
@@ -460,6 +463,11 @@ def _total_energy(z_nuc, shells, g: RadialGrid) -> float:
 @dataclass
 class SCFState:
     """Converged (or abandoned) mean-field solution.
+
+    Per occupied l-channel it keeps the read-only Fock matrix the eigensolver
+    last diagonalized (`_fock`); `_vsc` is the field other channels' matrices
+    are built from on demand, and `_token` fingerprints orbitals and field so
+    that edits made after the solve are caught.
 
     epsilon0 is the eigenvalue offset constant of the trace relation; the
     plain SCF works in the gauge where it is exactly zero, and downstream
@@ -476,31 +484,21 @@ class SCFState:
     config: AtomConfig
     epsilon0: float = 0.0
     _vsc: np.ndarray = field(default=None, repr=False)
-    _xz: dict = field(default_factory=dict, repr=False)
+    _fock: dict = field(default_factory=dict, repr=False)
     _token: str = field(default="", repr=False)
 
     def channel_matrix(self, l: int):
-        """Dense z-space Fock matrix of one angular channel.
+        """Dense, read-only z-space Fock matrix of one angular channel.
 
-        Occupied channels return the exact operator whose eigenvectors are
+        Occupied channels return the exact matrix whose eigenvectors are
         the stored orbitals; other channels are assembled on demand from the
         converged field.
         """
         self._check_token()
-        diag, off = kinetic_tridiagonal(self.grid, l)
-        C = np.zeros((self.grid.N, self.grid.N))
-        idx = np.arange(self.grid.N)
-        C[idx, idx] = diag + (-self.z / self.grid.points + self._vsc)
-        C[idx[:-1], idx[1:]] += off
-        C[idx[1:], idx[:-1]] += off
-        if l in self._xz:
-            C -= self._xz[l]
-        else:
-            sources = [
-                (o.u, o.l, int(round(o.occupation))) for o in self.orbitals
-            ]
-            C -= _exchange_z_matrix(l, sources, self.grid)
-        return C
+        if l in self._fock:
+            return self._fock[l]
+        X = _exchange_z_matrix(l, self.orbitals, self.grid)
+        return _fock_matrix(l, self.z, self._vsc, X, self.grid)
 
     def _check_token(self):
         if self._token and _orbital_token(self.orbitals, self._vsc) != self._token:
@@ -581,35 +579,27 @@ def scf_solve(cfg: AtomConfig) -> SCFState:
     """
     g = cfg.resolved_grid()
     ws = _Workspace(g)
-    channels: dict[int, list[ShellSpec]] = {}
-    for s in sorted(cfg.shells, key=lambda s: (s.l, s.n)):
-        channels.setdefault(s.l, []).append(s)
+    # indices into cfg.shells per l-channel, each list in increasing n
+    channels: dict[int, list[int]] = {}
+    for i, s in sorted(enumerate(cfg.shells), key=lambda e: (e[1].l, e[1].n)):
+        channels.setdefault(s.l, []).append(i)
 
-    # bare-nucleus starting guess
-    shells = []
-    for s in cfg.shells:
-        o = hydrogenic_orbital(cfg.z, s.n, s.l, g)
-        shells.append({"n": s.n, "l": s.l, "q": s.occupation, "u": o.u})
+    # bare-nucleus starting guess, in cfg.shells order
+    orbitals = [
+        replace(hydrogenic_orbital(cfg.z, s.n, s.l, g), occupation=s.occupation)
+        for s in cfg.shells
+    ]
+    eigenvalues = [0.0] * len(orbitals)
 
-    diag_kin = {l: kinetic_tridiagonal(g, l) for l in channels}
-    idx = np.arange(g.N)
     vsc_mix = None
-    xz_mix: dict[int, np.ndarray] = {}
+    fock: dict[int, np.ndarray] = {}
     E_prev = None
-    prev_u = {((s["n"], s["l"])): s["u"] for s in shells}
     trace = []
     alpha = cfg.scf.mixing
-    converged = False
-    iterations = 0
 
     for it in range(1, cfg.scf.max_iter + 1):
-        iterations = it
-        total = np.zeros(g.N)
-        for s in shells:
-            total += s["q"] * s["u"] ** 2
-        vsc_new = slater_potential(total, 0, g)
-        sources = [(s["u"], s["l"], s["q"]) for s in shells]
-        xz_new = {l: _exchange_z_matrix(l, sources, g, ws) for l in channels}
+        vsc_new = hartree_potential(build_density(orbitals, g), g)
+        xz_new = {l: _exchange_z_matrix(l, orbitals, g, ws) for l in channels}
         if vsc_mix is None:
             vsc_mix = vsc_new
             xz_mix = xz_new
@@ -619,33 +609,25 @@ def scf_solve(cfg: AtomConfig) -> SCFState:
                 l: (1.0 - alpha) * xz_mix[l] + alpha * xz_new[l] for l in channels
             }
 
-        eig_by_shell = {}
-        new_u = {}
-        for l, ch_shells in channels.items():
-            diag, off = diag_kin[l]
-            C = np.zeros((g.N, g.N))
-            C[idx, idx] = diag + (-cfg.z / g.points + vsc_mix)
-            C[idx[:-1], idx[1:]] += off
-            C[idx[1:], idx[:-1]] += off
-            C -= xz_mix[l]
-            vals, vecs = _solve_channel(C, len(ch_shells), cfg.z, g.N)
-            for rank, s in enumerate(ch_shells):
+        new_orbitals = list(orbitals)
+        for l, members in channels.items():
+            fock[l] = _fock_matrix(l, cfg.z, vsc_mix, xz_mix[l], g)
+            vals, vecs = _solve_channel(fock[l], len(members), cfg.z, g.N)
+            for rank, i in enumerate(members):
                 z = vecs[:, rank]
                 if z[np.argmax(np.abs(z))] < 0:
                     z = -z
                 u = z_to_u(z, g)
                 u = u / math.sqrt(integrate(u * u, g))
-                eig_by_shell[(s.n, s.l)] = float(vals[rank])
-                new_u[(s.n, s.l)] = u
+                eigenvalues[i] = float(vals[rank])
+                new_orbitals[i] = replace(orbitals[i], u=u)
 
-        delta_u = 0.0
-        for s in shells:
-            key = (s["n"], s["l"])
-            delta_u = max(delta_u, float(np.max(np.abs(new_u[key] - prev_u[key]))))
-            s["u"] = new_u[key]
-        prev_u = new_u
+        delta_u = max(
+            float(np.max(np.abs(new.u - old.u))) for new, old in zip(new_orbitals, orbitals)
+        )
+        orbitals = new_orbitals
 
-        E_new = _total_energy(cfg.z, shells, g)
+        E_new = _total_energy(cfg.z, orbitals, g)
         delta_E = abs(E_new - E_prev) if E_prev is not None else float("inf")
         trace.append(
             {
@@ -657,10 +639,8 @@ def scf_solve(cfg: AtomConfig) -> SCFState:
         )
         E_prev = E_new
         if delta_E < cfg.scf.tol_energy and delta_u < cfg.scf.tol_orbital:
-            converged = True
             break
-
-    if not converged:
+    else:
         raise ConvergenceError(
             f"SCF did not converge within {cfg.scf.max_iter} iterations "
             f"(last dE = {trace[-1]['delta_energy']!r}, "
@@ -668,31 +648,20 @@ def scf_solve(cfg: AtomConfig) -> SCFState:
             trace=trace,
         )
 
-    orbitals = []
-    eigenvalues = []
-    for l, ch_shells in sorted(channels.items()):
-        for s in ch_shells:
-            key = (s.n, s.l)
-            orbitals.append(
-                RadialOrbital(
-                    u=prev_u[key], n=s.n, l=s.l, spin="paired", occupation=s.occupation
-                )
-            )
-            eigenvalues.append(eig_by_shell[key])
-
+    order = [i for members in channels.values() for i in members]
     state = SCFState(
         z=cfg.z,
-        orbitals=orbitals,
-        eigenvalues=eigenvalues,
+        orbitals=[orbitals[i] for i in order],
+        eigenvalues=[eigenvalues[i] for i in order],
         total_energy=E_prev,
         converged=True,
-        iterations=iterations,
+        iterations=it,
         grid=g,
         config=cfg,
         _vsc=vsc_mix,
-        _xz=xz_mix,
+        _fock=fock,
     )
-    state._token = _orbital_token(orbitals, vsc_mix)
+    state._token = _orbital_token(state.orbitals, vsc_mix)
     return state
 
 

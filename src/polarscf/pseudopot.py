@@ -23,7 +23,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import ParameterError, PreconditionError, ShapeError
-from .hfcore import SCFState
+from .hfcore import SCFState, _tridiag_apply
 from .radial import RadialGrid, RadialOrbital, kinetic_tridiagonal, node_count, u_to_z
 
 
@@ -248,12 +248,7 @@ def pk_solve(state: SCFState, valence) -> PseudoOrbital:
     m = len(basis)
     T = np.empty((m, m))
     S = np.empty((m, m))
-    t_actions = []
-    for z in basis:
-        tz = diag * z
-        tz[:-1] += off * z[1:]
-        tz[1:] += off * z[:-1]
-        t_actions.append(tz)
+    t_actions = [_tridiag_apply(diag, off, z) for z in basis]
     for a in range(m):
         for b in range(m):
             T[a, b] = float(np.sum(he * basis[a] * t_actions[b]))

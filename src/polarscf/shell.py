@@ -13,13 +13,14 @@ printed with 17 significant digits, no timestamps or environment echoes.
 JSON for the solver commands, CSV (with the resolved config in # comments)
 for the sweep commands.
 
-Exit codes: 0 success, 2 non-convergence, 3 domain/config errors.
+Exit codes: 0 success, 2 non-convergence, 3 bad input (usage, config, domain).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys
 from dataclasses import dataclass, fields, replace
@@ -101,16 +102,17 @@ _ALL_KEYS = _FLOAT_KEYS | _INT_KEYS | _STR_KEYS | _OPT_FLOAT_KEYS
 
 
 def _coerce(key: str, raw: str, where: str):
-    try:
-        if key in _FLOAT_KEYS:
-            return float(raw)
-        if key in _INT_KEYS:
-            return int(raw)
-        if key in _OPT_FLOAT_KEYS:
-            return None if raw == "auto" else float(raw)
+    if key in _STR_KEYS:
         return raw
+    if key in _OPT_FLOAT_KEYS and raw == "auto":
+        return None
+    try:
+        value = int(raw) if key in _INT_KEYS else float(raw)
     except ValueError:
         raise ConfigError(f"{where}: cannot parse {key}={raw!r}") from None
+    if not math.isfinite(value):
+        raise ConfigError(f"{where}: {key}={raw!r} is not a finite number")
+    return value
 
 
 def _format_value(value) -> str:
@@ -273,6 +275,8 @@ def _run_qp(cfg: RunConfig) -> str:
         raise ConfigError(f"cannot parse qp_levels={cfg.qp_levels!r}") from None
     if not levels:
         raise ConfigError("qp_levels is empty")
+    if cfg.qp_e_points < 1:
+        raise ConfigError(f"qp_e_points must be >= 1, got {cfg.qp_e_points}")
     h = np.diag(levels)
     model = _sigma_model(cfg)
     sigma = None
@@ -299,6 +303,10 @@ def _run_qp(cfg: RunConfig) -> str:
 
 
 def _run_spectrum(cfg: RunConfig) -> str:
+    if cfg.n_max < 1:
+        raise ConfigError(f"n_max must be >= 1, got {cfg.n_max}")
+    if cfg.l_max < 0:
+        raise ConfigError(f"l_max must be >= 0, got {cfg.l_max}")
     lines = [_config_comments(cfg)]
     filtered_any = False
     rows = []
@@ -345,8 +353,13 @@ def run_command(cfg: RunConfig, target: str = "fock") -> str:
 # entry point
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    def error(self, message):  # usage errors are bad input (exit 3), not exit 2
+        raise ConfigError(f"{message}\n{self.format_usage().rstrip()}")
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="polar-scf",
         description="Atomic mean-field solver with frozen-core, quasiparticle "
         "and boson-level tools.",
@@ -359,10 +372,9 @@ def main(argv=None) -> int:
     parser.add_argument("--config", help="key=value config file")
     parser.add_argument("--out", help="write output here instead of stdout")
     parser.add_argument("--modes", type=int, help="verify: number of fermion modes")
-    # intermixed: key=value overrides may come before or after --config/--out
-    ns = parser.parse_intermixed_args(argv)
-
     try:
+        # intermixed: key=value overrides may come before or after --config/--out
+        ns = parser.parse_intermixed_args(argv)
         target = "fock"
         overrides = []
         for token in ns.args:
@@ -374,8 +386,11 @@ def main(argv=None) -> int:
                 raise ConfigError(f"unexpected argument {token!r}")
         text = ""
         if ns.config:
-            with open(ns.config, "r", encoding="utf-8") as fh:
-                text = fh.read()
+            try:
+                with open(ns.config, "r", encoding="utf-8") as fh:
+                    text = fh.read()
+            except (OSError, UnicodeDecodeError) as exc:
+                raise ConfigError(f"cannot read config file: {exc}") from None
         cfg = parse_config(text, command=ns.command, overrides=overrides)
         if ns.modes is not None:
             cfg = replace(cfg, modes=ns.modes)

@@ -2,7 +2,7 @@ import time
 
 import pytest
 
-from polarscf.hfcore import AtomConfig, scf_solve
+from polarscf.hfcore import AtomConfig, GridParams, scf_solve
 
 
 def _timed_solve(cfg):
@@ -27,3 +27,15 @@ def he_run():
 def li_run():
     """Lithium 1s^2 2s^1 and its wall-clock solve time."""
     return _timed_solve(AtomConfig(z=3.0, shells=((1, 0, 2), (2, 0, 1))))
+
+
+@pytest.fixture(scope="session")
+def n_run():
+    """Nitrogen 1s^2 2s^2 2p^3: s and p channels, odd p shell."""
+    return _timed_solve(
+        AtomConfig(
+            z=7.0,
+            shells=((1, 0, 2), (2, 0, 2), (2, 1, 3)),
+            grid=GridParams(n_points=400),
+        )
+    )

@@ -249,7 +249,7 @@ def test_lithium_orthonormal_channel(li_run):
     assert abs(inner(u1, u2, g)) < 1e-10
 
 
-@pytest.mark.parametrize("fixture", ["h_run", "he_run", "li_run"])
+@pytest.mark.parametrize("fixture", ["h_run", "he_run", "li_run", "n_run"])
 def test_orbitals_solve_their_operator(fixture, request):
     state, _ = request.getfixturevalue(fixture)
     g = state.grid
@@ -263,6 +263,27 @@ def test_trace_energy_coherent(he_run):
     sum_eigen, trace_lhs = trace_energy(state)
     assert abs(sum_eigen - trace_lhs) < 1e-9
     assert state.epsilon0 == 0.0
+
+
+def test_nitrogen_two_channel(n_run):
+    """s-p exchange multipoles and the odd-shell pin of a half-filled 2p."""
+    state, _ = n_run
+    g = state.grid
+    sum_eigen, trace_lhs = trace_energy(state)
+    assert abs(sum_eigen - trace_lhs) < 1e-9
+    s_orbitals = [o.u for o in state.orbitals if o.l == 0]
+    gram = np.array([[inner(a, b, g) for b in s_orbitals] for a in s_orbitals])
+    assert np.max(np.abs(gram - np.eye(len(s_orbitals)))) < 1e-10
+    # Hartree-Fock limit E = -54.400934; the N=400 mesh sits ~6e-3 below it
+    assert abs(state.total_energy + 54.400934) < 1e-2
+
+
+def test_channel_matrix_read_only(h_run):
+    """The stored matrix is not covered by the stale-cache token."""
+    state, _ = h_run
+    C = state.channel_matrix(0)
+    with pytest.raises(ValueError):
+        C[0, 0] = 0.0
 
 
 def test_trace_energy_needs_convergence(he_run):

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from polarscf.shell import (
 )
 
 FAST_SCF = ["z=1.0", "shells=1s:1", "n_points=500", "r_max=40.0"]
+NO_SUCH_DIR = Path(__file__).parent / "no-such-dir"
 
 
 def test_parse_shells_notation():
@@ -206,3 +208,25 @@ def test_out_file_and_fresh_process_determinism(tmp_path):
         )
         assert r.returncode == 0, r.stderr
     assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["scf", "--config", str(NO_SUCH_DIR / "run.cfg")],
+        ["scf", "r_max=inf"],
+        ["spectrum", "mass=nan"],
+        ["qp", "qp_e_points=-1"],
+        ["spectrum", "n_max=0"],
+        ["spectrum", "l_max=-1"],
+    ],
+    ids=["no-args", "missing-config", "inf", "nan", "qp-points", "n-max", "l-max"],
+)
+def test_bad_input_exits_3_without_traceback(argv):
+    r = subprocess.run(
+        [sys.executable, "-m", "polarscf.shell", *argv], capture_output=True, text=True
+    )
+    assert r.returncode == 3, r.stderr
+    assert "Traceback" not in r.stderr
+    assert r.stderr.startswith("polar-scf: ")
