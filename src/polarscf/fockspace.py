@@ -1,9 +1,10 @@
 """Exact enumeration-based fermionic algebra on small Fock spaces.
 
 Everything here is brute force on purpose: tensors are dense rank-n arrays,
-operators are applied term by term over explicit bit patterns, and identities
-are checked by exhausting the full 2^M basis.  That makes this module the
-trusted oracle the rest of the package is tested against.
+basis states are integer bit masks (slot s is bit s), and identities are
+checked by exhausting the full 2^M basis.  Every fermionic sign comes from
+one rule, `_ladder`, applied to whole arrays of masks at once.  That makes
+this module the trusted oracle the rest of the package is tested against.
 
 Canonical slot ordering: spin-orbital slots are numbered 0..M-1,
 orbital-major with spin-up before spin-down, i.e. slot 2*(orb-1) is
@@ -24,7 +25,8 @@ from .errors import (
     PreconditionError,
 )
 
-ENUMERATION_CAP = 8
+RANK_CAP = 8  # antisymmetrize sums over n! permutations
+MODE_CAP = 16  # occupation-number spaces: 2^16 basis masks, each fits in int64
 ATOL = 1e-12
 
 
@@ -52,10 +54,6 @@ class Permutation:
         return len(self.images)
 
     @classmethod
-    def identity(cls, n):
-        return cls(tuple(range(1, n + 1)))
-
-    @classmethod
     def transposition(cls, n, i, j):
         """The permutation exchanging positions i and j (1-based)."""
         if not (1 <= i <= n and 1 <= j <= n and i != j):
@@ -63,16 +61,6 @@ class Permutation:
         imgs = list(range(1, n + 1))
         imgs[i - 1], imgs[j - 1] = imgs[j - 1], imgs[i - 1]
         return cls(tuple(imgs))
-
-    @classmethod
-    def cyclic_insertion(cls, n, k, l):
-        """Reinsertion permutation used by the cyclic-symmetry residual.
-
-        Exchanges slot k with slot k+l (1-based); l ranges over 1..n-k.
-        """
-        if not (1 <= k < n and 1 <= l <= n - k):
-            raise ParameterError(f"cyclic insertion (k={k}, l={l}) invalid for n={n}")
-        return cls.transposition(n, k, k + l)
 
     def compose(self, other):
         """self after other: (self∘other)(i) = self(other(i))."""
@@ -135,8 +123,8 @@ def antisymmetrize(amplitudes: np.ndarray) -> AntisymTensor:
     """
     t = np.asarray(amplitudes, dtype=complex)
     n = t.ndim
-    if n > ENUMERATION_CAP:
-        raise CapacityError(f"rank {n} exceeds enumeration cap {ENUMERATION_CAP}")
+    if n > RANK_CAP:
+        raise CapacityError(f"rank {n} exceeds enumeration cap {RANK_CAP}")
     if t.shape != (t.shape[0],) * n:
         raise ParameterError(f"tensor shape {t.shape} is not cubic")
     if not np.all(np.isfinite(t)):
@@ -184,7 +172,7 @@ def cyclic_residual(t: AntisymTensor, k: int) -> float:
     m = t.n - k
     acc = np.zeros_like(t.amplitudes)
     for l in range(1, m + 1):
-        p = Permutation.cyclic_insertion(t.n, k, l)
+        p = Permutation.transposition(t.n, k, k + l)
         acc += (-1.0 / m) * permute_tensor(t.amplitudes, p)
     return float(np.max(np.abs(t.amplitudes - acc)))
 
@@ -222,7 +210,7 @@ def slot_label(slot: int):
 
 @dataclass(frozen=True)
 class OccupationVector:
-    """Ordered bit pattern over M spin-orbital slots."""
+    """Ordered bit pattern over M <= MODE_CAP spin-orbital slots."""
 
     bits: tuple
 
@@ -230,6 +218,8 @@ class OccupationVector:
         bits = tuple(int(b) for b in self.bits)
         if any(b not in (0, 1) for b in bits):
             raise ParameterError("bits must be 0 or 1")
+        if len(bits) > MODE_CAP:
+            raise CapacityError(f"M={len(bits)} exceeds mode cap {MODE_CAP}")
         object.__setattr__(self, "bits", bits)
 
     @property
@@ -263,9 +253,6 @@ class FockVector:
             out[occ] = out.get(occ, 0.0) + amp
         return FockVector(out)
 
-    def scale(self, c):
-        return FockVector({occ: c * amp for occ, amp in self.terms.items()})
-
     def inner(self, other) -> complex:
         """<self|other>, conjugate-linear in self."""
         acc = 0.0 + 0.0j
@@ -280,12 +267,6 @@ class FockVector:
     def pruned(self, tol=0.0):
         """Drop terms with |amplitude| <= tol (exact zeros by default)."""
         return FockVector({o: a for o, a in self.terms.items() if abs(a) > tol})
-
-    def normalized(self):
-        nrm = self.norm()
-        if nrm == 0.0:
-            return FockVector()
-        return self.scale(1.0 / nrm).pruned()
 
     def populations(self):
         return {occ.population for occ in self.pruned().terms}
@@ -316,6 +297,22 @@ def annihilate(slot):
     return LadderOperator("annihilate", slot)
 
 
+def _ladder(kind, slot, masks):
+    """a†_slot ("create") or a_slot ("annihilate") on an array of basis masks.
+
+    Slot s is bit s of a mask.  Returns (new_masks, amplitudes): the
+    amplitude is (-1)^(number of occupied slots below `slot`), or 0 where
+    creating on an occupied slot or annihilating an empty one kills the term.
+    This is the only place a fermionic sign is formed.
+    """
+    masks = np.asarray(masks, dtype=np.int64)
+    bit = 1 << slot
+    alive = ((masks & bit) == 0) == (kind == "create")
+    # bitwise_count returns uint8, where 1 - 2*1 would wrap to 255
+    below = np.bitwise_count(masks & (bit - 1)).astype(np.int64)
+    return masks ^ bit, np.where(alive, 1 - 2 * (below & 1), 0)
+
+
 def ladder_apply(op: LadderOperator, v: FockVector) -> FockVector:
     """Signed fermionic action of a ladder operator on a Fock vector.
 
@@ -327,14 +324,11 @@ def ladder_apply(op: LadderOperator, v: FockVector) -> FockVector:
     for occ, amp in v.terms.items():
         if op.slot >= occ.M:
             raise ParameterError(f"slot {op.slot} out of range for M={occ.M}")
-        bits = occ.bits
-        occupied = bits[op.slot] == 1
-        if (op.kind == "create") == occupied:
-            continue
-        sign = -1.0 if sum(bits[: op.slot]) % 2 else 1.0
-        new_bits = bits[: op.slot] + ((1 if op.kind == "create" else 0),) + bits[op.slot + 1 :]
-        key = OccupationVector(new_bits)
-        out[key] = out.get(key, 0.0) + sign * amp
+        mask = sum(b << s for s, b in enumerate(occ.bits))
+        (new_mask,), (sign,) = _ladder(op.kind, op.slot, [mask])
+        if sign:
+            key = OccupationVector(tuple(int(new_mask) >> s & 1 for s in range(occ.M)))
+            out[key] = out.get(key, 0.0) + int(sign) * amp
     return FockVector(out).pruned()
 
 
@@ -366,37 +360,36 @@ class AnticommutatorTables:
 def anticommutator_table(M: int) -> AnticommutatorTables:
     """Exhaustively verify the fermionic anticommutation relations on 2^M states.
 
-    For every pair (i, j) and every basis state |b>, both operator orderings
-    are applied and summed; the tables record the worst resulting vector norm
-    (with the δ_ij identity subtracted in the mixed table).  All entries are
-    exactly zero for a correct sign convention.
+    For every pair (i, j), both operator orderings are applied to all 2^M
+    basis masks at once and summed; the tables record the worst resulting
+    vector norm (with the δ_ij identity subtracted in the mixed table).  All
+    entries are exactly zero for a correct sign convention.
     """
-    if M > ENUMERATION_CAP:
-        raise CapacityError(f"M={M} exceeds enumeration cap {ENUMERATION_CAP}")
     if M < 1:
         raise ParameterError("M must be >= 1")
-    basis = [OccupationVector(bits) for bits in itertools.product((0, 1), repeat=M)]
+    if M > MODE_CAP:
+        raise CapacityError(f"M={M} exceeds mode cap {MODE_CAP}")
+    basis = np.arange(1 << M, dtype=np.int64)
+
+    def product(first, second):
+        masks, inner = _ladder(*second, basis)
+        masks, outer = _ladder(*first, masks)
+        return masks, inner * outer
+
+    def worst(x, y, identity):
+        # (xy + yx - identity)|b> = a1|m1> + a2|m2> - identity|b> with integer
+        # amplitudes, so its squared norm is an exact integer
+        (m1, a1), (m2, a2) = product(x, y), product(y, x)
+        sq = (a1 * a1 + a2 * a2 + identity + 2 * a1 * a2 * (m1 == m2)
+              - 2 * identity * (a1 * (m1 == basis) + a2 * (m2 == basis)))
+        return math.sqrt(sq.max())
+
     mixed = np.zeros((M, M))
     same = np.zeros((M, M))
     for i in range(M):
         for j in range(M):
-            worst_mixed = 0.0
-            worst_same = 0.0
-            for b in basis:
-                v = FockVector.basis_state(b)
-                # {a_i, a†_j} |b> - δ_ij |b>
-                t1 = ladder_apply(annihilate(i), ladder_apply(create(j), v))
-                t2 = ladder_apply(create(j), ladder_apply(annihilate(i), v))
-                acc = t1 + t2
-                if i == j:
-                    acc = acc + v.scale(-1.0)
-                worst_mixed = max(worst_mixed, acc.norm())
-                # {a_i, a_j} |b>
-                s1 = ladder_apply(annihilate(i), ladder_apply(annihilate(j), v))
-                s2 = ladder_apply(annihilate(j), ladder_apply(annihilate(i), v))
-                worst_same = max(worst_same, (s1 + s2).norm())
-            mixed[i, j] = worst_mixed
-            same[i, j] = worst_same
+            mixed[i, j] = worst(("annihilate", i), ("create", j), int(i == j))
+            same[i, j] = worst(("annihilate", i), ("annihilate", j), 0)
     return AnticommutatorTables(create_annihilate=mixed, annihilate_annihilate=same)
 
 

@@ -403,8 +403,12 @@ def main(argv=None) -> int:
         return 3
 
     if ns.out:
-        with open(ns.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(payload)
+        try:
+            with open(ns.out, "w", encoding="utf-8", newline="") as fh:
+                fh.write(payload)
+        except OSError as exc:
+            print(f"polar-scf: cannot write {ns.out}: {exc.strerror}", file=sys.stderr)
+            return 3
     else:
         sys.stdout.write(payload)
     return 0

@@ -1,10 +1,12 @@
 """Exact fermionic algebra on small occupation-number spaces."""
 
+import functools
 import itertools
 
 import numpy as np
 import pytest
 
+from polarscf import fockspace
 from polarscf.errors import (
     CapacityError,
     InvalidPermutationError,
@@ -170,15 +172,52 @@ def test_product_state_ordering():
     assert w.terms == {OccupationVector((1, 0, 1, 0)): -1.0}
 
 
-@pytest.mark.parametrize("M", [1, 2, 3, 4])
+def test_ladder_matches_jordan_wigner():
+    """Every ladder action on M=5 equals the Jordan-Wigner matrix column.
+
+    a_s = Z x ... x Z x |0><1| x I x ... x I with slot 0 the leftmost
+    Kronecker factor, so a basis state's index is its bits read as binary.
+    """
+    M = 5
+    z, lower, eye = np.diag([1.0, -1.0]), np.array([[0.0, 1.0], [0.0, 0.0]]), np.eye(2)
+
+    def index(bits):
+        return int("".join(map(str, bits)), 2)
+
+    for s in range(M):
+        a = functools.reduce(np.kron, [z] * s + [lower] + [eye] * (M - s - 1))
+        for op, matrix in ((annihilate(s), a), (create(s), a.T)):
+            for bits in itertools.product((0, 1), repeat=M):
+                column = np.zeros(2**M, dtype=complex)
+                for occ, amp in ladder_apply(op, FockVector.basis_state(bits)).terms.items():
+                    column[index(occ.bits)] += amp
+                assert np.array_equal(column, matrix[:, index(bits)]), (op, bits)
+
+
+@pytest.mark.parametrize("M", [1, 2, 3, 4, 8, 16])
 def test_anticommutators_exact(M):
     tables = anticommutator_table(M)
     assert tables.max_deviation() == 0.0
 
 
+def test_anticommutator_table_detects_dropped_sign(monkeypatch):
+    # with every sign forced to +1 the operators commute instead, and
+    # {a_i, a†_j}|b> = 2|b'> on states with slot i filled and slot j empty
+    signed = fockspace._ladder
+
+    def unsigned(kind, slot, masks):
+        new_masks, amplitudes = signed(kind, slot, masks)
+        return new_masks, np.abs(amplitudes)
+
+    monkeypatch.setattr(fockspace, "_ladder", unsigned)
+    assert anticommutator_table(4).max_deviation() == 2.0
+
+
 def test_anticommutator_capacity():
     with pytest.raises(CapacityError):
-        anticommutator_table(9)
+        anticommutator_table(17)
+    with pytest.raises(CapacityError):
+        OccupationVector((0,) * 17)
     with pytest.raises(ParameterError):
         anticommutator_table(0)
 

@@ -220,8 +220,13 @@ def test_out_file_and_fresh_process_determinism(tmp_path):
         ["qp", "qp_e_points=-1"],
         ["spectrum", "n_max=0"],
         ["spectrum", "l_max=-1"],
+        ["verify", "fock", "--modes", "17"],
+        ["verify", "fock", "--modes", "2", "--out", str(NO_SUCH_DIR / "x.txt")],
     ],
-    ids=["no-args", "missing-config", "inf", "nan", "qp-points", "n-max", "l-max"],
+    ids=[
+        "no-args", "missing-config", "inf", "nan", "qp-points", "n-max", "l-max",
+        "modes-17", "unwritable-out",
+    ],
 )
 def test_bad_input_exits_3_without_traceback(argv):
     r = subprocess.run(
