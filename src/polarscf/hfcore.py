@@ -5,8 +5,9 @@ The moving parts are:
 
 * density assembly split into paired / unpaired radial densities,
 * the direct (Hartree) potential of the total electron density,
-* nonlocal exchange kernels per angular channel, built from multipole
-  Slater potentials and parity-filtered angular weights,
+* nonlocal exchange per angular channel, built from the semiseparable
+  generators r^L and r^{-(L+1)} of each multipole kernel r_<^L / r_>^{L+1}
+  and parity-filtered angular weights,
 * one symmetric Fock matrix per occupied l-channel, diagonalized in the
   z = sqrt(r)·u coordinates where the mesh measure is flat and kept,
   read-only, in the returned state next to the field that builds any other
@@ -298,21 +299,6 @@ def weighted_trace(rho, op) -> float:
 # exchange kernels
 
 
-class _Workspace:
-    """Per-solve cache of the N×N multipole kernel factors."""
-
-    def __init__(self, g: RadialGrid):
-        r = g.points
-        self.r_lo = np.minimum.outer(r, r)
-        self.r_hi = np.maximum.outer(r, r)
-        self._kernels: dict[int, np.ndarray] = {}
-
-    def kernel(self, L: int):
-        if L not in self._kernels:
-            self._kernels[L] = self.r_lo**L / self.r_hi ** (L + 1)
-        return self._kernels[L]
-
-
 def _pair_weights(q_a: int, l_a: int, q_b: int, l_b: int) -> float:
     """Same-spin pairing count between two shells for the exchange energy."""
     w_a = min(q_a, 2 * l_a + 1)
@@ -320,41 +306,32 @@ def _pair_weights(q_a: int, l_a: int, q_b: int, l_b: int) -> float:
     return w_a * w_b + (q_a - w_a) * (q_b - w_b)
 
 
-def _exchange_z_matrix(channel_l, orbitals, g: RadialGrid, ws: _Workspace | None = None):
+def _exchange_z_matrix(channel_l, orbitals, g: RadialGrid):
     """Symmetric z-space exchange matrix for one angular channel.
 
     orbitals: the occupied RadialOrbitals feeding the kernel, each holding
-    q electrons.  Weight q/2 per source reproduces the closed-shell operator;
-    odd shells get the rank-two self-action correction described in the
-    module docstring.
+    q electrons.  The kernel r_<^L / r_>^{L+1} is semiseparable, so each
+    source block is the upper triangle of Σ_L λ_L·outer(a_L, b_L) with
+    a_L = h·z_b·r^L and b_L = z_b·r^{-(L+1)}, mirrored to exact symmetry and
+    scaled by the end-corrected quadrature factor 0.5·(e_i + e_j).  Weight
+    q/2 per source reproduces the closed-shell operator; odd shells get the
+    rank-two self-action correction described in the module docstring.
     """
-    if channel_l > MAX_COUPLING_L:
-        raise CapacityError(
-            f"angular coupling table covers l <= {MAX_COUPLING_L}, got {channel_l}"
-        )
-    if ws is None:
-        ws = _Workspace(g)
-    h = g.log_step
-    e = g.weights / (h * g.points)  # end-corrected quadrature factors
+    if channel_l < 0:
+        raise ParameterError(f"angular momentum must be nonnegative, got l={channel_l}")
+    r, h = g.points, g.log_step
+    e = g.weights / (h * r)  # end-corrected quadrature factors
+    e_pair = 0.5 * (e[:, None] + e[None, :])
+    upper = ~np.tri(g.N, k=-1, dtype=bool)  # r_i <= r_j
     X = np.zeros((g.N, g.N))
     for o in orbitals:
         u_b, l_b, q_b = o.u, o.l, int(round(o.occupation))
-        if l_b > MAX_COUPLING_L:
-            raise CapacityError(
-                f"angular coupling table covers l <= {MAX_COUPLING_L}, got {l_b}"
-            )
-        kacc = None
-        for L in _multipoles(channel_l, l_b):
-            lam = angular_weight(channel_l, L, l_b)
-            if lam == 0.0:
-                continue
-            term = lam * ws.kernel(L)
-            kacc = term if kacc is None else kacc + term
-        if kacc is None:
-            continue
         z_b = u_to_z(u_b, g)
-        M = (h * np.outer(z_b, z_b)) * kacc
-        M = 0.5 * (M * e[None, :] + e[:, None] * M)
+        M = sum(
+            np.outer(angular_weight(channel_l, L, l_b) * h * z_b * r**L, z_b * r ** -(L + 1))
+            for L in _multipoles(channel_l, l_b)
+        )
+        M = np.where(upper, M, M.T) * e_pair
         X += (0.5 * q_b) * M
         if q_b % 2 == 1 and l_b == channel_l:
             # Pin the kernel's action on its own orbital: for q=1 the target
@@ -435,8 +412,6 @@ def _total_energy(z_nuc, orbitals, g: RadialGrid) -> float:
             acc = 0.0
             for L in _multipoles(a.l, b.l):
                 lam = angular_weight(a.l, L, b.l)
-                if lam == 0.0:
-                    continue
                 cross = a.u * b.u
                 acc += lam * _coulomb_integral(cross, cross, L, g)
             E -= 0.5 * s_ab * acc
@@ -578,7 +553,6 @@ def scf_solve(cfg: AtomConfig) -> SCFState:
     trace attached) if max_iter passes without meeting both tolerances.
     """
     g = cfg.resolved_grid()
-    ws = _Workspace(g)
     # indices into cfg.shells per l-channel, each list in increasing n
     channels: dict[int, list[int]] = {}
     for i, s in sorted(enumerate(cfg.shells), key=lambda e: (e[1].l, e[1].n)):
@@ -599,7 +573,7 @@ def scf_solve(cfg: AtomConfig) -> SCFState:
 
     for it in range(1, cfg.scf.max_iter + 1):
         vsc_new = hartree_potential(build_density(orbitals, g), g)
-        xz_new = {l: _exchange_z_matrix(l, orbitals, g, ws) for l in channels}
+        xz_new = {l: _exchange_z_matrix(l, orbitals, g) for l in channels}
         if vsc_mix is None:
             vsc_mix = vsc_new
             xz_mix = xz_new

@@ -1,6 +1,7 @@
 """Mean-field machinery: coupling weights, potentials, exchange, SCF."""
 
 import copy
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -20,6 +21,7 @@ from polarscf.hfcore import (
     SCFParams,
     SCFState,
     ShellSpec,
+    _exchange_z_matrix,
     angular_weight,
     build_density,
     exchange_apply,
@@ -171,6 +173,46 @@ def test_exchange_cancels_direct_for_one_electron(h_run):
     exch = exchange_apply(state.orbitals, o, g)
     resid = np.sqrt(float(np.sum(g.weights * (direct - exch) ** 2)))
     assert resid < 1e-12
+
+
+@pytest.mark.parametrize("channel_l", [0, 1, 2])
+def test_exchange_matrix_matches_dense_kernel(channel_l):
+    """Semiseparable assembly against the dense r_<^L / r_>^{L+1} formula.
+
+    Only even occupations, so no odd-shell pin enters the matrix.
+    """
+    Z = 10.0
+    g = make_grid(1e-6 / Z, 40.0, 400)
+    sources = [
+        replace(hydrogenic_orbital(Z, n, l, g), occupation=q)
+        for n, l, q in [(1, 0, 2), (2, 0, 2), (2, 1, 6), (3, 2, 10)]
+    ]
+    r, h = g.points, g.log_step
+    e = g.weights / (h * r)
+    e_pair = 0.5 * (e[:, None] + e[None, :])
+    r_lo, r_hi = np.minimum.outer(r, r), np.maximum.outer(r, r)
+    X_ref = np.zeros((g.N, g.N))
+    for o in sources:
+        z_b = np.sqrt(r) * o.u
+        for L in range(abs(channel_l - o.l), channel_l + o.l + 1):
+            lam = angular_weight(channel_l, L, o.l)
+            K_L = r_lo**L / r_hi ** (L + 1)
+            X_ref += (0.5 * o.occupation) * lam * h * (np.outer(z_b, z_b) * K_L) * e_pair
+    X = _exchange_z_matrix(channel_l, sources, g)
+    assert np.max(np.abs(X - X_ref)) <= 1e-14 * np.max(np.abs(X_ref))
+    assert np.array_equal(X, X.T)
+
+
+def test_negative_angular_momentum_rejected(h_run):
+    state, _ = h_run
+    g = state.grid
+    target = RadialOrbital(state.orbitals[0].u, n=1, l=-1)
+    with pytest.raises(ParameterError):
+        state.channel_matrix(-1)
+    with pytest.raises(ParameterError):
+        exchange_apply(state.orbitals, target, g)
+    with pytest.raises(ParameterError):
+        fock_apply(state, target)
 
 
 # ---------------------------------------------------------------------------

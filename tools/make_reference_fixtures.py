@@ -16,6 +16,7 @@ factorization dense and large.
 
 import json
 import pathlib
+import resource
 import time
 
 from polarscf.hfcore import AtomConfig, GridParams, scf_solve
@@ -36,10 +37,11 @@ def helium_reference() -> dict:
     t0 = time.time()
     state = scf_solve(cfg)
     elapsed = time.time() - t0
+    peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
     print(
         f"helium: E = {state.total_energy:.12f} Ha, eps_1s = "
         f"{state.eigenvalues[0]:.12f} Ha, {state.iterations} iterations, "
-        f"{elapsed:.0f}s"
+        f"{elapsed:.0f}s, peak RSS {peak_mb:.0f} MB"
     )
     return {
         "system": "helium 1s^2 restricted mean field",
