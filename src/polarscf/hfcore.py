@@ -12,7 +12,14 @@ The moving parts are:
   z = sqrt(r)·u coordinates where the mesh measure is flat and kept,
   read-only, in the returned state next to the field that builds any other
   channel's matrix on demand,
-* fixed-point iteration with linear mixing of the mean field, and
+* a shift-invert eigensolver that asks ARPACK for exactly the occupied
+  pairs of a channel, warm-started from the previous iteration's orbitals
+  with a shift just below its lowest eigenvalue; a Cholesky factorization
+  certifies that the shift lies below the whole spectrum, falling back to
+  the bound −(Z²/2 + 2) and raising ConvergenceError if neither certifies,
+* fixed-point iteration with linear mixing of the mean field, whose
+  per-iteration trace (with the shifts and the eigensolver's factorizations
+  and solves) is kept on the returned state, and
 * trace bookkeeping that confronts the eigenvalue sum with the matrix
   quadratic form of the same converged operator.
 
@@ -31,6 +38,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 import numpy as np
+import scipy.linalg as sla
 import scipy.sparse.linalg as spla
 
 from .errors import (
@@ -62,6 +70,10 @@ DEFAULT_TOL_ENERGY = 1e-8
 DEFAULT_TOL_ORBITAL = 1e-6
 DEFAULT_R_MAX = 50.0
 DEFAULT_N_POINTS = 2000
+
+# The shift-invert shift sits this far (hartree) below the channel's lowest
+# eigenvalue of the previous iteration.
+SHIFT_MARGIN = 0.1
 
 
 # ---------------------------------------------------------------------------
@@ -320,36 +332,51 @@ def _exchange_z_matrix(channel_l, orbitals, g: RadialGrid):
     if channel_l < 0:
         raise ParameterError(f"angular momentum must be nonnegative, got l={channel_l}")
     r, h = g.points, g.log_step
-    e = g.weights / (h * r)  # end-corrected quadrature factors
-    e_pair = 0.5 * (e[:, None] + e[None, :])
+    e = g.weights / (h * r)  # end-corrected quadrature factors, exactly 1 inside
+    ends, inner = np.flatnonzero(e != 1.0), np.flatnonzero(e == 1.0)
+    # 0.5·(e_i + e_j) is 1 unless row or column touches an end: scale only those
+    end_rows = 0.5 * (e[ends, None] + e[None, :])
+    end_cols = 0.5 * (e[inner, None] + e[None, ends])
     upper = ~np.tri(g.N, k=-1, dtype=bool)  # r_i <= r_j
     X = np.zeros((g.N, g.N))
     for o in orbitals:
         u_b, l_b, q_b = o.u, o.l, int(round(o.occupation))
         z_b = u_to_z(u_b, g)
-        M = sum(
+        terms = (
             np.outer(angular_weight(channel_l, L, l_b) * h * z_b * r**L, z_b * r ** -(L + 1))
             for L in _multipoles(channel_l, l_b)
         )
-        M = np.where(upper, M, M.T) * e_pair
-        X += (0.5 * q_b) * M
-        if q_b % 2 == 1 and l_b == channel_l:
+        M = next(terms)
+        for term in terms:
+            M += term
+        M = np.where(upper, M, M.T)
+        M[ends, :] *= end_rows
+        M[np.ix_(inner, ends)] *= end_cols
+        pinned = q_b % 2 == 1 and l_b == channel_l
+        if pinned:
+            Mz = M @ z_b
+        # weight q/2 in place: every N×N temporary costs memory and page faults
+        M *= 0.5 * q_b
+        X += M
+        if pinned:
             # Pin the kernel's action on its own orbital: for q=1 the target
             # is the bare monopole self-potential (so direct and exchange
             # cancel exactly); for odd q>=3 it is the energy-consistent
             # diagonal weight.
-            base_action = (0.5 * q_b) * (M @ z_b)
+            base_action = (0.5 * q_b) * Mz
             if q_b == 1:
                 t = slater_potential(u_b * u_b, 0, g) * z_b
             else:
                 s_bb = _pair_weights(q_b, l_b, q_b, l_b)
-                t = (s_bb / q_b) * (M @ z_b)
+                t = (s_bb / q_b) * Mz
             d = t - base_action
             znorm = float(np.linalg.norm(z_b))
             zh = z_b / znorm
             dh = d / znorm
             rho = dh - 0.5 * zh * float(zh @ dh)
-            X += np.outer(rho, zh) + np.outer(zh, rho)
+            P = np.outer(rho, zh)
+            P += P.T
+            X += P
     return X
 
 
@@ -442,7 +469,10 @@ class SCFState:
     Per occupied l-channel it keeps the read-only Fock matrix the eigensolver
     last diagonalized (`_fock`); `_vsc` is the field other channels' matrices
     are built from on demand, and `_token` fingerprints orbitals and field so
-    that edits made after the solve are caught.
+    that edits made after the solve are caught.  `trace` has one row per
+    iteration, the same rows a ConvergenceError carries: energy, changes,
+    the shift per channel, and the eigensolver's factorizations and
+    shift-invert solves summed over channels.
 
     epsilon0 is the eigenvalue offset constant of the trace relation; the
     plain SCF works in the gauge where it is exactly zero, and downstream
@@ -458,6 +488,7 @@ class SCFState:
     grid: RadialGrid
     config: AtomConfig
     epsilon0: float = 0.0
+    trace: list = field(default_factory=list, repr=False)
     _vsc: np.ndarray = field(default=None, repr=False)
     _fock: dict = field(default_factory=dict, repr=False)
     _token: str = field(default="", repr=False)
@@ -530,18 +561,50 @@ def trace_energy(state: SCFState):
 # the SCF loop
 
 
-def _solve_channel(C, count, z_nuc, N):
-    """Lowest eigenpairs of a dense symmetric z-space Fock matrix.
+def _solve_channel(C, count, z_nuc, eps_low, v0):
+    """Lowest `count` eigenpairs of a dense symmetric z-space Fock matrix.
 
-    Shift-invert with a shift provably below the spectrum; the fixed start
-    vector keeps ARPACK bit-reproducible across runs.
+    ARPACK shift-invert Lanczos converges at a rate set by the spacing of
+    1/(λ − σ) near the wanted end, so the shift σ is put SHIFT_MARGIN below
+    eps_low, the channel's lowest eigenvalue from the previous iteration.
+    σ is certified below the whole spectrum by a Cholesky factorization of
+    C − σI, which succeeds exactly when C − σI is positive definite.  If it
+    fails, the bound −(Z²/2 + 2) is tried instead, and if that fails too a
+    ConvergenceError is raised rather than returning eigenpairs that may not
+    be the lowest.  The factor is handed to ARPACK as the shift-invert
+    operator and exactly `count` pairs are asked for, starting from v0 (the
+    channel's previous orbitals summed), which keeps runs bit-reproducible.
+
+    Returns (values, vectors, work) with values ascending and work holding
+    the shift, the number of factorizations and of shift-invert solves.
     """
-    k = count + 2
-    sigma = -(0.5 * z_nuc**2 + 2.0)
-    v0 = np.ones(N)
-    vals, vecs = spla.eigsh(C, k=k, sigma=sigma, which="LM", v0=v0)
+    N = C.shape[0]
+    A = np.empty_like(C, order="F")  # C − σI, factored in place
+    sigmas = (eps_low - SHIFT_MARGIN, -(0.5 * z_nuc**2 + 2.0))
+    for tries, sigma in enumerate(sigmas, start=1):
+        A[...] = C
+        A.flat[:: N + 1] -= sigma
+        try:
+            factor = sla.cho_factor(A, lower=True, overwrite_a=True, check_finite=False)
+        except np.linalg.LinAlgError:
+            continue
+        break
+    else:
+        raise ConvergenceError(
+            f"no certified shift: C - sigma*I is indefinite for sigma in {sigmas}"
+        )
+    solves = 0
+
+    def shift_invert(b):
+        nonlocal solves
+        solves += 1
+        return sla.cho_solve(factor, b, check_finite=False)
+
+    op = spla.LinearOperator((N, N), matvec=shift_invert, dtype=float)
+    vals, vecs = spla.eigsh(C, k=count, sigma=sigma, which="LM", v0=v0, OPinv=op)
     order = np.argsort(vals)
-    return vals[order], vecs[:, order]
+    work = {"shift": float(sigma), "factorizations": tries, "shift_invert_solves": solves}
+    return vals[order], vecs[:, order], work
 
 
 def scf_solve(cfg: AtomConfig) -> SCFState:
@@ -563,30 +626,48 @@ def scf_solve(cfg: AtomConfig) -> SCFState:
         replace(hydrogenic_orbital(cfg.z, s.n, s.l, g), occupation=s.occupation)
         for s in cfg.shells
     ]
-    eigenvalues = [0.0] * len(orbitals)
+    # hydrogenic levels of the start: the first iteration's warm shifts
+    eigenvalues = [-0.5 * (cfg.z / s.n) ** 2 for s in cfg.shells]
 
     vsc_mix = None
+    xz_mix: dict[int, np.ndarray] = {}
     fock: dict[int, np.ndarray] = {}
     E_prev = None
     trace = []
     alpha = cfg.scf.mixing
 
     for it in range(1, cfg.scf.max_iter + 1):
+        fock.clear()  # last iteration's matrices must not outlive the new exchange
         vsc_new = hartree_potential(build_density(orbitals, g), g)
-        xz_new = {l: _exchange_z_matrix(l, orbitals, g) for l in channels}
         if vsc_mix is None:
             vsc_mix = vsc_new
-            xz_mix = xz_new
         else:
             vsc_mix = (1.0 - alpha) * vsc_mix + alpha * vsc_new
-            xz_mix = {
-                l: (1.0 - alpha) * xz_mix[l] + alpha * xz_new[l] for l in channels
-            }
+        for l in channels:
+            X = _exchange_z_matrix(l, orbitals, g)
+            if l in xz_mix:
+                # (1 − α)·X_mix + α·X, in place
+                xz_mix[l] *= 1.0 - alpha
+                X *= alpha
+                xz_mix[l] += X
+            else:
+                xz_mix[l] = X
+            del X  # not alive while the next exchange matrix is built
 
         new_orbitals = list(orbitals)
+        row = {"shift": {}, "factorizations": 0, "shift_invert_solves": 0}
         for l, members in channels.items():
             fock[l] = _fock_matrix(l, cfg.z, vsc_mix, xz_mix[l], g)
-            vals, vecs = _solve_channel(fock[l], len(members), cfg.z, g.N)
+            v0 = sum(u_to_z(orbitals[i].u, g) for i in members)
+            try:
+                vals, vecs, work = _solve_channel(
+                    fock[l], len(members), cfg.z, eigenvalues[members[0]], v0
+                )
+            except ConvergenceError as exc:
+                raise ConvergenceError(f"iteration {it}, l={l}: {exc}", trace=trace) from None
+            row["shift"][l] = work["shift"]
+            row["factorizations"] += work["factorizations"]
+            row["shift_invert_solves"] += work["shift_invert_solves"]
             for rank, i in enumerate(members):
                 z = vecs[:, rank]
                 if z[np.argmax(np.abs(z))] < 0:
@@ -609,6 +690,7 @@ def scf_solve(cfg: AtomConfig) -> SCFState:
                 "total_energy": E_new,
                 "delta_energy": delta_E if math.isfinite(delta_E) else None,
                 "max_orbital_delta": delta_u,
+                **row,
             }
         )
         E_prev = E_new
@@ -632,6 +714,7 @@ def scf_solve(cfg: AtomConfig) -> SCFState:
         iterations=it,
         grid=g,
         config=cfg,
+        trace=trace,
         _vsc=vsc_mix,
         _fock=fock,
     )

@@ -22,6 +22,7 @@ from polarscf.hfcore import (
     SCFState,
     ShellSpec,
     _exchange_z_matrix,
+    _solve_channel,
     angular_weight,
     build_density,
     exchange_apply,
@@ -41,6 +42,7 @@ from polarscf.radial import (
     integrate,
     kinetic_apply,
     make_grid,
+    u_to_z,
 )
 
 
@@ -356,6 +358,7 @@ def test_nonconvergence_reports_trace():
     assert len(err.value.trace) == 3
     assert "total_energy" in err.value.trace[0]
     assert err.value.trace[0]["iteration"] == 1
+    assert "shift_invert_solves" in err.value.trace[0]
 
 
 def test_state_summary_order(h_run):
@@ -380,3 +383,86 @@ def test_density_matrix_total_weighting():
         pair_count=1,
     )
     assert np.array_equal(d.total(), np.array([2.5, 4.0]))
+
+
+# ---------------------------------------------------------------------------
+# the channel eigensolver
+
+
+@pytest.fixture(scope="module")
+def li_channel():
+    """Converged Li s-channel Fock matrix at N=300, its start vector and a dense oracle.
+
+    On this mesh max|C| is about 2e15, so a dense eigh of C itself resolves
+    eigenvalues only to about eps·max|C| ~ 0.5 Ha.  The oracle therefore
+    diagonalizes the dense inverse of C − σ_ref·I (LU, not Cholesky) with
+    σ_ref = −10 Ha, below the spectrum and apart from every shift the solver
+    tries; the lowest levels of C are the top of that inverse's spectrum.
+    """
+    state = scf_solve(
+        AtomConfig(z=3.0, shells=((1, 0, 2), (2, 0, 1)), grid=GridParams(n_points=300))
+    )
+    C = state.channel_matrix(0)
+    sigma_ref = -10.0
+    K = np.linalg.inv(C - sigma_ref * np.eye(C.shape[0]))
+    nu, W = np.linalg.eigh(0.5 * (K + K.T))
+    ref_vals = sigma_ref + 1.0 / nu[::-1][:2]
+    v0 = sum(u_to_z(o.u, state.grid) for o in state.orbitals)
+    return C, v0, ref_vals, W[:, ::-1][:, :2]
+
+
+def _assert_lowest_pairs(vals, vecs, ref_vals, ref_vecs):
+    assert np.max(np.abs(vals - ref_vals)) <= 1e-10
+    for k in range(len(ref_vals)):
+        v, w = vecs[:, k], ref_vecs[:, k]
+        assert min(np.linalg.norm(v - w), np.linalg.norm(v + w)) <= 1e-8
+
+
+def test_solve_channel_warm_shift_matches_dense(li_channel):
+    C, v0, ref_vals, ref_vecs = li_channel
+    vals, vecs, work = _solve_channel(C, 2, 3.0, ref_vals[0], v0)
+    _assert_lowest_pairs(vals, vecs, ref_vals, ref_vecs)
+    assert work["factorizations"] == 1
+    assert work["shift"] == ref_vals[0] - 0.1
+
+
+def test_solve_channel_warm_shift_too_high_falls_back(li_channel):
+    """A warm eigenvalue above the true lowest puts the first shift inside the spectrum."""
+    C, v0, ref_vals, ref_vecs = li_channel
+    vals, vecs, work = _solve_channel(C, 2, 3.0, ref_vals[0] + 1.0, v0)
+    _assert_lowest_pairs(vals, vecs, ref_vals, ref_vecs)
+    assert work["factorizations"] == 2
+    assert work["shift"] == -(0.5 * 3.0**2 + 2.0)
+
+
+def test_solve_channel_refuses_uncertified_shift(li_channel):
+    """Levels below −(Z²/2 + 2) raise instead of returning pairs near the shift."""
+    C, v0, ref_vals, _ = li_channel
+    shifted = C - 10.0 * np.eye(C.shape[0])  # lowest level near −12.5 Ha
+    with pytest.raises(ConvergenceError):
+        _solve_channel(shifted, 2, 3.0, ref_vals[0], v0)
+
+
+def test_state_keeps_iteration_trace(h_run):
+    state, _ = h_run
+    assert len(state.trace) == state.iterations
+    assert [row["iteration"] for row in state.trace] == list(range(1, state.iterations + 1))
+    for row in state.trace:
+        assert set(row) == {
+            "iteration", "total_energy", "delta_energy", "max_orbital_delta",
+            "shift", "factorizations", "shift_invert_solves",
+        }
+        assert list(row["shift"]) == [0]
+        assert row["factorizations"] >= 1
+        assert row["shift_invert_solves"] >= 1
+    assert state.trace[-1]["total_energy"] == state.total_energy
+
+
+def test_warm_shift_solve_count():
+    """He at N=1000: a few shift-invert solves per iteration, the same on every run."""
+    cfg = AtomConfig(z=2.0, shells=((1, 0, 2),), grid=GridParams(n_points=1000))
+    counts = [
+        [row["shift_invert_solves"] for row in scf_solve(cfg).trace] for _ in range(2)
+    ]
+    assert counts[0] == counts[1]
+    assert sum(counts[0]) <= 30 * len(counts[0])

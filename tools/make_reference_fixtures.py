@@ -10,8 +10,12 @@ Run from the repository root:
 
     python3 tools/make_reference_fixtures.py
 
-Takes on the order of ten minutes: the fine grid makes every shift-invert
-factorization dense and large.
+The N=8000 run itself is unmeasured.  At half its resolution
+(RESOLUTION_FACTOR = 2, N=4000) the solve took 24 s and peaked at 461 MB
+RSS on a 2-core x86-64 machine with one OpenBLAS thread; every dense N×N
+array, and so most of the memory, grows fourfold at N=8000.  The timing
+line reports iterations, Cholesky factorizations, shift-invert solves,
+elapsed time and peak RSS.
 """
 
 import json
@@ -38,9 +42,12 @@ def helium_reference() -> dict:
     state = scf_solve(cfg)
     elapsed = time.time() - t0
     peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
+    factorizations = sum(row["factorizations"] for row in state.trace)
+    solves = sum(row["shift_invert_solves"] for row in state.trace)
     print(
         f"helium: E = {state.total_energy:.12f} Ha, eps_1s = "
         f"{state.eigenvalues[0]:.12f} Ha, {state.iterations} iterations, "
+        f"{factorizations} factorizations, {solves} shift-invert solves, "
         f"{elapsed:.0f}s, peak RSS {peak_mb:.0f} MB"
     )
     return {
