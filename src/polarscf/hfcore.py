@@ -5,23 +5,26 @@ The moving parts are:
 
 * density assembly split into paired / unpaired radial densities,
 * the direct (Hartree) potential of the total electron density,
-* nonlocal exchange per angular channel, built from the semiseparable
-  generators r^L and r^{-(L+1)} of each multipole kernel r_<^L / r_>^{L+1}
-  and parity-filtered angular weights,
-* one symmetric Fock matrix per occupied l-channel, diagonalized in the
-  z = sqrt(r)·u coordinates where the mesh measure is flat and kept,
-  read-only, in the returned state next to the field that builds any other
-  channel's matrix on demand,
+* nonlocal exchange per angular channel, kept as the generators of each
+  multipole kernel r_<^L / r_>^{L+1} = G·C·G with C_ij = c_min(i,j) and
+  parity-filtered angular weights, never as an N×N matrix,
+* one Fock operator per l-channel (`FockOperator`) in the z = sqrt(r)·u
+  coordinates where the mesh measure is flat: it applies in O(N) with two
+  cumulative sums per kernel block, and it solves shifted systems in O(N)
+  because F − σ is the Schur complement of a banded matrix whose Cholesky
+  factor, with an inertia check of a small capacitance matrix for the
+  odd-shell pins, certifies that σ lies below the whole spectrum,
 * a shift-invert eigensolver that asks ARPACK for exactly the occupied
   pairs of a channel, warm-started from the previous iteration's orbitals
-  with a shift just below its lowest eigenvalue; a Cholesky factorization
-  certifies that the shift lies below the whole spectrum, falling back to
-  the bound −(Z²/2 + 2) and raising ConvergenceError if neither certifies,
-* fixed-point iteration with linear mixing of the mean field, whose
-  per-iteration trace (with the shifts and the eigensolver's factorizations
-  and solves) is kept on the returned state, and
-* trace bookkeeping that confronts the eigenvalue sum with the matrix
-  quadratic form of the same converged operator.
+  with a shift just below its lowest eigenvalue, falling back to the bound
+  −(Z²/2 + 2) and raising ConvergenceError if neither shift certifies,
+* fixed-point iteration on the convex combination of the two newest
+  orbital snapshots' operators, whose per-iteration trace (with the shifts,
+  the eigensolver's factorizations and solves, and the phase wall times)
+  is kept on the returned state next to the snapshots and the field that
+  rebuild any channel's operator, and
+* trace bookkeeping that confronts the eigenvalue sum with the quadratic
+  form of the same converged operator.
 
 Exchange kernels carry weight q/2 per source shell (exact for closed
 shells).  Shells holding an odd electron additionally get a symmetric
@@ -34,6 +37,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import time
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
@@ -56,6 +60,7 @@ from .radial import (
     integrate,
     kinetic_tridiagonal,
     make_grid,
+    tridiag_apply,
     u_to_z,
     z_to_u,
 )
@@ -298,15 +303,6 @@ def hartree_potential(rho, g: RadialGrid):
     return slater_potential(source, 0, g)
 
 
-def weighted_trace(rho, op) -> float:
-    """Trace of rho·op for dense matrices (density-matrix averaging)."""
-    rho = np.asarray(rho)
-    op = np.asarray(op)
-    if rho.shape != op.shape or rho.ndim != 2:
-        raise ShapeError(f"incompatible shapes {rho.shape} and {op.shape}")
-    return float(np.einsum("ij,ji->", rho, op))
-
-
 # ---------------------------------------------------------------------------
 # exchange kernels
 
@@ -318,74 +314,70 @@ def _pair_weights(q_a: int, l_a: int, q_b: int, l_b: int) -> float:
     return w_a * w_b + (q_a - w_a) * (q_b - w_b)
 
 
-def _exchange_z_matrix(channel_l, orbitals, g: RadialGrid):
-    """Symmetric z-space exchange matrix for one angular channel.
+def _exchange_terms(channel_l, orbitals, g: RadialGrid, weight: float):
+    """Generators of the z-space exchange operator of one angular channel.
 
     orbitals: the occupied RadialOrbitals feeding the kernel, each holding
-    q electrons.  The kernel r_<^L / r_>^{L+1} is semiseparable, so each
-    source block is the upper triangle of Σ_L λ_L·outer(a_L, b_L) with
-    a_L = h·z_b·r^L and b_L = z_b·r^{-(L+1)}, mirrored to exact symmetry and
-    scaled by the end-corrected quadrature factor 0.5·(e_i + e_j).  Weight
-    q/2 per source reproduces the closed-shell operator; odd shells get the
-    rank-two self-action correction described in the module docstring.
+    q electrons; weight scales the whole set (its snapshot's mixing weight).
+    On the mesh, the multipole kernel r_<^L / r_>^{L+1} with the quadrature
+    factors of both ends is γ·G·C·G with G = diag(√e ⊙ z_b ⊙ r^{-(L+1)}),
+    C_ij = c_min(i,j), c = r^{2L+1} and e = w/(h·r) the end-corrected
+    quadrature factors (exactly 1 inside).  Each source shell b and multipole
+    L gives one block (γ, g, c) with γ = weight·(q_b/2)·λ_L·h; weight q/2 per
+    source reproduces the closed-shell operator.  Odd shells add one pin
+    (weight, ρ, ẑ), the symmetric rank-two term weight·(ρẑᵀ + ẑρᵀ) described
+    in the module docstring.  Returns (blocks, pins).
     """
     if channel_l < 0:
         raise ParameterError(f"angular momentum must be nonnegative, got l={channel_l}")
     r, h = g.points, g.log_step
-    e = g.weights / (h * r)  # end-corrected quadrature factors, exactly 1 inside
-    ends, inner = np.flatnonzero(e != 1.0), np.flatnonzero(e == 1.0)
-    # 0.5·(e_i + e_j) is 1 unless row or column touches an end: scale only those
-    end_rows = 0.5 * (e[ends, None] + e[None, :])
-    end_cols = 0.5 * (e[inner, None] + e[None, ends])
-    upper = ~np.tri(g.N, k=-1, dtype=bool)  # r_i <= r_j
-    X = np.zeros((g.N, g.N))
+    root_e = np.sqrt(g.weights / (h * r))
+    blocks, pins = [], []
     for o in orbitals:
         u_b, l_b, q_b = o.u, o.l, int(round(o.occupation))
         z_b = u_to_z(u_b, g)
-        terms = (
-            np.outer(angular_weight(channel_l, L, l_b) * h * z_b * r**L, z_b * r ** -(L + 1))
+        own = [
+            (angular_weight(channel_l, L, l_b) * h, root_e * z_b * r ** -(L + 1), r ** (2 * L + 1))
             for L in _multipoles(channel_l, l_b)
-        )
-        M = next(terms)
-        for term in terms:
-            M += term
-        M = np.where(upper, M, M.T)
-        M[ends, :] *= end_rows
-        M[np.ix_(inner, ends)] *= end_cols
-        pinned = q_b % 2 == 1 and l_b == channel_l
-        if pinned:
-            Mz = M @ z_b
-        # weight q/2 in place: every N×N temporary costs memory and page faults
-        M *= 0.5 * q_b
-        X += M
-        if pinned:
+        ]
+        blocks += [(weight * 0.5 * q_b * gamma, gv, c) for gamma, gv, c in own]
+        if q_b % 2 == 1 and l_b == channel_l:
             # Pin the kernel's action on its own orbital: for q=1 the target
             # is the bare monopole self-potential (so direct and exchange
             # cancel exactly); for odd q>=3 it is the energy-consistent
             # diagonal weight.
-            base_action = (0.5 * q_b) * Mz
+            Mz = _exchange_action(own, (), z_b)
             if q_b == 1:
                 t = slater_potential(u_b * u_b, 0, g) * z_b
             else:
-                s_bb = _pair_weights(q_b, l_b, q_b, l_b)
-                t = (s_bb / q_b) * Mz
-            d = t - base_action
+                t = (_pair_weights(q_b, l_b, q_b, l_b) / q_b) * Mz
+            d = t - (0.5 * q_b) * Mz
             znorm = float(np.linalg.norm(z_b))
             zh = z_b / znorm
             dh = d / znorm
-            rho = dh - 0.5 * zh * float(zh @ dh)
-            P = np.outer(rho, zh)
-            P += P.T
-            X += P
-    return X
+            pins.append((weight, dh - 0.5 * zh * float(zh @ dh), zh))
+    return blocks, pins
+
+
+def _exchange_action(blocks, pins, x):
+    """X·x in O(N): two cumulative sums per kernel block, two dot products per pin."""
+    out = np.zeros_like(x)
+    for gamma, gv, c in blocks:
+        y = gv * x
+        cy = np.cumsum(c * y)  # Σ_{j<=i} c_j·y_j
+        cy[:-1] += c[:-1] * np.cumsum(y[::-1])[-2::-1]  # c_i·Σ_{j>i} y_j
+        out += gamma * gv * cy
+    for w, rho, zh in pins:
+        out += w * (rho * float(zh @ x) + zh * float(rho @ x))
+    return out
 
 
 def exchange_apply(orbitals, target: RadialOrbital, g: RadialGrid):
     """Apply the nonlocal exchange of the occupied orbitals to a target."""
     if np.asarray(target.u).shape != g.points.shape:
         raise ShapeError("target orbital is not sampled on the given grid")
-    X = _exchange_z_matrix(target.l, orbitals, g)
-    return z_to_u(X @ u_to_z(target.u, g), g)
+    blocks, pins = _exchange_terms(target.l, orbitals, g, 1.0)
+    return z_to_u(_exchange_action(blocks, pins, u_to_z(target.u, g)), g)
 
 
 # ---------------------------------------------------------------------------
@@ -396,18 +388,11 @@ def _coulomb_integral(fa, fb, L, g):
     return integrate(fa * slater_potential(fb, L, g), g)
 
 
-def _tridiag_apply(diag, off, z):
-    out = diag * z
-    out[:-1] += off * z[1:]
-    out[1:] += off * z[:-1]
-    return out
-
-
 def _kinetic_expectation(u, l, g: RadialGrid) -> float:
     z = u_to_z(u, g)
     diag, off = kinetic_tridiagonal(g, l)
     he = g.weights / g.points
-    return float(np.sum(he * z * _tridiag_apply(diag, off, z)))
+    return float(np.sum(he * z * tridiag_apply(diag, off, z)))
 
 
 def _total_energy(z_nuc, orbitals, g: RadialGrid) -> float:
@@ -445,17 +430,111 @@ def _total_energy(z_nuc, orbitals, g: RadialGrid) -> float:
     return E
 
 
-def _fock_matrix(l, z_nuc, vsc, X, g: RadialGrid):
-    """Channel-l Fock matrix T_l + (−Z/r + vsc) − X, dense in z-space, read-only."""
+# ---------------------------------------------------------------------------
+# the channel Fock operator
+
+
+@dataclass(frozen=True)
+class FockOperator:
+    """One channel's z-space Fock operator, applied and solved in O(N).
+
+    F = tridiag(diag, off) − Σ_k γ_k·G_k·C_k·G_k − Σ_p w_p·(ρ_p ẑ_pᵀ + ẑ_p ρ_pᵀ)
+    is the kinetic stencil plus the local potential, one exchange block
+    (γ, g, c) per snapshot, source shell and multipole, and one pin
+    (w, ρ, ẑ) per odd shell per snapshot (see `_exchange_terms`).
+    """
+
+    diag: np.ndarray
+    off: np.ndarray
+    blocks: tuple
+    pins: tuple
+
+    def apply(self, x):
+        return tridiag_apply(self.diag, self.off, x) - _exchange_action(self.blocks, self.pins, x)
+
+    def to_dense(self):
+        """The dense, read-only matrix of the operator, for tests and checks.
+
+        Its largest entries are about 1/(h·r_min)², so a dense eigensolver
+        run on it directly resolves the low levels poorly.
+        """
+        F = np.diag(self.diag) + np.diag(self.off, 1) + np.diag(self.off, -1)
+        idx = np.arange(self.diag.size)
+        lower = np.minimum.outer(idx, idx)
+        for gamma, gv, c in self.blocks:
+            F -= gamma * np.outer(gv, gv) * c[lower]
+        for w, rho, zh in self.pins:
+            P = np.outer(rho, zh)
+            F -= w * (P + P.T)
+        F.flags.writeable = False
+        return F
+
+    def shifted_solver(self, sigma):
+        """x ↦ (F − σ)⁻¹x, once F − σ is certified positive definite.
+
+        Writing γ·C = (C⁻¹/γ)⁻¹, F − σ without its pins is the Schur complement
+        S of M = [[blockdiag(C_k⁻¹/γ_k), G], [Gᵀ, A − σ]] with A the tridiagonal
+        part.  Each C⁻¹ is tridiagonal with d_i = c_i − c_{i−1}, so with the
+        unknowns interleaved as (y_1[i] … y_m[i], x[i]) M is banded with
+        bandwidth m + 1, and since every C_k⁻¹/γ_k is positive definite, M is
+        exactly when S is: the banded Cholesky factor of M certifies S ≻ 0.
+        The pins are U·W·Uᵀ with U = [ρ_p, ẑ_p], W = blockdiag(w_p·[[0, 1], [1, 0]]),
+        handled by Woodbury through the capacitance K = W⁻¹ − Uᵀ·S⁻¹·U.  By
+        Haynsworth inertia additivity, In(S) + In(K) = In(W⁻¹) + In(F − σ), so
+        with S ≻ 0, F − σ ≻ 0 exactly when K has the inertia of W⁻¹: one
+        positive and one negative eigenvalue per pin.  Raises
+        np.linalg.LinAlgError when either test fails.
+        """
+        N, m = self.diag.size, len(self.blocks)
+        s = m + 1  # stride of one mesh point in the interleaved unknowns
+        ab = np.zeros((s + 1, s * N))  # lower band storage: ab[k, j] = M[j + k, j]
+        ab[0, m::s] = self.diag - sigma
+        ab[s, m:-1:s] = self.off
+        for k, (gamma, gv, c) in enumerate(self.blocks):
+            inv_d = 1.0 / np.diff(c, prepend=0.0)
+            ab[0, k::s] = inv_d / gamma
+            ab[0, k:-s:s] += inv_d[1:] / gamma
+            ab[s, k:-s:s] = -inv_d[1:] / gamma
+            ab[m - k, k::s] = gv
+        factor = sla.cholesky_banded(ab, overwrite_ab=True, lower=True, check_finite=False)
+
+        def solve_s(b):
+            rhs = np.zeros((s * N,) + b.shape[1:])
+            rhs[m::s] = b
+            y = sla.cho_solve_banded((factor, True), rhs, overwrite_b=True, check_finite=False)
+            return y[m::s]
+
+        if not self.pins:
+            return solve_s
+        U = np.column_stack([v for _, rho, zh in self.pins for v in (rho, zh)])
+        W_inv = np.kron(np.diag([1.0 / w for w, _, _ in self.pins]), [[0.0, 1.0], [1.0, 0.0]])
+        SU = solve_s(U)
+        K = W_inv - U.T @ SU
+        nu, V = np.linalg.eigh(0.5 * (K + K.T))
+        inertia = (np.count_nonzero(nu > 0.0), np.count_nonzero(nu < 0.0))
+        if inertia != (len(self.pins), len(self.pins)):
+            raise np.linalg.LinAlgError(
+                f"capacitance inertia {inertia} differs from the pins' "
+                f"{(len(self.pins), len(self.pins))}"
+            )
+        K_inv = (V / nu) @ V.T
+
+        def solve(b):
+            Sb = solve_s(b)
+            return Sb + SU @ (K_inv @ (U.T @ Sb))
+
+        return solve
+
+
+def _fock_operator(l, z_nuc, vsc, snapshots, g: RadialGrid) -> FockOperator:
+    """Channel-l operator T_l + (−Z/r + vsc) − Σ_snapshots weight·(exchange + pins)."""
+    blocks, pins = [], []
+    for weight, orbitals in snapshots:
+        b, p = _exchange_terms(l, orbitals, g, weight)
+        blocks += b
+        pins += p
     diag, off = kinetic_tridiagonal(g, l)
-    idx = np.arange(g.N)
-    C = np.zeros((g.N, g.N))
-    C[idx, idx] = diag + (-z_nuc / g.points + vsc)
-    C[idx[:-1], idx[1:]] += off
-    C[idx[1:], idx[:-1]] += off
-    C -= X
-    C.flags.writeable = False
-    return C
+    return FockOperator(diag + (-z_nuc / g.points + vsc), off, tuple(blocks), tuple(pins))
 
 
 # ---------------------------------------------------------------------------
@@ -466,13 +545,16 @@ def _fock_matrix(l, z_nuc, vsc, X, g: RadialGrid):
 class SCFState:
     """Converged (or abandoned) mean-field solution.
 
-    Per occupied l-channel it keeps the read-only Fock matrix the eigensolver
-    last diagonalized (`_fock`); `_vsc` is the field other channels' matrices
-    are built from on demand, and `_token` fingerprints orbitals and field so
-    that edits made after the solve are caught.  `trace` has one row per
-    iteration, the same rows a ConvergenceError carries: energy, changes,
-    the shift per channel, and the eigensolver's factorizations and
-    shift-invert solves summed over channels.
+    `_snapshots` holds the (weight, orbitals) pairs and `_vsc` the mixed
+    direct potential the last iteration's operators were built from; every
+    channel's operator, occupied or not, is rebuilt from them on demand, so
+    the occupied channels give back exactly the operators the eigensolver
+    diagonalized.  `_token` fingerprints the orbitals, the snapshot orbitals
+    and the field, so that edits made after the solve are caught.  `trace`
+    has one row per iteration, the same rows a ConvergenceError carries:
+    energy, changes, the shift per channel, the eigensolver's
+    factorizations and shift-invert solves summed over channels, and the
+    wall time of each phase (field, operator build, eigensolve, energy).
 
     epsilon0 is the eigenvalue offset constant of the trace relation; the
     plain SCF works in the gauge where it is exactly zero, and downstream
@@ -490,36 +572,31 @@ class SCFState:
     epsilon0: float = 0.0
     trace: list = field(default_factory=list, repr=False)
     _vsc: np.ndarray = field(default=None, repr=False)
-    _fock: dict = field(default_factory=dict, repr=False)
+    _snapshots: tuple = field(default=(), repr=False)
     _token: str = field(default="", repr=False)
 
-    def channel_matrix(self, l: int):
-        """Dense, read-only z-space Fock matrix of one angular channel.
-
-        Occupied channels return the exact matrix whose eigenvectors are
-        the stored orbitals; other channels are assembled on demand from the
-        converged field.
-        """
+    def channel_operator(self, l: int) -> FockOperator:
+        """The z-space Fock operator of one angular channel."""
         self._check_token()
-        if l in self._fock:
-            return self._fock[l]
-        X = _exchange_z_matrix(l, self.orbitals, self.grid)
-        return _fock_matrix(l, self.z, self._vsc, X, self.grid)
+        return _fock_operator(l, self.z, self._vsc, self._snapshots, self.grid)
+
+    def channel_matrix(self, l: int):
+        """Dense, read-only z-space Fock matrix of one angular channel (for tests)."""
+        return self.channel_operator(l).to_dense()
 
     def _check_token(self):
-        if self._token and _orbital_token(self.orbitals, self._vsc) != self._token:
+        if self._token and _state_token(self) != self._token:
             raise ConsistencyError(
                 "SCF state caches are stale: orbitals or fields were modified "
                 "after the solve"
             )
 
 
-def _orbital_token(orbitals, vsc) -> str:
+def _state_token(state: SCFState) -> str:
     hsh = hashlib.sha256()
-    for o in orbitals:
+    for o in [*state.orbitals, *(o for _, orbs in state._snapshots for o in orbs)]:
         hsh.update(np.ascontiguousarray(o.u).tobytes())
-    if vsc is not None:
-        hsh.update(np.ascontiguousarray(vsc).tobytes())
+    hsh.update(np.ascontiguousarray(state._vsc).tobytes())
     return hsh.hexdigest()
 
 
@@ -528,15 +605,15 @@ def fock_apply(state: SCFState, target: RadialOrbital):
     g = state.grid
     if np.asarray(target.u).shape != g.points.shape:
         raise ShapeError("target orbital is not sampled on the state's grid")
-    C = state.channel_matrix(target.l)
-    return z_to_u(C @ u_to_z(target.u, g), g)
+    op = state.channel_operator(target.l)
+    return z_to_u(op.apply(u_to_z(target.u, g)), g)
 
 
 def trace_energy(state: SCFState):
     """Eigenvalue sum vs. density-matrix trace of the same operator.
 
     Returns (sum_eigen, trace_lhs) over the paired orbitals: the first from
-    the solver's eigenvalues, the second from the matrix quadratic form.
+    the solver's eigenvalues, the second from the operator's quadratic form.
     Equal up to the epsilon0·N offset convention (zero in the SCF gauge).
     """
     if not state.converged:
@@ -551,9 +628,8 @@ def trace_energy(state: SCFState):
         if pairs == 0:
             continue
         sum_eigen += pairs * (eps + state.epsilon0)
-        C = state.channel_matrix(o.l)
         z = u_to_z(o.u, g)
-        trace_lhs += pairs * float(np.sum(he * z * (C @ z)))
+        trace_lhs += pairs * float(np.sum(he * z * state.channel_operator(o.l).apply(z)))
     return sum_eigen, trace_lhs
 
 
@@ -561,47 +637,46 @@ def trace_energy(state: SCFState):
 # the SCF loop
 
 
-def _solve_channel(C, count, z_nuc, eps_low, v0):
-    """Lowest `count` eigenpairs of a dense symmetric z-space Fock matrix.
+def _solve_channel(op: FockOperator, count, z_nuc, eps_low, v0):
+    """Lowest `count` eigenpairs of a channel's Fock operator.
 
     ARPACK shift-invert Lanczos converges at a rate set by the spacing of
     1/(λ − σ) near the wanted end, so the shift σ is put SHIFT_MARGIN below
     eps_low, the channel's lowest eigenvalue from the previous iteration.
-    σ is certified below the whole spectrum by a Cholesky factorization of
-    C − σI, which succeeds exactly when C − σI is positive definite.  If it
-    fails, the bound −(Z²/2 + 2) is tried instead, and if that fails too a
+    σ is certified below the whole spectrum by `FockOperator.shifted_solver`,
+    which succeeds exactly when F − σ is positive definite.  If it fails,
+    the bound −(Z²/2 + 2) is tried instead, and if that fails too a
     ConvergenceError is raised rather than returning eigenpairs that may not
-    be the lowest.  The factor is handed to ARPACK as the shift-invert
-    operator and exactly `count` pairs are asked for, starting from v0 (the
-    channel's previous orbitals summed), which keeps runs bit-reproducible.
+    be the lowest.  The certified solver is handed to ARPACK as the
+    shift-invert operator and exactly `count` pairs are asked for, starting
+    from v0 (the channel's previous orbitals summed), which keeps runs
+    bit-reproducible.
 
     Returns (values, vectors, work) with values ascending and work holding
     the shift, the number of factorizations and of shift-invert solves.
     """
-    N = C.shape[0]
-    A = np.empty_like(C, order="F")  # C − σI, factored in place
+    N = op.diag.size
     sigmas = (eps_low - SHIFT_MARGIN, -(0.5 * z_nuc**2 + 2.0))
     for tries, sigma in enumerate(sigmas, start=1):
-        A[...] = C
-        A.flat[:: N + 1] -= sigma
         try:
-            factor = sla.cho_factor(A, lower=True, overwrite_a=True, check_finite=False)
+            solve = op.shifted_solver(sigma)
         except np.linalg.LinAlgError:
             continue
         break
     else:
         raise ConvergenceError(
-            f"no certified shift: C - sigma*I is indefinite for sigma in {sigmas}"
+            f"no certified shift: F - sigma is not positive definite for sigma in {sigmas}"
         )
     solves = 0
 
     def shift_invert(b):
         nonlocal solves
         solves += 1
-        return sla.cho_solve(factor, b, check_finite=False)
+        return solve(b)
 
-    op = spla.LinearOperator((N, N), matvec=shift_invert, dtype=float)
-    vals, vecs = spla.eigsh(C, k=count, sigma=sigma, which="LM", v0=v0, OPinv=op)
+    A = spla.LinearOperator((N, N), matvec=op.apply, dtype=float)
+    OPinv = spla.LinearOperator((N, N), matvec=shift_invert, dtype=float)
+    vals, vecs = spla.eigsh(A, k=count, sigma=sigma, which="LM", v0=v0, OPinv=OPinv)
     order = np.argsort(vals)
     work = {"shift": float(sigma), "factorizations": tries, "shift_invert_solves": solves}
     return vals[order], vecs[:, order], work
@@ -610,10 +685,13 @@ def _solve_channel(C, count, z_nuc, eps_low, v0):
 def scf_solve(cfg: AtomConfig) -> SCFState:
     """Self-consistent solve of the mean-field equations for one atom.
 
-    Fixed point of: build density → build direct/exchange field →
-    diagonalize each occupied l-channel → reoccupy in eigenvalue order →
-    linear field mixing.  Raises ConvergenceError (with the iteration
-    trace attached) if max_iter passes without meeting both tolerances.
+    Fixed point of: build density → build direct field and operator →
+    diagonalize each occupied l-channel → reoccupy in eigenvalue order.
+    The operator of iteration n is the convex combination
+    α·F[o_n] + (1 − α)·F[o_{n−1}] of the two newest orbital snapshots, field
+    and exchange weighted alike (α = `mixing`; iteration 1 uses F[o_1]).
+    Raises ConvergenceError (with the iteration trace attached) if max_iter
+    passes without meeting both tolerances.
     """
     g = cfg.resolved_grid()
     # indices into cfg.shells per l-channel, each list in increasing n
@@ -629,42 +707,44 @@ def scf_solve(cfg: AtomConfig) -> SCFState:
     # hydrogenic levels of the start: the first iteration's warm shifts
     eigenvalues = [-0.5 * (cfg.z / s.n) ** 2 for s in cfg.shells]
 
-    vsc_mix = None
-    xz_mix: dict[int, np.ndarray] = {}
-    fock: dict[int, np.ndarray] = {}
+    previous = None  # (field, orbitals) of the previous iteration's snapshot
     E_prev = None
     trace = []
     alpha = cfg.scf.mixing
 
     for it in range(1, cfg.scf.max_iter + 1):
-        fock.clear()  # last iteration's matrices must not outlive the new exchange
-        vsc_new = hartree_potential(build_density(orbitals, g), g)
-        if vsc_mix is None:
-            vsc_mix = vsc_new
+        t_start = time.perf_counter()
+        vsc_n, orbitals_n = hartree_potential(build_density(orbitals, g), g), tuple(orbitals)
+        if previous is None or alpha == 1.0:  # a zero-weight block has no banded form
+            vsc, snapshots = vsc_n, ((1.0, orbitals_n),)
         else:
-            vsc_mix = (1.0 - alpha) * vsc_mix + alpha * vsc_new
-        for l in channels:
-            X = _exchange_z_matrix(l, orbitals, g)
-            if l in xz_mix:
-                # (1 − α)·X_mix + α·X, in place
-                xz_mix[l] *= 1.0 - alpha
-                X *= alpha
-                xz_mix[l] += X
-            else:
-                xz_mix[l] = X
-            del X  # not alive while the next exchange matrix is built
+            vsc_p, orbitals_p = previous
+            vsc = alpha * vsc_n + (1.0 - alpha) * vsc_p
+            snapshots = ((alpha, orbitals_n), (1.0 - alpha, orbitals_p))
+        previous = vsc_n, orbitals_n
 
         new_orbitals = list(orbitals)
-        row = {"shift": {}, "factorizations": 0, "shift_invert_solves": 0}
+        row = {
+            "shift": {},
+            "factorizations": 0,
+            "shift_invert_solves": 0,
+            "field_s": time.perf_counter() - t_start,
+            "operator_s": 0.0,
+            "eigensolve_s": 0.0,
+        }
         for l, members in channels.items():
-            fock[l] = _fock_matrix(l, cfg.z, vsc_mix, xz_mix[l], g)
+            t_op = time.perf_counter()
+            op = _fock_operator(l, cfg.z, vsc, snapshots, g)
+            t_eig = time.perf_counter()
             v0 = sum(u_to_z(orbitals[i].u, g) for i in members)
             try:
                 vals, vecs, work = _solve_channel(
-                    fock[l], len(members), cfg.z, eigenvalues[members[0]], v0
+                    op, len(members), cfg.z, eigenvalues[members[0]], v0
                 )
             except ConvergenceError as exc:
                 raise ConvergenceError(f"iteration {it}, l={l}: {exc}", trace=trace) from None
+            row["operator_s"] += t_eig - t_op
+            row["eigensolve_s"] += time.perf_counter() - t_eig
             row["shift"][l] = work["shift"]
             row["factorizations"] += work["factorizations"]
             row["shift_invert_solves"] += work["shift_invert_solves"]
@@ -682,7 +762,9 @@ def scf_solve(cfg: AtomConfig) -> SCFState:
         )
         orbitals = new_orbitals
 
+        t_energy = time.perf_counter()
         E_new = _total_energy(cfg.z, orbitals, g)
+        row["energy_s"] = time.perf_counter() - t_energy
         delta_E = abs(E_new - E_prev) if E_prev is not None else float("inf")
         trace.append(
             {
@@ -715,10 +797,10 @@ def scf_solve(cfg: AtomConfig) -> SCFState:
         grid=g,
         config=cfg,
         trace=trace,
-        _vsc=vsc_mix,
-        _fock=fock,
+        _vsc=vsc,
+        _snapshots=snapshots,
     )
-    state._token = _orbital_token(state.orbitals, vsc_mix)
+    state._token = _state_token(state)
     return state
 
 

@@ -23,8 +23,15 @@ import numpy as np
 import scipy.linalg
 
 from .errors import ParameterError, PreconditionError, ShapeError
-from .hfcore import SCFState, _tridiag_apply
-from .radial import RadialGrid, RadialOrbital, kinetic_tridiagonal, node_count, u_to_z
+from .hfcore import SCFState
+from .radial import (
+    RadialGrid,
+    RadialOrbital,
+    kinetic_tridiagonal,
+    node_count,
+    tridiag_apply,
+    u_to_z,
+)
 
 
 def hole_energy(eigs, j: int, i: int) -> float:
@@ -226,7 +233,7 @@ def pk_solve(state: SCFState, valence) -> PseudoOrbital:
             core_radius=core_radius,
         )
 
-    F = state.channel_matrix(l_v)
+    F = state.channel_operator(l_v)
     shifts = [eps_v - e for _, e in cores]
 
     def z_hat(u):
@@ -237,7 +244,7 @@ def pk_solve(state: SCFState, valence) -> PseudoOrbital:
     zc = basis[1:]
 
     def fpk_apply(x):
-        out = F @ x
+        out = F.apply(x)
         for s, z in zip(shifts, zc):
             out += s * z * float(z @ x)
         return out
@@ -248,7 +255,7 @@ def pk_solve(state: SCFState, valence) -> PseudoOrbital:
     m = len(basis)
     T = np.empty((m, m))
     S = np.empty((m, m))
-    t_actions = [_tridiag_apply(diag, off, z) for z in basis]
+    t_actions = [tridiag_apply(diag, off, z) for z in basis]
     for a in range(m):
         for b in range(m):
             T[a, b] = float(np.sum(he * basis[a] * t_actions[b]))

@@ -148,42 +148,41 @@ def hydrogenic_orbital(Z: float, n: int, l: int, g: RadialGrid) -> RadialOrbital
 def kinetic_apply(o: RadialOrbital, g: RadialGrid):
     """Radial kinetic operator -1/2 [u'' - l(l+1) u / r^2] on the log mesh.
 
-    Implemented through the symmetric substitution u = sqrt(r) y, where the
-    operator becomes (1/r^2)[-1/2 d^2/dx^2 + (l+1/2)^2/2] y in the uniform log
-    variable x; a three-point stencil discretizes d^2/dx^2.  The end rows use
-    quadratically extrapolated ghost values rather than hard zeros: y ~ sqrt(r)
-    at small r, so a Dirichlet clamp would inject an O(sqrt(r_min)) defect that
-    the 1/r^2 prefactor then amplifies catastrophically.
+    Applies the z-space matrix of kinetic_tridiagonal, so virial checks and
+    kinetic energies use the operator the SCF diagonalizes.
     """
-    if g.N < MIN_SOLVER_POINTS:
-        raise CapacityError(f"kinetic stencil needs N >= {MIN_SOLVER_POINTS}, got {g.N}")
-    r = g.points
-    h = g.log_step
-    y = np.asarray(o.u) / np.sqrt(r)
-    lap = np.empty_like(y)
-    lap[1:-1] = y[2:] - 2.0 * y[1:-1] + y[:-2]
-    ghost_lo = 3.0 * y[0] - 3.0 * y[1] + y[2]
-    ghost_hi = 3.0 * y[-1] - 3.0 * y[-2] + y[-3]
-    lap[0] = y[1] - 2.0 * y[0] + ghost_lo
-    lap[-1] = ghost_hi - 2.0 * y[-1] + y[-2]
-    Ay = -0.5 * lap / h**2 + 0.5 * (o.l + 0.5) ** 2 * y
-    return Ay * np.sqrt(r) / r**2
+    diag, off = kinetic_tridiagonal(g, o.l)
+    return z_to_u(tridiag_apply(diag, off, u_to_z(o.u, g)), g)
 
 
 def kinetic_tridiagonal(g: RadialGrid, l: int):
     """Diagonal and off-diagonal of the kinetic+centrifugal matrix in z-space.
 
-    z = sqrt(r) u diagonalizes the measure; the matrix is
-    C_ij = A_ij / (r_i r_j) with A = -1/2 D2 + (l+1/2)^2/2, symmetric
-    tridiagonal.  Local potentials add to the diagonal as plain V(r_i).
+    Through the symmetric substitution u = sqrt(r) y the operator becomes
+    (1/r^2)[-1/2 d^2/dx^2 + (l+1/2)^2/2] y in the uniform log variable x,
+    discretized by the three-point stencil.  z = sqrt(r) u diagonalizes the
+    measure; the matrix is C_ij = A_ij / (r_i r_j) with
+    A = -1/2 D2 + (l+1/2)^2/2, symmetric tridiagonal.  Near the origin
+    y ~ r^(l+1/2), so the ghost value below the mesh is
+    y_{-1} = exp(-(l+1/2) h) y_0, which folds into the first diagonal entry.
+    Local potentials add to the diagonal as plain V(r_i).
     """
     if g.N < MIN_SOLVER_POINTS:
         raise CapacityError(f"solver grid needs N >= {MIN_SOLVER_POINTS}, got {g.N}")
     r = g.points
     h = g.log_step
     diag = (1.0 / h**2 + 0.5 * (l + 0.5) ** 2) / r**2
+    diag[0] -= 0.5 / h**2 * math.exp(-(l + 0.5) * h) / r[0] ** 2
     off = (-0.5 / h**2) / (r[:-1] * r[1:])
     return diag, off
+
+
+def tridiag_apply(diag, off, z):
+    """Symmetric tridiagonal matrix with diagonal diag and off-diagonal off, times z."""
+    out = diag * z
+    out[:-1] += off * z[1:]
+    out[1:] += off * z[:-1]
+    return out
 
 
 def u_to_z(u, g: RadialGrid):

@@ -17,11 +17,15 @@ from polarscf.errors import (
 from polarscf.hfcore import (
     AtomConfig,
     DensityMatrix,
+    FockOperator,
     GridParams,
     SCFParams,
     SCFState,
     ShellSpec,
-    _exchange_z_matrix,
+    _exchange_action,
+    _exchange_terms,
+    _fock_operator,
+    _pair_weights,
     _solve_channel,
     angular_weight,
     build_density,
@@ -33,7 +37,6 @@ from polarscf.hfcore import (
     slater_potential,
     state_summary,
     trace_energy,
-    weighted_trace,
 )
 from polarscf.radial import (
     RadialOrbital,
@@ -144,13 +147,6 @@ def test_build_density_requires_normalization(fine_grid):
         build_density([bad], g)
 
 
-def test_weighted_trace_matches_einsum():
-    rng = np.random.default_rng(2)
-    A = rng.standard_normal((6, 6))
-    B = rng.standard_normal((6, 6))
-    assert weighted_trace(A, B) == pytest.approx(np.trace(A @ B), rel=1e-13)
-
-
 # ---------------------------------------------------------------------------
 # exchange
 
@@ -177,9 +173,45 @@ def test_exchange_cancels_direct_for_one_electron(h_run):
     assert resid < 1e-12
 
 
+def _dense_exchange(channel_l, sources, g):
+    """Dense z-space exchange matrix with its pins: the reference kept in the tests.
+
+    Each source block is (q/2)·Σ_L λ_L·h·(z_b z_bᵀ ⊙ K_L) ⊙ √(e eᵀ), with the
+    kernel K_L = r_<^L / r_>^{L+1} written out entry by entry and e = w/(h·r)
+    the end-corrected quadrature factors.  An odd shell adds the symmetric
+    rank-two pin that maps its block's action on its own orbital to the bare
+    monopole self-potential (q = 1) or to the energy-consistent weight (q >= 3).
+    """
+    r, h = g.points, g.log_step
+    e = g.weights / (h * r)
+    e_pair = np.sqrt(np.outer(e, e))
+    r_lo, r_hi = np.minimum.outer(r, r), np.maximum.outer(r, r)
+    X = np.zeros((g.N, g.N))
+    for o in sources:
+        z_b = np.sqrt(r) * o.u
+        q = int(o.occupation)
+        M = np.zeros((g.N, g.N))
+        for L in range(abs(channel_l - o.l), channel_l + o.l + 1):
+            lam = angular_weight(channel_l, L, o.l)
+            K_L = r_lo**L / r_hi ** (L + 1)
+            M += lam * h * (np.outer(z_b, z_b) * K_L) * e_pair
+        X += (0.5 * q) * M
+        if q % 2 == 1 and o.l == channel_l:
+            Mz = M @ z_b
+            if q == 1:
+                target = slater_potential(o.u**2, 0, g) * z_b
+            else:
+                target = (_pair_weights(q, o.l, q, o.l) / q) * Mz
+            zh = z_b / np.linalg.norm(z_b)
+            dh = (target - (0.5 * q) * Mz) / np.linalg.norm(z_b)
+            rho = dh - 0.5 * zh * (zh @ dh)
+            X += np.outer(rho, zh) + np.outer(zh, rho)
+    return X
+
+
 @pytest.mark.parametrize("channel_l", [0, 1, 2])
 def test_exchange_matrix_matches_dense_kernel(channel_l):
-    """Semiseparable assembly against the dense r_<^L / r_>^{L+1} formula.
+    """Semiseparable generators against the dense r_<^L / r_>^{L+1} formula.
 
     Only even occupations, so no odd-shell pin enters the matrix.
     """
@@ -189,20 +221,44 @@ def test_exchange_matrix_matches_dense_kernel(channel_l):
         replace(hydrogenic_orbital(Z, n, l, g), occupation=q)
         for n, l, q in [(1, 0, 2), (2, 0, 2), (2, 1, 6), (3, 2, 10)]
     ]
-    r, h = g.points, g.log_step
-    e = g.weights / (h * r)
-    e_pair = 0.5 * (e[:, None] + e[None, :])
-    r_lo, r_hi = np.minimum.outer(r, r), np.maximum.outer(r, r)
-    X_ref = np.zeros((g.N, g.N))
-    for o in sources:
-        z_b = np.sqrt(r) * o.u
-        for L in range(abs(channel_l - o.l), channel_l + o.l + 1):
-            lam = angular_weight(channel_l, L, o.l)
-            K_L = r_lo**L / r_hi ** (L + 1)
-            X_ref += (0.5 * o.occupation) * lam * h * (np.outer(z_b, z_b) * K_L) * e_pair
-    X = _exchange_z_matrix(channel_l, sources, g)
+    X_ref = _dense_exchange(channel_l, sources, g)
+    blocks, pins = _exchange_terms(channel_l, sources, g, 1.0)
+    assert pins == []
+    X = -FockOperator(np.zeros(g.N), np.zeros(g.N - 1), tuple(blocks), ()).to_dense()
     assert np.max(np.abs(X - X_ref)) <= 1e-14 * np.max(np.abs(X_ref))
     assert np.array_equal(X, X.T)
+
+
+@pytest.mark.parametrize(
+    "Z, shells, channel_l",
+    [
+        (3.0, ((1, 0, 2), (2, 0, 1)), 0),
+        (7.0, ((1, 0, 2), (2, 0, 2), (2, 1, 3)), 1),
+        (7.0, ((1, 0, 2), (2, 0, 2), (2, 1, 3)), 0),
+    ],
+    ids=["li-s", "n-p", "n-s"],
+)
+def test_operator_apply_matches_dense_oracle(Z, shells, channel_l):
+    """O(N) action of a two-snapshot operator, pins included, against dense matrices.
+
+    Li 2s holds one electron (q = 1 pin) and N 2p three (q = 3 pin, in the
+    p channel only); the two snapshots are hydrogenic sets of different
+    nuclear charge.
+    """
+    g = make_grid(1e-6 / Z, 40.0, 400)
+    snapshots = tuple(
+        (w, [replace(hydrogenic_orbital(zeta, n, l, g), occupation=q) for n, l, q in shells])
+        for w, zeta in [(0.3, Z), (0.7, 0.8 * Z)]
+    )
+    vsc = hartree_potential(build_density(snapshots[0][1], g), g)
+    op = _fock_operator(channel_l, Z, vsc, snapshots, g)
+    assert len(op.pins) == 2 * sum(q % 2 == 1 and l == channel_l for _, l, q in shells)
+    X_ref = sum(w * _dense_exchange(channel_l, orbs, g) for w, orbs in snapshots)
+    rng = np.random.default_rng(17)
+    for x in (rng.standard_normal(g.N), u_to_z(snapshots[0][1][-1].u, g)):
+        ref = X_ref @ x
+        got = _exchange_action(op.blocks, op.pins, x)
+        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
 def test_negative_angular_momentum_rejected(h_run):
@@ -266,6 +322,21 @@ def test_helium_against_reference_values(he_run):
     assert abs(state.eigenvalues[0] + 0.91796) < 5e-4
 
 
+def test_helium_richardson_limit(he_run):
+    """N=2000 and N=4000 extrapolated in h² land on the Hartree–Fock limit.
+
+    The limit −2.861679995612 Ha is from Froese Fischer, The Hartree–Fock
+    Method for Atoms (1977) and Bunge et al., At. Data Nucl. Data Tables 53,
+    113 (1993).  The clamped inner boundary of the kinetic stencil missed it
+    by about 1e-5 Ha.
+    """
+    state, _ = he_run
+    fine = scf_solve(replace(state.config, grid=GridParams(n_points=4000)))
+    h1, h2 = state.grid.log_step, fine.grid.log_step
+    E_limit = (h1**2 * fine.total_energy - h2**2 * state.total_energy) / (h1**2 - h2**2)
+    assert abs(E_limit + 2.861679995612) < 5e-9
+
+
 def test_helium_virial(he_run):
     state, _ = he_run
     g = state.grid
@@ -323,7 +394,7 @@ def test_nitrogen_two_channel(n_run):
 
 
 def test_channel_matrix_read_only(h_run):
-    """The stored matrix is not covered by the stale-cache token."""
+    """The dense matrix of the operator is handed out read-only."""
     state, _ = h_run
     C = state.channel_matrix(0)
     with pytest.raises(ValueError):
@@ -391,24 +462,26 @@ def test_density_matrix_total_weighting():
 
 @pytest.fixture(scope="module")
 def li_channel():
-    """Converged Li s-channel Fock matrix at N=300, its start vector and a dense oracle.
+    """Converged Li s-channel operator at N=300, its start vector and a dense oracle.
 
-    On this mesh max|C| is about 2e15, so a dense eigh of C itself resolves
-    eigenvalues only to about eps·max|C| ~ 0.5 Ha.  The oracle therefore
-    diagonalizes the dense inverse of C − σ_ref·I (LU, not Cholesky) with
-    σ_ref = −10 Ha, below the spectrum and apart from every shift the solver
-    tries; the lowest levels of C are the top of that inverse's spectrum.
+    On this mesh max|C| is about 2e15 for the dense matrix C of the
+    operator, so a dense eigh of C itself resolves eigenvalues only to about
+    eps·max|C| ~ 0.5 Ha.  The oracle therefore diagonalizes the dense inverse
+    of C − σ_ref·I (LU, not Cholesky) with σ_ref = −10 Ha, below the spectrum
+    and apart from every shift the solver tries; the lowest levels of C are
+    the top of that inverse's spectrum.
     """
     state = scf_solve(
         AtomConfig(z=3.0, shells=((1, 0, 2), (2, 0, 1)), grid=GridParams(n_points=300))
     )
-    C = state.channel_matrix(0)
+    op = state.channel_operator(0)
+    C = op.to_dense()
     sigma_ref = -10.0
     K = np.linalg.inv(C - sigma_ref * np.eye(C.shape[0]))
     nu, W = np.linalg.eigh(0.5 * (K + K.T))
     ref_vals = sigma_ref + 1.0 / nu[::-1][:2]
     v0 = sum(u_to_z(o.u, state.grid) for o in state.orbitals)
-    return C, v0, ref_vals, W[:, ::-1][:, :2]
+    return op, C, v0, ref_vals, W[:, ::-1][:, :2]
 
 
 def _assert_lowest_pairs(vals, vecs, ref_vals, ref_vecs):
@@ -418,9 +491,21 @@ def _assert_lowest_pairs(vals, vecs, ref_vals, ref_vecs):
         assert min(np.linalg.norm(v - w), np.linalg.norm(v + w)) <= 1e-8
 
 
+def test_shifted_solve_matches_dense_lu(li_channel):
+    """Banded Cholesky plus the Woodbury pin correction against a dense LU solve."""
+    op, C, _, ref_vals, _ = li_channel
+    assert len(op.pins) == 2  # the 2s pin of both snapshots
+    rng = np.random.default_rng(23)
+    for sigma in (ref_vals[0] - 0.1, -(0.5 * 3.0**2 + 2.0)):
+        b = rng.standard_normal(C.shape[0])
+        x = op.shifted_solver(sigma)(b)
+        x_ref = np.linalg.solve(C - sigma * np.eye(C.shape[0]), b)
+        assert np.linalg.norm(x - x_ref) <= 1e-10 * np.linalg.norm(x_ref)
+
+
 def test_solve_channel_warm_shift_matches_dense(li_channel):
-    C, v0, ref_vals, ref_vecs = li_channel
-    vals, vecs, work = _solve_channel(C, 2, 3.0, ref_vals[0], v0)
+    op, _, v0, ref_vals, ref_vecs = li_channel
+    vals, vecs, work = _solve_channel(op, 2, 3.0, ref_vals[0], v0)
     _assert_lowest_pairs(vals, vecs, ref_vals, ref_vecs)
     assert work["factorizations"] == 1
     assert work["shift"] == ref_vals[0] - 0.1
@@ -428,8 +513,8 @@ def test_solve_channel_warm_shift_matches_dense(li_channel):
 
 def test_solve_channel_warm_shift_too_high_falls_back(li_channel):
     """A warm eigenvalue above the true lowest puts the first shift inside the spectrum."""
-    C, v0, ref_vals, ref_vecs = li_channel
-    vals, vecs, work = _solve_channel(C, 2, 3.0, ref_vals[0] + 1.0, v0)
+    op, _, v0, ref_vals, ref_vecs = li_channel
+    vals, vecs, work = _solve_channel(op, 2, 3.0, ref_vals[0] + 1.0, v0)
     _assert_lowest_pairs(vals, vecs, ref_vals, ref_vecs)
     assert work["factorizations"] == 2
     assert work["shift"] == -(0.5 * 3.0**2 + 2.0)
@@ -437,10 +522,32 @@ def test_solve_channel_warm_shift_too_high_falls_back(li_channel):
 
 def test_solve_channel_refuses_uncertified_shift(li_channel):
     """Levels below −(Z²/2 + 2) raise instead of returning pairs near the shift."""
-    C, v0, ref_vals, _ = li_channel
-    shifted = C - 10.0 * np.eye(C.shape[0])  # lowest level near −12.5 Ha
+    op, _, v0, ref_vals, _ = li_channel
+    shifted = replace(op, diag=op.diag - 10.0)  # lowest level near −12.5 Ha
+    with pytest.raises(np.linalg.LinAlgError, match="not positive definite"):
+        shifted.shifted_solver(-(0.5 * 3.0**2 + 2.0))
     with pytest.raises(ConvergenceError):
         _solve_channel(shifted, 2, 3.0, ref_vals[0], v0)
+
+
+def test_solve_channel_refuses_indefinite_capacitance(li_channel):
+    """A pin that pulls a level below both shifts is caught by the capacitance inertia.
+
+    Without its pins the operator still factors, so the banded Cholesky alone
+    would certify the shift; the Rayleigh quotient along the pin's most
+    negative direction shows that F − σ is indefinite all the same.
+    """
+    op, _, v0, ref_vals, _ = li_channel
+    strong = replace(op, pins=tuple((1e3 * w, rho, zh) for w, rho, zh in op.pins))
+    sigma = -(0.5 * 3.0**2 + 2.0)
+    _, rho, zh = strong.pins[0]
+    v = rho / np.linalg.norm(rho) + zh
+    assert v @ strong.apply(v) < sigma * (v @ v)
+    replace(strong, pins=()).shifted_solver(sigma)
+    with pytest.raises(np.linalg.LinAlgError, match="capacitance inertia"):
+        strong.shifted_solver(sigma)
+    with pytest.raises(ConvergenceError):
+        _solve_channel(strong, 2, 3.0, ref_vals[0], v0)
 
 
 def test_state_keeps_iteration_trace(h_run):
@@ -451,7 +558,9 @@ def test_state_keeps_iteration_trace(h_run):
         assert set(row) == {
             "iteration", "total_energy", "delta_energy", "max_orbital_delta",
             "shift", "factorizations", "shift_invert_solves",
+            "field_s", "operator_s", "eigensolve_s", "energy_s",
         }
+        assert min(row[k] for k in ("field_s", "operator_s", "eigensolve_s", "energy_s")) >= 0.0
         assert list(row["shift"]) == [0]
         assert row["factorizations"] >= 1
         assert row["shift_invert_solves"] >= 1
