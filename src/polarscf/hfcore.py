@@ -3,8 +3,8 @@
 Everything runs on the logarithmic radial mesh from :mod:`polarscf.radial`.
 The moving parts are:
 
-* density assembly split into paired / unpaired radial densities,
-* the direct (Hartree) potential of the total electron density,
+* the radial density (two electrons per pair plus the unpaired remainder)
+  and the direct (Hartree) potential it sources,
 * nonlocal exchange per angular channel, kept as the generators of each
   multipole kernel r_<^L / r_>^{L+1} = G·C·G with C_ij = c_min(i,j) and
   parity-filtered angular weights, never as an N×N matrix,
@@ -19,10 +19,11 @@ The moving parts are:
   with a shift just below its lowest eigenvalue, falling back to the bound
   −(Z²/2 + 2) and raising ConvergenceError if neither shift certifies,
 * fixed-point iteration on the convex combination of the two newest
-  orbital snapshots' operators, whose per-iteration trace (with the shifts,
-  the eigensolver's factorizations and solves, and the phase wall times)
-  is kept on the returned state next to the snapshots and the field that
-  rebuild any channel's operator, and
+  snapshots (weight, orbitals, direct field), with the shells taken in
+  (l, n) order throughout; the per-iteration trace (with the shifts, the
+  eigensolver's factorizations and solves, and the phase wall times) is
+  kept on the returned state next to the snapshots, which rebuild any
+  channel's operator, and
 * trace bookkeeping that confronts the eigenvalue sum with the quadratic
   form of the same converged operator.
 
@@ -37,6 +38,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import numbers
 import time
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
@@ -94,6 +96,10 @@ class ShellSpec:
     occupation: int
 
     def __post_init__(self):
+        for name in ("n", "l", "occupation"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral):
+                raise ParameterError(f"shell {name} must be an integer, got {value!r}")
         if self.n < 1:
             raise ParameterError(f"principal quantum number must be >= 1, got {self.n}")
         if not (0 <= self.l < self.n):
@@ -248,31 +254,14 @@ def slater_potential(f, L: int, g: RadialGrid):
 # density
 
 
-@dataclass(frozen=True)
-class DensityMatrix:
-    """Radial density split into paired and unpaired parts.
+def build_density(orbitals, g: RadialGrid):
+    """Radial electron density 2·Σ_b floor(q_b/2)·u_b² + Σ_b (q_b mod 2)·u_b².
 
-    `diagonal` is the paired ("pair") radial density Σ_b floor(q_b/2)·u_b²,
-    integrating to the pair count; `unpaired` holds the leftover odd
-    electrons.
+    Each orbital must be normalized on g; its `occupation` q_b counts
+    electrons, two per pair plus the unpaired remainder.
     """
-
-    diagonal: np.ndarray
-    unpaired: np.ndarray
-    pair_count: int
-
-    def total(self):
-        return 2.0 * self.diagonal + self.unpaired
-
-
-def build_density(orbitals, g: RadialGrid) -> DensityMatrix:
-    """Assemble the radial density from occupied orbitals.
-
-    Each orbital must be normalized on g; its `occupation` counts electrons.
-    """
-    diag = np.zeros(g.N)
+    pairs = np.zeros(g.N)
     unpaired = np.zeros(g.N)
-    pairs = 0
     for o in orbitals:
         nrm = integrate(o.u * o.u, g)
         if abs(nrm - 1.0) > 1e-6:
@@ -281,23 +270,17 @@ def build_density(orbitals, g: RadialGrid) -> DensityMatrix:
             )
         q = int(round(o.occupation))
         p = q // 2
-        pairs += p
-        diag += p * o.u**2
+        pairs += p * o.u**2
         unpaired += (q - 2 * p) * o.u**2
-    return DensityMatrix(diagonal=diag, unpaired=unpaired, pair_count=pairs)
+    return 2.0 * pairs + unpaired
 
 
 def hartree_potential(rho, g: RadialGrid):
-    """Direct electrostatic potential of the electron density (hartree).
+    """Direct electrostatic potential of the sampled radial density (hartree).
 
-    Accepts a DensityMatrix (pair part enters twice, once per electron of
-    each pair, plus the unpaired remainder) or a plain sampled density.
     r·V tends to the enclosed electron charge at large r.
     """
-    if isinstance(rho, DensityMatrix):
-        source = rho.total()
-    else:
-        source = np.asarray(rho, dtype=float)
+    source = np.asarray(rho, dtype=float)
     if source.shape != g.points.shape:
         raise ShapeError(f"density has shape {source.shape}, grid has {g.points.shape}")
     return slater_potential(source, 0, g)
@@ -526,15 +509,16 @@ class FockOperator:
         return solve
 
 
-def _fock_operator(l, z_nuc, vsc, snapshots, g: RadialGrid) -> FockOperator:
-    """Channel-l operator T_l + (−Z/r + vsc) − Σ_snapshots weight·(exchange + pins)."""
+def _fock_operator(l, z_nuc, snapshots, g: RadialGrid) -> FockOperator:
+    """Channel-l operator T_l − Z/r + Σ_snapshots weight·(field − exchange − pins)."""
     blocks, pins = [], []
-    for weight, orbitals in snapshots:
+    for weight, orbitals, _ in snapshots:
         b, p = _exchange_terms(l, orbitals, g, weight)
         blocks += b
         pins += p
+    direct = sum(weight * v for weight, _, v in snapshots)
     diag, off = kinetic_tridiagonal(g, l)
-    return FockOperator(diag + (-z_nuc / g.points + vsc), off, tuple(blocks), tuple(pins))
+    return FockOperator(diag + (-z_nuc / g.points + direct), off, tuple(blocks), tuple(pins))
 
 
 # ---------------------------------------------------------------------------
@@ -545,20 +529,17 @@ def _fock_operator(l, z_nuc, vsc, snapshots, g: RadialGrid) -> FockOperator:
 class SCFState:
     """Converged (or abandoned) mean-field solution.
 
-    `_snapshots` holds the (weight, orbitals) pairs and `_vsc` the mixed
-    direct potential the last iteration's operators were built from; every
-    channel's operator, occupied or not, is rebuilt from them on demand, so
-    the occupied channels give back exactly the operators the eigensolver
-    diagonalized.  `_token` fingerprints the orbitals, the snapshot orbitals
-    and the field, so that edits made after the solve are caught.  `trace`
-    has one row per iteration, the same rows a ConvergenceError carries:
+    `orbitals` and `eigenvalues` follow the shells of `config`, which the
+    solve put in (l, n) order.  `_snapshots` holds the (weight, orbitals,
+    direct field) triples the last iteration's operators were built from;
+    every channel's operator, occupied or not, is rebuilt from them on
+    demand, so the occupied channels give back exactly the operators the
+    eigensolver diagonalized.  `_token` fingerprints the orbitals and the
+    snapshots, so that edits made after the solve are caught.  `trace` has
+    one row per iteration, the same rows a ConvergenceError carries:
     energy, changes, the shift per channel, the eigensolver's
     factorizations and shift-invert solves summed over channels, and the
     wall time of each phase (field, operator build, eigensolve, energy).
-
-    epsilon0 is the eigenvalue offset constant of the trace relation; the
-    plain SCF works in the gauge where it is exactly zero, and downstream
-    quasiparticle bookkeeping may carry a nonzero value.
     """
 
     z: float
@@ -569,16 +550,14 @@ class SCFState:
     iterations: int
     grid: RadialGrid
     config: AtomConfig
-    epsilon0: float = 0.0
     trace: list = field(default_factory=list, repr=False)
-    _vsc: np.ndarray = field(default=None, repr=False)
     _snapshots: tuple = field(default=(), repr=False)
     _token: str = field(default="", repr=False)
 
     def channel_operator(self, l: int) -> FockOperator:
         """The z-space Fock operator of one angular channel."""
         self._check_token()
-        return _fock_operator(l, self.z, self._vsc, self._snapshots, self.grid)
+        return _fock_operator(l, self.z, self._snapshots, self.grid)
 
     def channel_matrix(self, l: int):
         """Dense, read-only z-space Fock matrix of one angular channel (for tests)."""
@@ -594,9 +573,12 @@ class SCFState:
 
 def _state_token(state: SCFState) -> str:
     hsh = hashlib.sha256()
-    for o in [*state.orbitals, *(o for _, orbs in state._snapshots for o in orbs)]:
+    for o in state.orbitals:
         hsh.update(np.ascontiguousarray(o.u).tobytes())
-    hsh.update(np.ascontiguousarray(state._vsc).tobytes())
+    for _, orbitals, v in state._snapshots:
+        for o in orbitals:
+            hsh.update(np.ascontiguousarray(o.u).tobytes())
+        hsh.update(np.ascontiguousarray(v).tobytes())
     return hsh.hexdigest()
 
 
@@ -613,8 +595,9 @@ def trace_energy(state: SCFState):
     """Eigenvalue sum vs. density-matrix trace of the same operator.
 
     Returns (sum_eigen, trace_lhs) over the paired orbitals: the first from
-    the solver's eigenvalues, the second from the operator's quadratic form.
-    Equal up to the epsilon0·N offset convention (zero in the SCF gauge).
+    the solver's eigenvalues, the second from the operator's quadratic form
+    ⟨z|F|z⟩ of the operator each orbital was solved with.  A converged state
+    makes them agree to the eigensolver's accuracy.
     """
     if not state.converged:
         raise PreconditionError("trace_energy needs a converged SCF state")
@@ -627,7 +610,7 @@ def trace_energy(state: SCFState):
         pairs = int(round(o.occupation)) // 2
         if pairs == 0:
             continue
-        sum_eigen += pairs * (eps + state.epsilon0)
+        sum_eigen += pairs * eps
         z = u_to_z(o.u, g)
         trace_lhs += pairs * float(np.sum(he * z * state.channel_operator(o.l).apply(z)))
     return sum_eigen, trace_lhs
@@ -688,18 +671,21 @@ def scf_solve(cfg: AtomConfig) -> SCFState:
     Fixed point of: build density → build direct field and operator →
     diagonalize each occupied l-channel → reoccupy in eigenvalue order.
     The operator of iteration n is the convex combination
-    α·F[o_n] + (1 − α)·F[o_{n−1}] of the two newest orbital snapshots, field
-    and exchange weighted alike (α = `mixing`; iteration 1 uses F[o_1]).
-    Raises ConvergenceError (with the iteration trace attached) if max_iter
-    passes without meeting both tolerances.
+    α·F[o_n] + (1 − α)·F[o_{n−1}] of the two newest snapshots, field and
+    exchange weighted alike (α = `mixing`; iteration 1 uses F[o_1]).  The
+    shells are put in (l, n) order first, so the order they are listed in
+    does not change a single bit of the result.  Raises ConvergenceError
+    (with the iteration trace attached) if max_iter passes without meeting
+    both tolerances.
     """
+    cfg = replace(cfg, shells=tuple(sorted(cfg.shells, key=lambda s: (s.l, s.n))))
     g = cfg.resolved_grid()
     # indices into cfg.shells per l-channel, each list in increasing n
     channels: dict[int, list[int]] = {}
-    for i, s in sorted(enumerate(cfg.shells), key=lambda e: (e[1].l, e[1].n)):
+    for i, s in enumerate(cfg.shells):
         channels.setdefault(s.l, []).append(i)
 
-    # bare-nucleus starting guess, in cfg.shells order
+    # bare-nucleus starting guess
     orbitals = [
         replace(hydrogenic_orbital(cfg.z, s.n, s.l, g), occupation=s.occupation)
         for s in cfg.shells
@@ -707,21 +693,19 @@ def scf_solve(cfg: AtomConfig) -> SCFState:
     # hydrogenic levels of the start: the first iteration's warm shifts
     eigenvalues = [-0.5 * (cfg.z / s.n) ** 2 for s in cfg.shells]
 
-    previous = None  # (field, orbitals) of the previous iteration's snapshot
+    previous = None  # (orbitals, field) of the previous iteration
     E_prev = None
     trace = []
     alpha = cfg.scf.mixing
 
     for it in range(1, cfg.scf.max_iter + 1):
         t_start = time.perf_counter()
-        vsc_n, orbitals_n = hartree_potential(build_density(orbitals, g), g), tuple(orbitals)
+        current = tuple(orbitals), hartree_potential(build_density(orbitals, g), g)
         if previous is None or alpha == 1.0:  # a zero-weight block has no banded form
-            vsc, snapshots = vsc_n, ((1.0, orbitals_n),)
+            snapshots = ((1.0, *current),)
         else:
-            vsc_p, orbitals_p = previous
-            vsc = alpha * vsc_n + (1.0 - alpha) * vsc_p
-            snapshots = ((alpha, orbitals_n), (1.0 - alpha, orbitals_p))
-        previous = vsc_n, orbitals_n
+            snapshots = ((alpha, *current), (1.0 - alpha, *previous))
+        previous = current
 
         new_orbitals = list(orbitals)
         row = {
@@ -734,7 +718,7 @@ def scf_solve(cfg: AtomConfig) -> SCFState:
         }
         for l, members in channels.items():
             t_op = time.perf_counter()
-            op = _fock_operator(l, cfg.z, vsc, snapshots, g)
+            op = _fock_operator(l, cfg.z, snapshots, g)
             t_eig = time.perf_counter()
             v0 = sum(u_to_z(orbitals[i].u, g) for i in members)
             try:
@@ -786,18 +770,16 @@ def scf_solve(cfg: AtomConfig) -> SCFState:
             trace=trace,
         )
 
-    order = [i for members in channels.values() for i in members]
     state = SCFState(
         z=cfg.z,
-        orbitals=[orbitals[i] for i in order],
-        eigenvalues=[eigenvalues[i] for i in order],
+        orbitals=orbitals,
+        eigenvalues=eigenvalues,
         total_energy=E_prev,
         converged=True,
         iterations=it,
         grid=g,
         config=cfg,
         trace=trace,
-        _vsc=vsc,
         _snapshots=snapshots,
     )
     state._token = _state_token(state)

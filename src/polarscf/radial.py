@@ -106,12 +106,9 @@ class RadialOrbital:
     u: np.ndarray
     n: int
     l: int
-    spin: str = "paired"
     occupation: float = 0.0
 
     def __post_init__(self):
-        if self.spin not in ("up", "down", "paired"):
-            raise ParameterError(f"spin must be up/down/paired, got {self.spin!r}")
         if self.occupation < 0.0:
             raise ParameterError("occupation must be nonnegative")
 
@@ -119,9 +116,7 @@ class RadialOrbital:
         nrm = math.sqrt(inner(self.u, self.u, g))
         if nrm == 0.0:
             raise ParameterError("cannot normalize a zero orbital")
-        return RadialOrbital(
-            u=self.u / nrm, n=self.n, l=self.l, spin=self.spin, occupation=self.occupation
-        )
+        return RadialOrbital(u=self.u / nrm, n=self.n, l=self.l, occupation=self.occupation)
 
 
 def hydrogenic_orbital(Z: float, n: int, l: int, g: RadialGrid) -> RadialOrbital:

@@ -30,6 +30,12 @@ import numpy as np
 from .errors import ConfigError, ConvergenceError, PolarSCFError
 from .fockspace import anticommutator_table
 from .hfcore import (
+    DEFAULT_MAX_ITER,
+    DEFAULT_MIXING,
+    DEFAULT_N_POINTS,
+    DEFAULT_R_MAX,
+    DEFAULT_TOL_ENERGY,
+    DEFAULT_TOL_ORBITAL,
     AtomConfig,
     GridParams,
     L_LETTERS,
@@ -61,12 +67,12 @@ class RunConfig:
     z: float = 1.0
     shells: str = "1s:1"
     r_min: float | None = None
-    r_max: float = 50.0
-    n_points: int = 2000
-    max_iter: int = 200
-    mixing: float = 0.3
-    tol_energy: float = 1e-8
-    tol_orbital: float = 1e-6
+    r_max: float = DEFAULT_R_MAX
+    n_points: int = DEFAULT_N_POINTS
+    max_iter: int = DEFAULT_MAX_ITER
+    mixing: float = DEFAULT_MIXING
+    tol_energy: float = DEFAULT_TOL_ENERGY
+    tol_orbital: float = DEFAULT_TOL_ORBITAL
     # frozen-core pseudo-orbital
     valence: str = ""
     # quasiparticle sweep
@@ -90,24 +96,19 @@ class RunConfig:
     modes: int = 4
 
 
-_FLOAT_KEYS = {
-    "z", "r_max", "mixing", "tol_energy", "tol_orbital", "qp_eta",
-    "qp_e_min", "qp_e_max", "sigma_shift", "pair_epsilon0", "pair_constant",
-    "mass", "gamma",
-}
-_INT_KEYS = {"n_points", "max_iter", "qp_e_points", "n_quanta", "n_max", "l_max", "modes"}
-_STR_KEYS = {"command", "shells", "valence", "qp_levels", "sigma_kind", "sigma_coefficients"}
-_OPT_FLOAT_KEYS = {"r_min"}
-_ALL_KEYS = _FLOAT_KEYS | _INT_KEYS | _STR_KEYS | _OPT_FLOAT_KEYS
+# Each key's type is the type of its default; a None default is a float
+# that may also be "auto".
+_DEFAULTS = {f.name: f.default for f in fields(RunConfig)}
 
 
 def _coerce(key: str, raw: str, where: str):
-    if key in _STR_KEYS:
+    default = _DEFAULTS[key]
+    if isinstance(default, str):
         return raw
-    if key in _OPT_FLOAT_KEYS and raw == "auto":
+    if default is None and raw == "auto":
         return None
     try:
-        value = int(raw) if key in _INT_KEYS else float(raw)
+        value = int(raw) if isinstance(default, int) else float(raw)
     except ValueError:
         raise ConfigError(f"{where}: cannot parse {key}={raw!r}") from None
     if not math.isfinite(value):
@@ -142,14 +143,14 @@ def parse_config(text: str, command: str | None = None, overrides=()) -> RunConf
             )
         key, raw = stripped.split("=", 1)
         key, raw = key.strip(), raw.strip()
-        if key not in _ALL_KEYS:
+        if key not in _DEFAULTS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}", line=lineno, key=key)
         values[key] = _coerce(key, raw, f"line {lineno}")
     for i, item in enumerate(overrides, start=1):
         if "=" not in item:
             raise ConfigError(f"override {i}: expected key=value, got {item!r}")
         key, raw = item.split("=", 1)
-        if key not in _ALL_KEYS:
+        if key not in _DEFAULTS:
             raise ConfigError(f"override {i}: unknown key {key!r}", key=key)
         values[key] = _coerce(key, raw, f"override {i}")
     if command:
@@ -221,9 +222,7 @@ def config_block(cfg: RunConfig) -> dict:
 
 
 def _config_comments(cfg: RunConfig) -> str:
-    return "".join(
-        f"# {f.name}={_format_value(getattr(cfg, f.name))}\n" for f in fields(cfg)
-    )
+    return "".join(f"# {line}\n" for line in render_config(cfg).splitlines())
 
 
 # ---------------------------------------------------------------------------

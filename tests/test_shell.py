@@ -87,6 +87,14 @@ def test_overrides_win_over_file():
         parse_config("", command="scf", overrides=["nope=1"])
 
 
+def test_keys_take_the_type_of_their_default():
+    cfg = parse_config("n_points=600\nz=3\nr_min=auto\nshells=1s:2\n", command="scf")
+    assert type(cfg.n_points) is int and type(cfg.z) is float
+    assert cfg.r_min is None and cfg.shells == "1s:2"
+    with pytest.raises(ConfigError, match="cannot parse n_points"):
+        parse_config("n_points=600.5\n", command="scf")
+
+
 def test_comments_and_blanks_ignored():
     cfg = parse_config("# a comment\n\nz=4.0\n", command="scf")
     assert cfg.z == 4.0
