@@ -18,12 +18,14 @@ The moving parts are:
   pairs of a channel, warm-started from the previous iteration's orbitals
   with a shift just below its lowest eigenvalue, falling back to the bound
   −(Z²/2 + 2) and raising ConvergenceError if neither shift certifies,
-* fixed-point iteration on the convex combination of the two newest
-  snapshots (weight, orbitals, direct field), with the shells taken in
-  (l, n) order throughout; the per-iteration trace (with the shifts, the
-  eigensolver's factorizations and solves, and the phase wall times) is
-  kept on the returned state next to the snapshots, which rebuild any
-  channel's operator, and
+* fixed-point iteration on the input orbitals, accelerated by Anderson
+  (Pulay) extrapolation over the last few (input, residual) pairs and
+  Gram–Schmidt orthonormalized per channel, so each iteration's operators
+  are built from one orthonormal orbital set and its direct field (the
+  snapshot), with the shells taken in (l, n) order throughout; the
+  per-iteration trace (with the shifts, the eigensolver's factorizations
+  and solves, and the phase wall times) is kept on the returned state next
+  to the last snapshot, which rebuilds any channel's operator, and
 * trace bookkeeping that confronts the eigenvalue sum with the quadratic
   form of the same converged operator.
 
@@ -59,6 +61,7 @@ from .radial import (
     RadialGrid,
     RadialOrbital,
     hydrogenic_orbital,
+    inner,
     integrate,
     kinetic_tridiagonal,
     make_grid,
@@ -72,7 +75,7 @@ MAX_COUPLING_L = 3
 L_LETTERS = "spdf"
 
 DEFAULT_MAX_ITER = 200
-DEFAULT_MIXING = 0.3
+DEFAULT_MIXING = 1.0
 DEFAULT_TOL_ENERGY = 1e-8
 DEFAULT_TOL_ORBITAL = 1e-6
 DEFAULT_R_MAX = 50.0
@@ -81,6 +84,9 @@ DEFAULT_N_POINTS = 2000
 # The shift-invert shift sits this far (hartree) below the channel's lowest
 # eigenvalue of the previous iteration.
 SHIFT_MARGIN = 0.1
+
+# (input, residual) pairs the Anderson extrapolation of the orbitals keeps.
+ANDERSON_DEPTH = 8
 
 
 # ---------------------------------------------------------------------------
@@ -254,11 +260,23 @@ def slater_potential(f, L: int, g: RadialGrid):
 # density
 
 
+def _electron_count(o: RadialOrbital) -> int:
+    """The integer electron count of an orbital; a fractional one raises."""
+    q = float(o.occupation)
+    if not q.is_integer():
+        raise ParameterError(
+            f"orbital {shell_label(o.n, o.l)} occupation must be an integer, "
+            f"got {o.occupation!r}"
+        )
+    return int(q)
+
+
 def build_density(orbitals, g: RadialGrid):
     """Radial electron density 2·Σ_b floor(q_b/2)·u_b² + Σ_b (q_b mod 2)·u_b².
 
     Each orbital must be normalized on g; its `occupation` q_b counts
-    electrons, two per pair plus the unpaired remainder.
+    electrons, two per pair plus the unpaired remainder, and must be an
+    integer.
     """
     pairs = np.zeros(g.N)
     unpaired = np.zeros(g.N)
@@ -268,7 +286,7 @@ def build_density(orbitals, g: RadialGrid):
             raise PreconditionError(
                 f"orbital {shell_label(o.n, o.l)} is not normalized: <u|u> = {nrm!r}"
             )
-        q = int(round(o.occupation))
+        q = _electron_count(o)
         p = q // 2
         pairs += p * o.u**2
         unpaired += (q - 2 * p) * o.u**2
@@ -297,19 +315,19 @@ def _pair_weights(q_a: int, l_a: int, q_b: int, l_b: int) -> float:
     return w_a * w_b + (q_a - w_a) * (q_b - w_b)
 
 
-def _exchange_terms(channel_l, orbitals, g: RadialGrid, weight: float):
+def _exchange_terms(channel_l, orbitals, g: RadialGrid):
     """Generators of the z-space exchange operator of one angular channel.
 
     orbitals: the occupied RadialOrbitals feeding the kernel, each holding
-    q electrons; weight scales the whole set (its snapshot's mixing weight).
-    On the mesh, the multipole kernel r_<^L / r_>^{L+1} with the quadrature
-    factors of both ends is γ·G·C·G with G = diag(√e ⊙ z_b ⊙ r^{-(L+1)}),
+    an integer number q of electrons.  On the mesh, the multipole kernel
+    r_<^L / r_>^{L+1} with the quadrature factors of both ends is γ·G·C·G
+    with G = diag(√e ⊙ z_b ⊙ r^{-(L+1)}),
     C_ij = c_min(i,j), c = r^{2L+1} and e = w/(h·r) the end-corrected
     quadrature factors (exactly 1 inside).  Each source shell b and multipole
-    L gives one block (γ, g, c) with γ = weight·(q_b/2)·λ_L·h; weight q/2 per
+    L gives one block (γ, g, c) with γ = (q_b/2)·λ_L·h; weight q/2 per
     source reproduces the closed-shell operator.  Odd shells add one pin
-    (weight, ρ, ẑ), the symmetric rank-two term weight·(ρẑᵀ + ẑρᵀ) described
-    in the module docstring.  Returns (blocks, pins).
+    (ρ, ẑ), the symmetric rank-two term ρẑᵀ + ẑρᵀ described in the module
+    docstring.  Returns (blocks, pins).
     """
     if channel_l < 0:
         raise ParameterError(f"angular momentum must be nonnegative, got l={channel_l}")
@@ -317,13 +335,13 @@ def _exchange_terms(channel_l, orbitals, g: RadialGrid, weight: float):
     root_e = np.sqrt(g.weights / (h * r))
     blocks, pins = [], []
     for o in orbitals:
-        u_b, l_b, q_b = o.u, o.l, int(round(o.occupation))
+        u_b, l_b, q_b = o.u, o.l, _electron_count(o)
         z_b = u_to_z(u_b, g)
         own = [
             (angular_weight(channel_l, L, l_b) * h, root_e * z_b * r ** -(L + 1), r ** (2 * L + 1))
             for L in _multipoles(channel_l, l_b)
         ]
-        blocks += [(weight * 0.5 * q_b * gamma, gv, c) for gamma, gv, c in own]
+        blocks += [(0.5 * q_b * gamma, gv, c) for gamma, gv, c in own]
         if q_b % 2 == 1 and l_b == channel_l:
             # Pin the kernel's action on its own orbital: for q=1 the target
             # is the bare monopole self-potential (so direct and exchange
@@ -338,7 +356,7 @@ def _exchange_terms(channel_l, orbitals, g: RadialGrid, weight: float):
             znorm = float(np.linalg.norm(z_b))
             zh = z_b / znorm
             dh = d / znorm
-            pins.append((weight, dh - 0.5 * zh * float(zh @ dh), zh))
+            pins.append((dh - 0.5 * zh * float(zh @ dh), zh))
     return blocks, pins
 
 
@@ -350,8 +368,8 @@ def _exchange_action(blocks, pins, x):
         cy = np.cumsum(c * y)  # Σ_{j<=i} c_j·y_j
         cy[:-1] += c[:-1] * np.cumsum(y[::-1])[-2::-1]  # c_i·Σ_{j>i} y_j
         out += gamma * gv * cy
-    for w, rho, zh in pins:
-        out += w * (rho * float(zh @ x) + zh * float(rho @ x))
+    for rho, zh in pins:
+        out += rho * float(zh @ x) + zh * float(rho @ x)
     return out
 
 
@@ -359,7 +377,7 @@ def exchange_apply(orbitals, target: RadialOrbital, g: RadialGrid):
     """Apply the nonlocal exchange of the occupied orbitals to a target."""
     if np.asarray(target.u).shape != g.points.shape:
         raise ShapeError("target orbital is not sampled on the given grid")
-    blocks, pins = _exchange_terms(target.l, orbitals, g, 1.0)
+    blocks, pins = _exchange_terms(target.l, orbitals, g)
     return z_to_u(_exchange_action(blocks, pins, u_to_z(target.u, g)), g)
 
 
@@ -421,10 +439,10 @@ def _total_energy(z_nuc, orbitals, g: RadialGrid) -> float:
 class FockOperator:
     """One channel's z-space Fock operator, applied and solved in O(N).
 
-    F = tridiag(diag, off) − Σ_k γ_k·G_k·C_k·G_k − Σ_p w_p·(ρ_p ẑ_pᵀ + ẑ_p ρ_pᵀ)
+    F = tridiag(diag, off) − Σ_k γ_k·G_k·C_k·G_k − Σ_p (ρ_p ẑ_pᵀ + ẑ_p ρ_pᵀ)
     is the kinetic stencil plus the local potential, one exchange block
-    (γ, g, c) per snapshot, source shell and multipole, and one pin
-    (w, ρ, ẑ) per odd shell per snapshot (see `_exchange_terms`).
+    (γ, g, c) per source shell and multipole, and one pin (ρ, ẑ) per odd
+    shell (see `_exchange_terms`).
     """
 
     diag: np.ndarray
@@ -446,9 +464,9 @@ class FockOperator:
         lower = np.minimum.outer(idx, idx)
         for gamma, gv, c in self.blocks:
             F -= gamma * np.outer(gv, gv) * c[lower]
-        for w, rho, zh in self.pins:
+        for rho, zh in self.pins:
             P = np.outer(rho, zh)
-            F -= w * (P + P.T)
+            F -= P + P.T
         F.flags.writeable = False
         return F
 
@@ -461,7 +479,7 @@ class FockOperator:
         unknowns interleaved as (y_1[i] … y_m[i], x[i]) M is banded with
         bandwidth m + 1, and since every C_k⁻¹/γ_k is positive definite, M is
         exactly when S is: the banded Cholesky factor of M certifies S ≻ 0.
-        The pins are U·W·Uᵀ with U = [ρ_p, ẑ_p], W = blockdiag(w_p·[[0, 1], [1, 0]]),
+        The pins are U·W·Uᵀ with U = [ρ_p, ẑ_p], W = blockdiag([[0, 1], [1, 0]]) = W⁻¹,
         handled by Woodbury through the capacitance K = W⁻¹ − Uᵀ·S⁻¹·U.  By
         Haynsworth inertia additivity, In(S) + In(K) = In(W⁻¹) + In(F − σ), so
         with S ≻ 0, F − σ ≻ 0 exactly when K has the inertia of W⁻¹: one
@@ -489,8 +507,8 @@ class FockOperator:
 
         if not self.pins:
             return solve_s
-        U = np.column_stack([v for _, rho, zh in self.pins for v in (rho, zh)])
-        W_inv = np.kron(np.diag([1.0 / w for w, _, _ in self.pins]), [[0.0, 1.0], [1.0, 0.0]])
+        U = np.column_stack([v for pin in self.pins for v in pin])
+        W_inv = np.kron(np.eye(len(self.pins)), [[0.0, 1.0], [1.0, 0.0]])
         SU = solve_s(U)
         K = W_inv - U.T @ SU
         nu, V = np.linalg.eigh(0.5 * (K + K.T))
@@ -509,16 +527,11 @@ class FockOperator:
         return solve
 
 
-def _fock_operator(l, z_nuc, snapshots, g: RadialGrid) -> FockOperator:
-    """Channel-l operator T_l − Z/r + Σ_snapshots weight·(field − exchange − pins)."""
-    blocks, pins = [], []
-    for weight, orbitals, _ in snapshots:
-        b, p = _exchange_terms(l, orbitals, g, weight)
-        blocks += b
-        pins += p
-    direct = sum(weight * v for weight, _, v in snapshots)
+def _fock_operator(l, z_nuc, orbitals, field, g: RadialGrid) -> FockOperator:
+    """Channel-l operator T_l − Z/r + field − exchange − pins of one orbital set."""
+    blocks, pins = _exchange_terms(l, orbitals, g)
     diag, off = kinetic_tridiagonal(g, l)
-    return FockOperator(diag + (-z_nuc / g.points + direct), off, tuple(blocks), tuple(pins))
+    return FockOperator(diag + (-z_nuc / g.points + field), off, tuple(blocks), tuple(pins))
 
 
 # ---------------------------------------------------------------------------
@@ -530,12 +543,14 @@ class SCFState:
     """Converged (or abandoned) mean-field solution.
 
     `orbitals` and `eigenvalues` follow the shells of `config`, which the
-    solve put in (l, n) order.  `_snapshots` holds the (weight, orbitals,
-    direct field) triples the last iteration's operators were built from;
-    every channel's operator, occupied or not, is rebuilt from them on
-    demand, so the occupied channels give back exactly the operators the
+    solve put in (l, n) order: they are the eigenpairs the last iteration
+    solved for.  `_snapshot` is the (orbitals, direct field) pair that
+    iteration's operators were built from: its input orbitals, orthonormal
+    within each channel and within `tol_orbital` of `orbitals` once the solve
+    converged.  Every channel's operator, occupied or not, is rebuilt from it
+    on demand, so the occupied channels give back exactly the operators the
     eigensolver diagonalized.  `_token` fingerprints the orbitals and the
-    snapshots, so that edits made after the solve are caught.  `trace` has
+    snapshot, so that edits made after the solve are caught.  `trace` has
     one row per iteration, the same rows a ConvergenceError carries:
     energy, changes, the shift per channel, the eigensolver's
     factorizations and shift-invert solves summed over channels, and the
@@ -551,13 +566,13 @@ class SCFState:
     grid: RadialGrid
     config: AtomConfig
     trace: list = field(default_factory=list, repr=False)
-    _snapshots: tuple = field(default=(), repr=False)
+    _snapshot: tuple = field(default=(), repr=False)
     _token: str = field(default="", repr=False)
 
     def channel_operator(self, l: int) -> FockOperator:
         """The z-space Fock operator of one angular channel."""
         self._check_token()
-        return _fock_operator(l, self.z, self._snapshots, self.grid)
+        return _fock_operator(l, self.z, *self._snapshot, self.grid)
 
     def channel_matrix(self, l: int):
         """Dense, read-only z-space Fock matrix of one angular channel (for tests)."""
@@ -575,10 +590,10 @@ def _state_token(state: SCFState) -> str:
     hsh = hashlib.sha256()
     for o in state.orbitals:
         hsh.update(np.ascontiguousarray(o.u).tobytes())
-    for _, orbitals, v in state._snapshots:
-        for o in orbitals:
-            hsh.update(np.ascontiguousarray(o.u).tobytes())
-        hsh.update(np.ascontiguousarray(v).tobytes())
+    orbitals, v = state._snapshot
+    for o in orbitals:
+        hsh.update(np.ascontiguousarray(o.u).tobytes())
+    hsh.update(np.ascontiguousarray(v).tobytes())
     return hsh.hexdigest()
 
 
@@ -596,23 +611,27 @@ def trace_energy(state: SCFState):
 
     Returns (sum_eigen, trace_lhs) over the paired orbitals: the first from
     the solver's eigenvalues, the second from the operator's quadratic form
-    ⟨z|F|z⟩ of the operator each orbital was solved with.  A converged state
-    makes them agree to the eigensolver's accuracy.
+    ⟨z|F|z⟩ of the operator each orbital was solved with, built once per
+    channel.  A converged state makes them agree to the eigensolver's
+    accuracy.
     """
     if not state.converged:
         raise PreconditionError("trace_energy needs a converged SCF state")
     state._check_token()
     g = state.grid
     he = g.weights / g.points
+    operators = {}
     sum_eigen = 0.0
     trace_lhs = 0.0
     for o, eps in zip(state.orbitals, state.eigenvalues):
-        pairs = int(round(o.occupation)) // 2
+        pairs = _electron_count(o) // 2
         if pairs == 0:
             continue
+        if o.l not in operators:
+            operators[o.l] = _fock_operator(o.l, state.z, *state._snapshot, g)
         sum_eigen += pairs * eps
         z = u_to_z(o.u, g)
-        trace_lhs += pairs * float(np.sum(he * z * state.channel_operator(o.l).apply(z)))
+        trace_lhs += pairs * float(np.sum(he * z * operators[o.l].apply(z)))
     return sum_eigen, trace_lhs
 
 
@@ -665,18 +684,61 @@ def _solve_channel(op: FockOperator, count, z_nuc, eps_low, v0):
     return vals[order], vecs[:, order], work
 
 
+def _anderson_step(xs, fs, beta):
+    """Next input of a fixed-point iteration by Anderson (type-II, Pulay) extrapolation.
+
+    xs are the inputs and fs = Φ(xs) − xs their residuals, newest last.  The
+    coefficients c with Σ c_k = 1 that minimize ‖Σ c_k f_k‖ come from a
+    least-squares fit of the newest residual by the residual differences (no
+    Gram matrix is formed); the result is Σ c_k (x_k + β f_k).  See Pulay,
+    Chem. Phys. Lett. 73, 393 (1980) and Walker & Ni, SIAM J. Numer. Anal.
+    49, 1715 (2011).
+    """
+    x, f = xs[-1], fs[-1]
+    if len(xs) > 1:
+        dX = np.column_stack([xk - x for xk in xs[:-1]])
+        dF = np.column_stack([fk - f for fk in fs[:-1]])
+        gamma = np.linalg.lstsq(dF, -f, rcond=None)[0]
+        x = x + dX @ gamma
+        f = f + dF @ gamma
+    return x + beta * f
+
+
+def _orthonormal_orbitals(x, like, channels, g: RadialGrid):
+    """Split x into one u-vector per shell of `like` and Gram–Schmidt each channel.
+
+    The shells of a channel are taken in increasing n under the quadrature
+    inner product, so each channel's orbitals are orthonormal on g.
+    """
+    us = np.split(x, len(like))
+    out = list(like)
+    for members in channels.values():
+        done = []
+        for i in members:
+            u = us[i]
+            for v in done:
+                u = u - inner(u, v, g) * v
+            u = u / math.sqrt(inner(u, u, g))
+            done.append(u)
+            out[i] = replace(like[i], u=u)
+    return out
+
+
 def scf_solve(cfg: AtomConfig) -> SCFState:
     """Self-consistent solve of the mean-field equations for one atom.
 
-    Fixed point of: build density → build direct field and operator →
-    diagonalize each occupied l-channel → reoccupy in eigenvalue order.
-    The operator of iteration n is the convex combination
-    α·F[o_n] + (1 − α)·F[o_{n−1}] of the two newest snapshots, field and
-    exchange weighted alike (α = `mixing`; iteration 1 uses F[o_1]).  The
-    shells are put in (l, n) order first, so the order they are listed in
-    does not change a single bit of the result.  Raises ConvergenceError
-    (with the iteration trace attached) if max_iter passes without meeting
-    both tolerances.
+    Fixed point x = Φ(x) of the input orbitals x: build density → build
+    direct field and operator → diagonalize each occupied l-channel →
+    reoccupy in eigenvalue order.  The next input is the Anderson
+    extrapolation Σ c_k (x_k + β f_k) over the last ANDERSON_DEPTH inputs
+    and residuals f_k = Φ(x_k) − x_k (β = `mixing`), Gram–Schmidt
+    orthonormalized per channel, so every operator is built from one
+    orthonormal orbital set.  The solve stops when both the energy change
+    and the residual max|Φ(x) − x| (the trace's `max_orbital_delta`) meet
+    their tolerances.  The shells are put in (l, n) order first, so the
+    order they are listed in does not change a single bit of the result.
+    Raises ConvergenceError (with the iteration trace attached) if max_iter
+    passes without meeting both tolerances.
     """
     cfg = replace(cfg, shells=tuple(sorted(cfg.shells, key=lambda s: (s.l, s.n))))
     g = cfg.resolved_grid()
@@ -686,28 +748,24 @@ def scf_solve(cfg: AtomConfig) -> SCFState:
         channels.setdefault(s.l, []).append(i)
 
     # bare-nucleus starting guess
-    orbitals = [
+    start = [
         replace(hydrogenic_orbital(cfg.z, s.n, s.l, g), occupation=s.occupation)
         for s in cfg.shells
     ]
+    x = np.concatenate([o.u for o in start])
     # hydrogenic levels of the start: the first iteration's warm shifts
     eigenvalues = [-0.5 * (cfg.z / s.n) ** 2 for s in cfg.shells]
 
-    previous = None  # (orbitals, field) of the previous iteration
+    xs, fs = [], []  # the Anderson history, newest last
     E_prev = None
     trace = []
-    alpha = cfg.scf.mixing
 
     for it in range(1, cfg.scf.max_iter + 1):
         t_start = time.perf_counter()
-        current = tuple(orbitals), hartree_potential(build_density(orbitals, g), g)
-        if previous is None or alpha == 1.0:  # a zero-weight block has no banded form
-            snapshots = ((1.0, *current),)
-        else:
-            snapshots = ((alpha, *current), (1.0 - alpha, *previous))
-        previous = current
+        orbitals = _orthonormal_orbitals(x, start, channels, g)
+        snapshot = tuple(orbitals), hartree_potential(build_density(orbitals, g), g)
 
-        new_orbitals = list(orbitals)
+        outputs = list(orbitals)
         row = {
             "shift": {},
             "factorizations": 0,
@@ -718,7 +776,7 @@ def scf_solve(cfg: AtomConfig) -> SCFState:
         }
         for l, members in channels.items():
             t_op = time.perf_counter()
-            op = _fock_operator(l, cfg.z, snapshots, g)
+            op = _fock_operator(l, cfg.z, *snapshot, g)
             t_eig = time.perf_counter()
             v0 = sum(u_to_z(orbitals[i].u, g) for i in members)
             try:
@@ -739,15 +797,14 @@ def scf_solve(cfg: AtomConfig) -> SCFState:
                 u = z_to_u(z, g)
                 u = u / math.sqrt(integrate(u * u, g))
                 eigenvalues[i] = float(vals[rank])
-                new_orbitals[i] = replace(orbitals[i], u=u)
+                outputs[i] = replace(orbitals[i], u=u)
 
-        delta_u = max(
-            float(np.max(np.abs(new.u - old.u))) for new, old in zip(new_orbitals, orbitals)
-        )
-        orbitals = new_orbitals
+        x = np.concatenate([o.u for o in orbitals])
+        f = np.concatenate([o.u for o in outputs]) - x
+        delta_u = float(np.max(np.abs(f)))
 
         t_energy = time.perf_counter()
-        E_new = _total_energy(cfg.z, orbitals, g)
+        E_new = _total_energy(cfg.z, outputs, g)
         row["energy_s"] = time.perf_counter() - t_energy
         delta_E = abs(E_new - E_prev) if E_prev is not None else float("inf")
         trace.append(
@@ -762,6 +819,9 @@ def scf_solve(cfg: AtomConfig) -> SCFState:
         E_prev = E_new
         if delta_E < cfg.scf.tol_energy and delta_u < cfg.scf.tol_orbital:
             break
+        xs = (xs + [x])[-ANDERSON_DEPTH:]
+        fs = (fs + [f])[-ANDERSON_DEPTH:]
+        x = _anderson_step(xs, fs, cfg.scf.mixing)
     else:
         raise ConvergenceError(
             f"SCF did not converge within {cfg.scf.max_iter} iterations "
@@ -772,7 +832,7 @@ def scf_solve(cfg: AtomConfig) -> SCFState:
 
     state = SCFState(
         z=cfg.z,
-        orbitals=orbitals,
+        orbitals=outputs,
         eigenvalues=eigenvalues,
         total_energy=E_prev,
         converged=True,
@@ -780,7 +840,7 @@ def scf_solve(cfg: AtomConfig) -> SCFState:
         grid=g,
         config=cfg,
         trace=trace,
-        _snapshots=snapshots,
+        _snapshot=snapshot,
     )
     state._token = _state_token(state)
     return state
@@ -791,7 +851,7 @@ def state_summary(state: SCFState) -> dict:
     return {
         "z": state.z,
         "shells": [
-            f"{shell_label(o.n, o.l)}:{int(round(o.occupation))}"
+            f"{shell_label(o.n, o.l)}:{_electron_count(o)}"
             for o in state.orbitals
         ],
         "eigenvalues_hartree": [float(e) for e in state.eigenvalues],

@@ -145,6 +145,21 @@ def test_build_density_requires_normalization(fine_grid):
         build_density([bad], g)
 
 
+def test_fractional_occupation_rejected(fine_grid):
+    """A fractional electron count raises instead of being rounded to 2."""
+    g = fine_grid
+    o = hydrogenic_orbital(1.0, 1, 0, g)
+    half = RadialOrbital(u=o.u, n=1, l=0, occupation=1.5)
+    with pytest.raises(ParameterError, match="occupation must be an integer"):
+        build_density([half], g)
+    with pytest.raises(ParameterError, match="occupation must be an integer"):
+        exchange_apply([half], o, g)
+    for q in (1.0, np.int64(2)):
+        whole = RadialOrbital(u=o.u, n=1, l=0, occupation=q)
+        assert np.array_equal(build_density([whole], g), int(q) * o.u**2)
+        assert np.all(np.isfinite(exchange_apply([whole], o, g)))
+
+
 # ---------------------------------------------------------------------------
 # exchange
 
@@ -220,7 +235,7 @@ def test_exchange_matrix_matches_dense_kernel(channel_l):
         for n, l, q in [(1, 0, 2), (2, 0, 2), (2, 1, 6), (3, 2, 10)]
     ]
     X_ref = _dense_exchange(channel_l, sources, g)
-    blocks, pins = _exchange_terms(channel_l, sources, g, 1.0)
+    blocks, pins = _exchange_terms(channel_l, sources, g)
     assert pins == []
     X = -FockOperator(np.zeros(g.N), np.zeros(g.N - 1), tuple(blocks), ()).to_dense()
     assert np.max(np.abs(X - X_ref)) <= 1e-14 * np.max(np.abs(X_ref))
@@ -237,25 +252,23 @@ def test_exchange_matrix_matches_dense_kernel(channel_l):
     ids=["li-s", "n-p", "n-s"],
 )
 def test_operator_apply_matches_dense_oracle(Z, shells, channel_l):
-    """O(N) action of a two-snapshot operator, pins included, against dense matrices.
+    """O(N) action of the operator of one orbital set, pins included, against dense matrices.
 
     Li 2s holds one electron (q = 1 pin) and N 2p three (q = 3 pin, in the
-    p channel only); the two snapshots are hydrogenic sets of different
-    nuclear charge.
+    p channel only); the orbital sets are hydrogenic, for the nuclear charge
+    and for 0.8 of it.
     """
     g = make_grid(1e-6 / Z, 40.0, 400)
-    snapshots = []
-    for w, zeta in [(0.3, Z), (0.7, 0.8 * Z)]:
-        orbs = [replace(hydrogenic_orbital(zeta, n, l, g), occupation=q) for n, l, q in shells]
-        snapshots.append((w, orbs, hartree_potential(build_density(orbs, g), g)))
-    op = _fock_operator(channel_l, Z, snapshots, g)
-    assert len(op.pins) == 2 * sum(q % 2 == 1 and l == channel_l for _, l, q in shells)
-    X_ref = sum(w * _dense_exchange(channel_l, orbs, g) for w, orbs, _ in snapshots)
     rng = np.random.default_rng(17)
-    for x in (rng.standard_normal(g.N), u_to_z(snapshots[0][1][-1].u, g)):
-        ref = X_ref @ x
-        got = _exchange_action(op.blocks, op.pins, x)
-        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+    for zeta in (Z, 0.8 * Z):
+        orbs = [replace(hydrogenic_orbital(zeta, n, l, g), occupation=q) for n, l, q in shells]
+        op = _fock_operator(channel_l, Z, orbs, hartree_potential(build_density(orbs, g), g), g)
+        assert len(op.pins) == sum(q % 2 == 1 and l == channel_l for _, l, q in shells)
+        X_ref = _dense_exchange(channel_l, orbs, g)
+        for x in (rng.standard_normal(g.N), u_to_z(orbs[-1].u, g)):
+            ref = X_ref @ x
+            got = _exchange_action(op.blocks, op.pins, x)
+            assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
 def test_negative_angular_momentum_rejected(h_run):
@@ -330,6 +343,12 @@ def test_helium_against_reference_values(he_run):
     assert abs(state.eigenvalues[0] + 0.91796) < 5e-4
 
 
+def _richardson_energy(coarse, fine):
+    """Total energy of two solves on different meshes, extrapolated in h²."""
+    h1, h2 = coarse.grid.log_step, fine.grid.log_step
+    return (h1**2 * fine.total_energy - h2**2 * coarse.total_energy) / (h1**2 - h2**2)
+
+
 def test_helium_richardson_limit(he_run):
     """N=2000 and N=4000 extrapolated in h² land on the Hartree–Fock limit.
 
@@ -340,9 +359,30 @@ def test_helium_richardson_limit(he_run):
     """
     state, _ = he_run
     fine = scf_solve(replace(state.config, grid=GridParams(n_points=4000)))
-    h1, h2 = state.grid.log_step, fine.grid.log_step
-    E_limit = (h1**2 * fine.total_energy - h2**2 * state.total_energy) / (h1**2 - h2**2)
-    assert abs(E_limit + 2.861679995612) < 5e-9
+    assert abs(_richardson_energy(state, fine) + 2.861679995612) < 5e-9
+
+
+@pytest.mark.parametrize(
+    "z, shells, n_points, limit, bound",
+    [
+        (4.0, ((1, 0, 2), (2, 0, 2)), 1000, -14.573023168, 1e-8),
+        (7.0, ((1, 0, 2), (2, 0, 2), (2, 1, 3)), 500, -54.400934210, 1e-6),
+        (10.0, ((1, 0, 2), (2, 0, 2), (2, 1, 6)), 500, -128.547098109, 1e-6),
+    ],
+    ids=["be", "n", "ne"],
+)
+def test_richardson_limit(z, shells, n_points, limit, bound):
+    """Closed and half-filled shells: N and 2N extrapolated in h² land on the HF limit.
+
+    The limits are from Bunge et al., At. Data Nucl. Data Tables 53, 113
+    (1993).  What is left is the h⁴ term of the mesh and, for N and Ne,
+    the coarser meshes.
+    """
+    coarse, fine = (
+        scf_solve(AtomConfig(z=z, shells=shells, grid=GridParams(n_points=n)))
+        for n in (n_points, 2 * n_points)
+    )
+    assert abs(_richardson_energy(coarse, fine) - limit) < bound
 
 
 def test_helium_virial(he_run):
@@ -398,6 +438,40 @@ def test_nitrogen_two_channel(n_run):
     assert np.max(np.abs(gram - np.eye(len(s_orbitals)))) < 1e-10
     # Hartree-Fock limit E = -54.400934; the N=400 mesh sits ~6e-3 below it
     assert abs(state.total_energy + 54.400934) < 1e-2
+
+
+@pytest.mark.parametrize("fixture", ["li_run", "n_run"])
+def test_snapshot_orbitals_orthonormal(fixture, request):
+    """The operators are built from one orthonormal orbital set near the result.
+
+    The inputs of the last iteration are Gram–Schmidt orthonormal in each
+    channel under the quadrature, and the residual test puts them within
+    `tol_orbital` of the returned eigenvectors.
+    """
+    state, _ = request.getfixturevalue(fixture)
+    g = state.grid
+    inputs, _ = state._snapshot
+    for l in {o.l for o in inputs}:
+        us = [o.u for o in inputs if o.l == l]
+        gram = np.array([[inner(a, b, g) for b in us] for a in us])
+        assert np.max(np.abs(gram - np.eye(len(us)))) <= 1e-12
+    for x, o in zip(inputs, state.orbitals):
+        assert (x.n, x.l, x.occupation) == (o.n, o.l, o.occupation)
+        assert np.max(np.abs(x.u - o.u)) < state.config.scf.tol_orbital
+
+
+@pytest.mark.parametrize(
+    "z, shells",
+    [(2.0, ((1, 0, 2),)), (3.0, ((1, 0, 2), (2, 0, 1))), (4.0, ((1, 0, 2), (2, 0, 2)))],
+    ids=["he", "li", "be"],
+)
+def test_anderson_iteration_count(z, shells):
+    """He, Li and Be at N=1000 converge within 15 iterations, with the same solves every run."""
+    cfg = AtomConfig(z=z, shells=shells, grid=GridParams(n_points=1000))
+    runs = [scf_solve(cfg) for _ in range(2)]
+    assert runs[0].iterations <= 15
+    counts = [[row["shift_invert_solves"] for row in state.trace] for state in runs]
+    assert counts[0] == counts[1]
 
 
 @pytest.mark.parametrize(
@@ -513,7 +587,7 @@ def _assert_lowest_pairs(vals, vecs, ref_vals, ref_vecs):
 def test_shifted_solve_matches_dense_lu(li_channel):
     """Banded Cholesky plus the Woodbury pin correction against a dense LU solve."""
     op, C, _, ref_vals, _ = li_channel
-    assert len(op.pins) == 2  # the 2s pin of both snapshots
+    assert len(op.pins) == 1  # the 2s pin
     rng = np.random.default_rng(23)
     for sigma in (ref_vals[0] - 0.1, -(0.5 * 3.0**2 + 2.0)):
         b = rng.standard_normal(C.shape[0])
@@ -557,9 +631,9 @@ def test_solve_channel_refuses_indefinite_capacitance(li_channel):
     negative direction shows that F − σ is indefinite all the same.
     """
     op, _, v0, ref_vals, _ = li_channel
-    strong = replace(op, pins=tuple((1e3 * w, rho, zh) for w, rho, zh in op.pins))
+    strong = replace(op, pins=tuple((1e3 * rho, zh) for rho, zh in op.pins))
     sigma = -(0.5 * 3.0**2 + 2.0)
-    _, rho, zh = strong.pins[0]
+    rho, zh = strong.pins[0]
     v = rho / np.linalg.norm(rho) + zh
     assert v @ strong.apply(v) < sigma * (v @ v)
     replace(strong, pins=()).shifted_solver(sigma)
