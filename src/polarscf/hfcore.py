@@ -16,8 +16,11 @@ The moving parts are:
   odd-shell pins, certifies that σ lies below the whole spectrum,
 * a shift-invert eigensolver that asks ARPACK for exactly the occupied
   pairs of a channel, warm-started from the previous iteration's orbitals
-  with a shift just below its lowest eigenvalue, falling back to the bound
-  −(Z²/2 + 2) and raising ConvergenceError if neither shift certifies,
+  with a shift just below its lowest level: a ladder of shifts that step
+  down from the lower of the previous lowest eigenvalue and the start
+  vector's Rayleigh quotient by SHIFT_MARGIN·4^j, ending at the bound
+  −(Z²/2 + 2), keeps the first shift that certifies and raises
+  ConvergenceError if none does,
 * fixed-point iteration on the input orbitals, accelerated by Anderson
   (Pulay) extrapolation over the last few (input, residual) pairs and
   Gram–Schmidt orthonormalized per channel, so each iteration's operators
@@ -46,8 +49,6 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 import numpy as np
-import scipy.linalg as sla
-import scipy.sparse.linalg as spla
 
 from .errors import (
     CapacityError,
@@ -81,8 +82,8 @@ DEFAULT_TOL_ORBITAL = 1e-6
 DEFAULT_R_MAX = 50.0
 DEFAULT_N_POINTS = 2000
 
-# The shift-invert shift sits this far (hartree) below the channel's lowest
-# eigenvalue of the previous iteration.
+# The first shift-invert shift sits this far (hartree) below the channel's
+# estimated lowest level; each further try steps four times as far.
 SHIFT_MARGIN = 0.1
 
 # (input, residual) pairs the Anderson extrapolation of the orbitals keeps.
@@ -486,6 +487,8 @@ class FockOperator:
         positive and one negative eigenvalue per pin.  Raises
         np.linalg.LinAlgError when either test fails.
         """
+        import scipy.linalg as sla  # loaded on first solve, not on import
+
         N, m = self.diag.size, len(self.blocks)
         s = m + 1  # stride of one mesh point in the interleaved unknowns
         ab = np.zeros((s + 1, s * N))  # lower band storage: ab[k, j] = M[j + k, j]
@@ -643,22 +646,35 @@ def _solve_channel(op: FockOperator, count, z_nuc, eps_low, v0):
     """Lowest `count` eigenpairs of a channel's Fock operator.
 
     ARPACK shift-invert Lanczos converges at a rate set by the spacing of
-    1/(λ − σ) near the wanted end, so the shift σ is put SHIFT_MARGIN below
-    eps_low, the channel's lowest eigenvalue from the previous iteration.
-    σ is certified below the whole spectrum by `FockOperator.shifted_solver`,
-    which succeeds exactly when F − σ is positive definite.  If it fails,
-    the bound −(Z²/2 + 2) is tried instead, and if that fails too a
-    ConvergenceError is raised rather than returning eigenpairs that may not
-    be the lowest.  The certified solver is handed to ARPACK as the
-    shift-invert operator and exactly `count` pairs are asked for, starting
-    from v0 (the channel's previous orbitals summed), which keeps runs
-    bit-reproducible.
+    1/(λ − σ) near the wanted end, so the shift σ is put just below the
+    channel's lowest level.  Its best upper estimate is top = min(eps_low,
+    v0ᵀFv0 / v0ᵀv0): eps_low is the lowest eigenvalue of the previous
+    iteration, and the Rayleigh quotient bounds the lowest level from above
+    even when it has dropped since.  The shifts σ_j = top − SHIFT_MARGIN·4^j,
+    j = 0, 1, …, are tried in turn while they lie above the bound
+    −(Z²/2 + 2), which is tried last; the first σ that
+    `FockOperator.shifted_solver` certifies (it succeeds exactly when F − σ
+    is positive definite, so σ lies below the whole spectrum) is kept, and
+    if none does a ConvergenceError is raised rather than returning
+    eigenpairs that may not be the lowest.  The certified solver is handed
+    to ARPACK as the shift-invert operator and exactly `count` pairs are
+    asked for, starting from v0 (the channel's previous orbitals summed),
+    which keeps runs bit-reproducible.
 
     Returns (values, vectors, work) with values ascending and work holding
-    the shift, the number of factorizations and of shift-invert solves.
+    the shift, the number of factorizations (shifts tried) and of
+    shift-invert solves.
     """
+    import scipy.sparse.linalg as spla  # loaded on first solve, not on import
+
     N = op.diag.size
-    sigmas = (eps_low - SHIFT_MARGIN, -(0.5 * z_nuc**2 + 2.0))
+    floor = -(0.5 * z_nuc**2 + 2.0)
+    top = min(eps_low, float(v0 @ op.apply(v0)) / float(v0 @ v0))
+    sigmas, margin = [], SHIFT_MARGIN
+    while top - margin > floor:
+        sigmas.append(top - margin)
+        margin *= 4.0
+    sigmas.append(floor)
     for tries, sigma in enumerate(sigmas, start=1):
         try:
             solve = op.shifted_solver(sigma)

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
 
 from .errors import ParameterError, PreconditionError, ShapeError
 from .hfcore import SCFState
@@ -197,6 +196,8 @@ def pk_solve(state: SCFState, valence) -> PseudoOrbital:
     minimum-kinetic-energy member of that span; the returned eigenvalue is
     the full-operator Rayleigh quotient of that member.
     """
+    import scipy.linalg  # loaded on first use: the NumPy-only commands never pay for it
+
     n_v, l_v = valence
     g = state.grid
     v_idx = None

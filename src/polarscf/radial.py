@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import eval_genlaguerre
 
 from .errors import CapacityError, ParameterError, ShapeError
 
@@ -124,7 +123,11 @@ def hydrogenic_orbital(Z: float, n: int, l: int, g: RadialGrid) -> RadialOrbital
 
     u(r) = r * R_nl(r) with the textbook Laguerre form
     R_nl = (2Z/n)^{3/2} sqrt((n-l-1)!/(2n (n+l)!)) e^{-x/2} x^l L^{2l+1}_{n-l-1}(x),
-    x = 2Zr/n.  Renormalized on the grid so <u|u> = 1 to quadrature accuracy.
+    x = 2Zr/n.  The generalized Laguerre polynomial L^a_{n-l-1}, a = 2l+1,
+    comes from the three-term recurrence
+    (k+1) L^a_{k+1} = (2k+1+a-x) L^a_k - (k+a) L^a_{k-1}, L^a_0 = 1,
+    L^a_1 = 1+a-x.  Renormalized on the grid so <u|u> = 1 to quadrature
+    accuracy.
     """
     if Z <= 0:
         raise ParameterError(f"Z must be positive, got {Z}")
@@ -135,7 +138,11 @@ def hydrogenic_orbital(Z: float, n: int, l: int, g: RadialGrid) -> RadialOrbital
     norm = (2.0 * Z / n) ** 1.5 * math.sqrt(
         math.factorial(n - l - 1) / (2.0 * n * math.factorial(n + l))
     )
-    R = norm * np.exp(-x / 2.0) * x**l * eval_genlaguerre(n - l - 1, 2 * l + 1, x)
+    a = 2 * l + 1
+    lag_prev, lag = np.zeros_like(x), np.ones_like(x)
+    for k in range(n - l - 1):
+        lag_prev, lag = lag, ((2 * k + 1 + a - x) * lag - (k + a) * lag_prev) / (k + 1)
+    R = norm * np.exp(-x / 2.0) * x**l * lag
     orb = RadialOrbital(u=r * R, n=n, l=l)
     return orb.normalized(g)
 

@@ -15,6 +15,7 @@ from polarscf.errors import (
     PreconditionError,
 )
 from polarscf.hfcore import (
+    SHIFT_MARGIN,
     AtomConfig,
     FockOperator,
     GridParams,
@@ -605,12 +606,22 @@ def test_solve_channel_warm_shift_matches_dense(li_channel):
 
 
 def test_solve_channel_warm_shift_too_high_falls_back(li_channel):
-    """A warm eigenvalue above the true lowest puts the first shift inside the spectrum."""
+    """A warm eigenvalue above the true lowest puts the first shift inside the spectrum.
+
+    The ladder then steps down from the lower of that eigenvalue and v0's
+    Rayleigh quotient by SHIFT_MARGIN·4^j and keeps the first rung that
+    certifies, above the bound −(Z²/2 + 2) and below the rung before it.
+    """
     op, _, v0, ref_vals, ref_vecs = li_channel
-    vals, vecs, work = _solve_channel(op, 2, 3.0, ref_vals[0] + 1.0, v0)
+    eps_low = ref_vals[0] + 1.0
+    vals, vecs, work = _solve_channel(op, 2, 3.0, eps_low, v0)
     _assert_lowest_pairs(vals, vecs, ref_vals, ref_vecs)
-    assert work["factorizations"] == 2
-    assert work["shift"] == -(0.5 * 3.0**2 + 2.0)
+    top = min(eps_low, float(v0 @ op.apply(v0)) / float(v0 @ v0))
+    tries = work["factorizations"]
+    assert tries >= 2
+    assert work["shift"] == top - SHIFT_MARGIN * 4.0 ** (tries - 1)
+    previous = top - SHIFT_MARGIN * 4.0 ** (tries - 2)
+    assert previous > ref_vals[0] > work["shift"] > -(0.5 * 3.0**2 + 2.0)
 
 
 def test_solve_channel_refuses_uncertified_shift(li_channel):
@@ -658,6 +669,21 @@ def test_state_keeps_iteration_trace(h_run):
         assert row["factorizations"] >= 1
         assert row["shift_invert_solves"] >= 1
     assert state.trace[-1]["total_energy"] == state.total_energy
+
+
+def test_shift_ladder_solve_count():
+    """C at N=400: the shift ladder stays above −(Z²/2 + 2) and saves solves.
+
+    With a single fallback to −(Z²/2 + 2) the same solve made 1423
+    shift-invert solves in 11 iterations.
+    """
+    z = 6.0
+    state = scf_solve(
+        AtomConfig(z=z, shells=((1, 0, 2), (2, 0, 2), (2, 1, 2)), grid=GridParams(n_points=400))
+    )
+    assert sum(row["shift_invert_solves"] for row in state.trace) < 1423
+    for row in state.trace:
+        assert min(row["shift"].values()) >= -(0.5 * z**2 + 2.0)
 
 
 def test_warm_shift_solve_count():

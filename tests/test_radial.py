@@ -67,6 +67,21 @@ def test_hydrogenic_orbitals(Z, n, l, grid):
     assert abs(T - Z**2 / (2.0 * n**2)) < 5e-5
 
 
+@pytest.mark.parametrize("Z", [1.0, 1.7])
+def test_hydrogenic_matches_closed_form(Z, grid):
+    """The Laguerre recurrence against SciPy's eval_genlaguerre, n <= 7, l <= 3."""
+    from scipy.special import eval_genlaguerre
+
+    r = grid.points
+    for n in range(1, 8):
+        for l in range(min(n - 1, 3) + 1):
+            x = 2.0 * Z * r / n
+            ref = r * np.exp(-x / 2.0) * x**l * eval_genlaguerre(n - l - 1, 2 * l + 1, x)
+            ref = ref / np.sqrt(inner(ref, ref, grid))
+            got = hydrogenic_orbital(Z, n, l, grid).u
+            assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref)), (n, l)
+
+
 def test_hydrogenic_validation(grid):
     with pytest.raises(ParameterError):
         hydrogenic_orbital(0.0, 1, 0, grid)

@@ -218,6 +218,35 @@ def test_out_file_and_fresh_process_determinism(tmp_path):
     assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
+SCIPY_PROBE = """
+import contextlib, io, sys
+from polarscf.shell import main
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [main(argv) for argv in {runs!r}]
+print(codes, sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+"""
+
+
+def _scipy_modules_after(runs):
+    r = subprocess.run(
+        [sys.executable, "-c", SCIPY_PROBE.format(runs=runs)], capture_output=True, text=True
+    )
+    assert r.returncode == 0, r.stderr
+    return r.stdout
+
+
+def test_numpy_only_commands_never_load_scipy():
+    """verify, qp and spectrum run on NumPy alone; a solve loads SciPy on first use."""
+    light = [
+        ["verify", "fock", "--modes", "8"],
+        ["qp", "qp_levels=-0.75,0.75", "qp_e_points=101"],
+        ["spectrum", "n_max=4", "gamma=0.1"],
+    ]
+    assert _scipy_modules_after(light) == "[0, 0, 0] []\n"
+    solve = _scipy_modules_after([["scf", "z=1.0", "shells=1s:1", "n_points=300"]])
+    assert solve.startswith("[0] [") and "'scipy.linalg'" in solve
+
+
 @pytest.mark.parametrize(
     "argv",
     [

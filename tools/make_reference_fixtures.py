@@ -10,7 +10,8 @@ Run from the repository root:
 
     python3 tools/make_reference_fixtures.py
 
-At N=8000 the solve takes 0.09 s and the whole run peaks at 71 MB RSS
+At N=8000 the timed solve takes 0.2 s, about 0.13 s of it SciPy's import
+on the first factorization, and the whole run peaks at 67 MB RSS
 (6 iterations, on a 2-core x86-64 machine with one OpenBLAS thread): the
 Fock operator is applied and factored in O(N) memory.  The timing line
 reports iterations, factorizations, shift-invert solves, elapsed time and
