@@ -64,6 +64,7 @@ from .radial import (
     hydrogenic_orbital,
     inner,
     integrate,
+    kinetic_apply,
     kinetic_tridiagonal,
     make_grid,
     tridiag_apply,
@@ -336,6 +337,8 @@ def _exchange_terms(channel_l, orbitals, g: RadialGrid):
     root_e = np.sqrt(g.weights / (h * r))
     blocks, pins = [], []
     for o in orbitals:
+        if np.asarray(o.u).shape != g.points.shape:
+            raise ShapeError(f"source orbital {shell_label(o.n, o.l)} is not sampled on the grid")
         u_b, l_b, q_b = o.u, o.l, _electron_count(o)
         z_b = u_to_z(u_b, g)
         own = [
@@ -390,13 +393,6 @@ def _coulomb_integral(fa, fb, L, g):
     return integrate(fa * slater_potential(fb, L, g), g)
 
 
-def _kinetic_expectation(u, l, g: RadialGrid) -> float:
-    z = u_to_z(u, g)
-    diag, off = kinetic_tridiagonal(g, l)
-    he = g.weights / g.points
-    return float(np.sum(he * z * tridiag_apply(diag, off, z)))
-
-
 def _total_energy(z_nuc, orbitals, g: RadialGrid) -> float:
     """Mean-field total energy of the current orbital set.
 
@@ -407,9 +403,7 @@ def _total_energy(z_nuc, orbitals, g: RadialGrid) -> float:
     """
     E = 0.0
     for a in orbitals:
-        h_a = _kinetic_expectation(a.u, a.l, g) + integrate(
-            -z_nuc / g.points * a.u**2, g
-        )
+        h_a = inner(a.u, kinetic_apply(a, g), g) + integrate(-z_nuc / g.points * a.u**2, g)
         E += a.occupation * h_a
     for a in orbitals:
         for b in orbitals:
@@ -613,16 +607,14 @@ def trace_energy(state: SCFState):
     """Eigenvalue sum vs. density-matrix trace of the same operator.
 
     Returns (sum_eigen, trace_lhs) over the paired orbitals: the first from
-    the solver's eigenvalues, the second from the operator's quadratic form
-    ⟨z|F|z⟩ of the operator each orbital was solved with, built once per
-    channel.  A converged state makes them agree to the eigensolver's
-    accuracy.
+    the solver's eigenvalues, the second from the quadrature form ⟨u|F u⟩
+    of the operator each orbital was solved with, built once per channel.
+    A converged state makes them agree to the eigensolver's accuracy.
     """
     if not state.converged:
         raise PreconditionError("trace_energy needs a converged SCF state")
     state._check_token()
     g = state.grid
-    he = g.weights / g.points
     operators = {}
     sum_eigen = 0.0
     trace_lhs = 0.0
@@ -633,8 +625,8 @@ def trace_energy(state: SCFState):
         if o.l not in operators:
             operators[o.l] = _fock_operator(o.l, state.z, *state._snapshot, g)
         sum_eigen += pairs * eps
-        z = u_to_z(o.u, g)
-        trace_lhs += pairs * float(np.sum(he * z * operators[o.l].apply(z)))
+        Fz = operators[o.l].apply(u_to_z(o.u, g))
+        trace_lhs += pairs * inner(o.u, z_to_u(Fz, g), g)
     return sum_eigen, trace_lhs
 
 

@@ -22,14 +22,17 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ParameterError, PreconditionError, ShapeError
-from .hfcore import SCFState
+from .hfcore import SCFState, shell_label
 from .radial import (
     RadialGrid,
     RadialOrbital,
+    inner,
     kinetic_tridiagonal,
     node_count,
+    sign_flips,
     tridiag_apply,
     u_to_z,
+    z_to_u,
 )
 
 
@@ -172,20 +175,6 @@ class PseudoOrbital:
     core_radius: float
 
 
-def _outermost_node_radius(u, g: RadialGrid) -> float:
-    """Radius of the outermost sign change of u, or 0.0 for a nodeless u."""
-    u = np.asarray(u, dtype=float)
-    floor = 1e-8 * np.max(np.abs(u))
-    live = np.where(np.abs(u) > floor)[0]
-    if live.size < 2:
-        return 0.0
-    s = np.sign(u[live])
-    flips = np.where(s[1:] * s[:-1] < 0)[0]
-    if flips.size == 0:
-        return 0.0
-    return float(g.points[live[flips[-1] + 1]])
-
-
 def pk_solve(state: SCFState, valence) -> PseudoOrbital:
     """Build the nodeless pseudo-orbital for one valence level.
 
@@ -193,11 +182,11 @@ def pk_solve(state: SCFState, valence) -> PseudoOrbital:
     levels are the same-channel shells lying below it.  The shifted
     operator F + Σ_c (ε_v − ε_c)|c⟩⟨c| is degenerate at ε_v on the span of
     the valence and core states, so the solve reduces to picking the
-    minimum-kinetic-energy member of that span; the returned eigenvalue is
-    the full-operator Rayleigh quotient of that member.
+    minimum-kinetic-energy member of that span: a Rayleigh–Ritz step in
+    z = √r·u, where the plain dot product is the metric in which F and the
+    kinetic stencil are symmetric.  The returned eigenvalue is the
+    full-operator Rayleigh quotient of that member.
     """
-    import scipy.linalg  # loaded on first use: the NumPy-only commands never pay for it
-
     n_v, l_v = valence
     g = state.grid
     v_idx = None
@@ -213,7 +202,8 @@ def pk_solve(state: SCFState, valence) -> PseudoOrbital:
         raise PreconditionError("pk_solve needs a converged SCF state")
     eps_v = float(state.eigenvalues[v_idx])
     v_orb = state.orbitals[v_idx]
-    core_radius = _outermost_node_radius(v_orb.u, g)
+    flips = sign_flips(v_orb.u)
+    core_radius = float(g.points[flips[-1]]) if flips.size else 0.0
 
     cores = [
         (o, float(e))
@@ -234,57 +224,30 @@ def pk_solve(state: SCFState, valence) -> PseudoOrbital:
             core_radius=core_radius,
         )
 
-    F = state.channel_operator(l_v)
-    shifts = [eps_v - e for _, e in cores]
-
-    def z_hat(u):
-        z = u_to_z(u, g)
-        return z / np.linalg.norm(z)
-
-    basis = [z_hat(v_orb.u)] + [z_hat(o.u) for o, _ in cores]
-    zc = basis[1:]
-
-    def fpk_apply(x):
-        out = F.apply(x)
-        for s, z in zip(shifts, zc):
-            out += s * z * float(z @ x)
-        return out
-
-    # minimum-kinetic combination within the degenerate span
+    # minimum-kinetic member of span{valence, cores}: lowest Ritz vector of T
+    Z = np.column_stack([u_to_z(o.u, g) for o in [v_orb] + [o for o, _ in cores]])
+    Q = np.linalg.qr(Z)[0]
     diag, off = kinetic_tridiagonal(g, l_v)
-    he = g.weights / g.points
-    m = len(basis)
-    T = np.empty((m, m))
-    S = np.empty((m, m))
-    t_actions = [tridiag_apply(diag, off, z) for z in basis]
-    for a in range(m):
-        for b in range(m):
-            T[a, b] = float(np.sum(he * basis[a] * t_actions[b]))
-            S[a, b] = float(np.sum(he * basis[a] * basis[b]))
-    T = 0.5 * (T + T.T)
-    S = 0.5 * (S + S.T)
-    _, vecs = scipy.linalg.eigh(T, S)
-    coeffs = vecs[:, 0]
-
-    phi = np.zeros(g.N)
-    for c, z in zip(coeffs, basis):
-        phi += c * z
+    TQ = np.column_stack([tridiag_apply(diag, off, q) for q in Q.T])
+    phi = Q @ np.linalg.eigh(Q.T @ TQ)[1][:, 0]
     if phi[np.argmax(np.abs(phi))] < 0:
         phi = -phi
-    eps_pk = float(phi @ fpk_apply(phi)) / float(phi @ phi)
 
-    u_pk = phi / np.sqrt(g.points)
-    u_pk = u_pk / np.sqrt(float(np.sum(g.weights * u_pk * u_pk)))
-    a_c = tuple(
-        float(np.sum(g.weights * o.u * u_pk)) for o, _ in cores
-    )
+    Z_hat = Z[:, 1:] / np.linalg.norm(Z[:, 1:], axis=0)
+    shifts = np.array([eps_v - e for _, e in cores])
+    eps_pk = float(
+        phi @ state.channel_operator(l_v).apply(phi) + shifts @ (Z_hat.T @ phi) ** 2
+    ) / float(phi @ phi)
+
+    u_pk = z_to_u(phi, g)
+    u_pk = u_pk / np.sqrt(inner(u_pk, u_pk, g))
     return PseudoOrbital(
         n=n_v,
         l=l_v,
         u=u_pk,
         eigenvalue=eps_pk,
         eigenvalue_allelectron=eps_v,
-        core_coefficients=a_c,
+        core_coefficients=tuple(inner(o.u, u_pk, g) for o, _ in cores),
         node_count=node_count(u_pk),
         core_radius=core_radius,
     )
@@ -292,8 +255,6 @@ def pk_solve(state: SCFState, valence) -> PseudoOrbital:
 
 def pseudo_summary(p: PseudoOrbital) -> dict:
     """Plain-data report of a pseudo-orbital solve, in stable field order."""
-    from .hfcore import shell_label
-
     return {
         "valence": shell_label(p.n, p.l),
         "eigenvalue_allelectron": p.eigenvalue_allelectron,

@@ -195,14 +195,21 @@ def z_to_u(z, g: RadialGrid):
     return np.asarray(z) / np.sqrt(g.points)
 
 
-def node_count(u, rel_threshold=1e-8) -> int:
-    """Sign changes of u over samples with magnitude above the noise floor."""
+def sign_flips(u):
+    """Mesh indices where u changes sign, over samples above the noise floor.
+
+    Samples no larger than 1e-8 times the peak magnitude are skipped; each
+    index is the first live sample past a flip.
+    """
     u = np.asarray(u)
-    peak = np.max(np.abs(u))
-    if peak == 0.0:
-        return 0
-    sig = u[np.abs(u) > rel_threshold * peak]
-    return int(np.sum(np.sign(sig[1:]) != np.sign(sig[:-1])))
+    live = np.flatnonzero(np.abs(u) > 1e-8 * np.max(np.abs(u)))
+    s = np.sign(u[live])
+    return live[1:][s[1:] != s[:-1]]
+
+
+def node_count(u) -> int:
+    """Sign changes of u over samples with magnitude above the noise floor."""
+    return int(sign_flips(u).size)
 
 
 def dump_orbital_csv(path, o: RadialOrbital, g: RadialGrid):

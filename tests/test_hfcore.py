@@ -13,6 +13,7 @@ from polarscf.errors import (
     ConvergenceError,
     ParameterError,
     PreconditionError,
+    ShapeError,
 )
 from polarscf.hfcore import (
     SHIFT_MARGIN,
@@ -185,6 +186,16 @@ def test_exchange_cancels_direct_for_one_electron(h_run):
     exch = exchange_apply(state.orbitals, o, g)
     resid = np.sqrt(float(np.sum(g.weights * (direct - exch) ** 2)))
     assert resid < 1e-12
+
+
+def test_exchange_source_on_other_grid_rejected():
+    """A source orbital sampled on another mesh raises ShapeError, not a broadcast error."""
+    g = make_grid(1e-6, 50.0, 400)
+    other = make_grid(1e-6, 50.0, 300)
+    source = replace(hydrogenic_orbital(2.0, 1, 0, other), occupation=2)
+    target = hydrogenic_orbital(2.0, 1, 0, g)
+    with pytest.raises(ShapeError, match="source orbital 1s"):
+        exchange_apply([source], target, g)
 
 
 def _dense_exchange(channel_l, sources, g):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from polarscf.errors import ParameterError, PreconditionError
+from polarscf.hfcore import AtomConfig, GridParams, scf_solve
 from polarscf.pseudopot import (
     CoreProjector,
     core_project,
@@ -15,7 +16,14 @@ from polarscf.pseudopot import (
     pk_solve,
     pseudo_summary,
 )
-from polarscf.radial import RadialOrbital, hydrogenic_orbital, make_grid, node_count
+from polarscf.radial import (
+    RadialOrbital,
+    hydrogenic_orbital,
+    inner,
+    kinetic_apply,
+    make_grid,
+    node_count,
+)
 
 LADDER = [-0.5 / n**2 for n in (1, 2, 3, 4)]
 
@@ -178,6 +186,30 @@ def test_pk_lithium_decomposition(li_run):
     inside, outside = core_project(core, pseudo)
     recon = outside + p.core_coefficients[0] * state.orbitals[0].u
     assert np.max(np.abs(recon - p.u)) < 1e-8
+
+
+def test_pk_sodium_two_cores():
+    """Na 3s over the 1s and 2s cores: same level, nodeless, in the span, smoother."""
+    state = scf_solve(
+        AtomConfig(
+            z=11.0,
+            shells=((1, 0, 2), (2, 0, 2), (2, 1, 6), (3, 0, 1)),
+            grid=GridParams(n_points=400),
+        )
+    )
+    g = state.grid
+    s_orbitals = {o.n: o for o in state.orbitals if o.l == 0}
+    p = pk_solve(state, (3, 0))
+    assert len(p.core_coefficients) == 2
+    assert abs(p.eigenvalue - p.eigenvalue_allelectron) <= 1e-10
+    assert p.node_count == 0
+    span = CoreProjector.build([s_orbitals[n] for n in (3, 1, 2)], g)
+    pseudo = RadialOrbital(u=p.u, n=3, l=0)
+    _, outside = core_project(span, pseudo)
+    assert np.max(np.abs(outside)) <= 1e-8
+    valence = s_orbitals[3]
+    kinetic_pk = inner(p.u, kinetic_apply(pseudo, g), g)
+    assert kinetic_pk <= inner(valence.u, kinetic_apply(valence, g), g)
 
 
 def test_pk_hydrogen_is_identity(h_run):

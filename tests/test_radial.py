@@ -14,6 +14,7 @@ from polarscf.radial import (
     kinetic_tridiagonal,
     make_grid,
     node_count,
+    sign_flips,
     u_to_z,
     z_to_u,
 )
@@ -130,6 +131,13 @@ def test_uz_roundtrip(grid):
 )
 def test_node_count(u, expected):
     assert node_count(np.asarray(u)) == expected
+
+
+def test_sign_flips_indices():
+    """Each flip is reported at the first live sample past it; noise is skipped."""
+    u = np.array([0.0, 1.0, 1e-14, -1.0, -2.0, 3.0, 0.0])
+    assert sign_flips(u).tolist() == [3, 5]
+    assert sign_flips(np.zeros(4)).size == 0
 
 
 def test_dump_orbital_csv(tmp_path, grid):

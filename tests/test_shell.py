@@ -1,5 +1,6 @@
 """Config round trips, canonical output, dispatch and exit codes."""
 
+import ast
 import json
 import subprocess
 import sys
@@ -8,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import polarscf
 from polarscf.errors import ConfigError
 from polarscf.shell import (
     RunConfig,
@@ -245,6 +247,31 @@ def test_numpy_only_commands_never_load_scipy():
     assert _scipy_modules_after(light) == "[0, 0, 0] []\n"
     solve = _scipy_modules_after([["scf", "z=1.0", "shells=1s:1", "n_points=300"]])
     assert solve.startswith("[0] [") and "'scipy.linalg'" in solve
+
+
+def test_only_hfcore_imports_scipy():
+    """Every SciPy import in the package sits inside a function of hfcore."""
+    importers = set()
+    for path in Path(polarscf.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        in_function = {
+            id(inner)
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            for stmt in node.body
+            for inner in ast.walk(stmt)
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(n == "scipy" or n.startswith("scipy.") for n in names):
+                importers.add(path.stem)
+                assert id(node) in in_function, f"{path.name} imports SciPy outside a function"
+    assert importers == {"hfcore"}
 
 
 @pytest.mark.parametrize(
