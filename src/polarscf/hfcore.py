@@ -20,15 +20,18 @@ The moving parts are:
   down from the lower of the previous lowest eigenvalue and the start
   vector's Rayleigh quotient by SHIFT_MARGIN·4^j, ending at the bound
   −(Z²/2 + 2), keeps the first shift that certifies and raises
-  ConvergenceError if none does,
+  ConvergenceError if none does; ARPACK's tolerance follows the SCF
+  residual, so iterations far from self-consistency are solved inexactly
+  and only a full-precision iteration may end the solve,
 * fixed-point iteration on the input orbitals, accelerated by Anderson
   (Pulay) extrapolation over the last few (input, residual) pairs and
   Gram–Schmidt orthonormalized per channel, so each iteration's operators
   are built from one orthonormal orbital set and its direct field (the
   snapshot), with the shells taken in (l, n) order throughout; the
-  per-iteration trace (with the shifts, the eigensolver's factorizations
-  and solves, and the phase wall times) is kept on the returned state next
-  to the last snapshot, which rebuilds any channel's operator, and
+  per-iteration trace (with ARPACK's tolerance, the shifts, the
+  eigensolver's factorizations and solves, and the phase wall times) is
+  kept on the returned state next to the last snapshot, from which any
+  channel's operator is built once, and
 * trace bookkeeping that confronts the eigenvalue sum with the quadratic
   form of the same converged operator.
 
@@ -41,6 +44,7 @@ cancel at the operator level, not just in expectation values.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 import numbers
@@ -89,6 +93,13 @@ SHIFT_MARGIN = 0.1
 
 # (input, residual) pairs the Anderson extrapolation of the orbitals keeps.
 ANDERSON_DEPTH = 8
+
+# ARPACK's tolerance in an SCF iteration is EIGSH_TOL_FACTOR times the
+# smallest residual max|Φ(x) − x| seen so far (taken as 1 before the first
+# iteration), and 0 (machine precision) once the residual has fallen below
+# EXACT_SOLVE_FACTOR·tol_orbital.
+EIGSH_TOL_FACTOR = 1e-3
+EXACT_SOLVE_FACTOR = 10.0
 
 
 # ---------------------------------------------------------------------------
@@ -191,6 +202,7 @@ class AtomConfig:
 # angular coupling weights
 
 
+@functools.lru_cache(maxsize=None)
 def _threej000_squared(l1: int, L: int, l2: int) -> float:
     """Squared (l1 L l2; 0 0 0) coupling symbol, exact rational arithmetic."""
     J = l1 + L + l2
@@ -544,14 +556,15 @@ class SCFState:
     solved for.  `_snapshot` is the (orbitals, direct field) pair that
     iteration's operators were built from: its input orbitals, orthonormal
     within each channel and within `tol_orbital` of `orbitals` once the solve
-    converged.  Every channel's operator, occupied or not, is rebuilt from it
-    on demand, so the occupied channels give back exactly the operators the
-    eigensolver diagonalized.  `_token` fingerprints the orbitals and the
-    snapshot, so that edits made after the solve are caught.  `trace` has
-    one row per iteration, the same rows a ConvergenceError carries:
-    energy, changes, the shift per channel, the eigensolver's
-    factorizations and shift-invert solves summed over channels, and the
-    wall time of each phase (field, operator build, eigensolve, energy).
+    converged.  Every channel's operator, occupied or not, is built from it
+    once and kept in `_operators`; the occupied channels' entries are the
+    operators the eigensolver diagonalized.  `_token` fingerprints the
+    orbitals and the snapshot, so that edits made after the solve are caught
+    on every `channel_operator` call.  `trace` has one row per iteration, the
+    same rows a ConvergenceError carries: energy, changes, ARPACK's
+    tolerance, the shift per channel, the eigensolver's factorizations and
+    shift-invert solves summed over channels, and the wall time of each
+    phase (field, operator build, eigensolve, energy).
     """
 
     z: float
@@ -565,11 +578,14 @@ class SCFState:
     trace: list = field(default_factory=list, repr=False)
     _snapshot: tuple = field(default=(), repr=False)
     _token: str = field(default="", repr=False)
+    _operators: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def channel_operator(self, l: int) -> FockOperator:
-        """The z-space Fock operator of one angular channel."""
+        """The z-space Fock operator of one angular channel, built once per state."""
         self._check_token()
-        return _fock_operator(l, self.z, *self._snapshot, self.grid)
+        if l not in self._operators:
+            self._operators[l] = _fock_operator(l, self.z, *self._snapshot, self.grid)
+        return self._operators[l]
 
     def channel_matrix(self, l: int):
         """Dense, read-only z-space Fock matrix of one angular channel (for tests)."""
@@ -608,24 +624,21 @@ def trace_energy(state: SCFState):
 
     Returns (sum_eigen, trace_lhs) over the paired orbitals: the first from
     the solver's eigenvalues, the second from the quadrature form ⟨u|F u⟩
-    of the operator each orbital was solved with, built once per channel.
-    A converged state makes them agree to the eigensolver's accuracy.
+    of the operator each orbital was solved with.  A converged state makes
+    them agree to the eigensolver's accuracy.
     """
     if not state.converged:
         raise PreconditionError("trace_energy needs a converged SCF state")
     state._check_token()
     g = state.grid
-    operators = {}
     sum_eigen = 0.0
     trace_lhs = 0.0
     for o, eps in zip(state.orbitals, state.eigenvalues):
         pairs = _electron_count(o) // 2
         if pairs == 0:
             continue
-        if o.l not in operators:
-            operators[o.l] = _fock_operator(o.l, state.z, *state._snapshot, g)
         sum_eigen += pairs * eps
-        Fz = operators[o.l].apply(u_to_z(o.u, g))
+        Fz = state.channel_operator(o.l).apply(u_to_z(o.u, g))
         trace_lhs += pairs * inner(o.u, z_to_u(Fz, g), g)
     return sum_eigen, trace_lhs
 
@@ -634,7 +647,7 @@ def trace_energy(state: SCFState):
 # the SCF loop
 
 
-def _solve_channel(op: FockOperator, count, z_nuc, eps_low, v0):
+def _solve_channel(op: FockOperator, count, z_nuc, eps_low, v0, tol=0.0):
     """Lowest `count` eigenpairs of a channel's Fock operator.
 
     ARPACK shift-invert Lanczos converges at a rate set by the spacing of
@@ -651,7 +664,10 @@ def _solve_channel(op: FockOperator, count, z_nuc, eps_low, v0):
     eigenpairs that may not be the lowest.  The certified solver is handed
     to ARPACK as the shift-invert operator and exactly `count` pairs are
     asked for, starting from v0 (the channel's previous orbitals summed),
-    which keeps runs bit-reproducible.
+    which keeps runs bit-reproducible.  `tol` is ARPACK's relative accuracy
+    of the Ritz values of (F − σ)⁻¹; 0 asks for machine precision, and a
+    looser value lets an SCF iteration far from self-consistency stop
+    early (see `scf_solve`).  The shift is certified whatever the tol.
 
     Returns (values, vectors, work) with values ascending and work holding
     the shift, the number of factorizations (shifts tried) and of
@@ -686,7 +702,9 @@ def _solve_channel(op: FockOperator, count, z_nuc, eps_low, v0):
 
     A = spla.LinearOperator((N, N), matvec=op.apply, dtype=float)
     OPinv = spla.LinearOperator((N, N), matvec=shift_invert, dtype=float)
-    vals, vecs = spla.eigsh(A, k=count, sigma=sigma, which="LM", v0=v0, OPinv=OPinv)
+    vals, vecs = spla.eigsh(
+        A, k=count, sigma=sigma, which="LM", v0=v0, OPinv=OPinv, tol=tol
+    )
     order = np.argsort(vals)
     work = {"shift": float(sigma), "factorizations": tries, "shift_invert_solves": solves}
     return vals[order], vecs[:, order], work
@@ -741,10 +759,18 @@ def scf_solve(cfg: AtomConfig) -> SCFState:
     extrapolation Σ c_k (x_k + β f_k) over the last ANDERSON_DEPTH inputs
     and residuals f_k = Φ(x_k) − x_k (β = `mixing`), Gram–Schmidt
     orthonormalized per channel, so every operator is built from one
-    orthonormal orbital set.  The solve stops when both the energy change
-    and the residual max|Φ(x) − x| (the trace's `max_orbital_delta`) meet
-    their tolerances.  The shells are put in (l, n) order first, so the
-    order they are listed in does not change a single bit of the result.
+    orthonormal orbital set.  Early iterations are solved inexactly: ARPACK's
+    tolerance is EIGSH_TOL_FACTOR times the smallest residual so far (1 before
+    the first iteration), never growing, and exactly 0 (full precision) once
+    the residual is below EXACT_SOLVE_FACTOR·`tol_orbital`; each trace row
+    records it as `eigensolve_tol` (after Herbst, Levitt & Cancès, Proc.
+    JuliaCon Conf. 3, 69 (2021)).  The solve stops when both the energy
+    change and the residual max|Φ(x) − x| (the trace's `max_orbital_delta`)
+    meet their tolerances in an iteration solved at full precision; met at a
+    looser tolerance, they buy one more iteration, so the returned eigenpairs
+    and snapshot always come from a full-precision solve.  The shells are
+    put in (l, n) order first, so the order they are listed in does not
+    change a single bit of the result.
     Raises ConvergenceError (with the iteration trace attached) if max_iter
     passes without meeting both tolerances.
     """
@@ -766,6 +792,7 @@ def scf_solve(cfg: AtomConfig) -> SCFState:
 
     xs, fs = [], []  # the Anderson history, newest last
     E_prev = None
+    eig_tol = EIGSH_TOL_FACTOR
     trace = []
 
     for it in range(1, cfg.scf.max_iter + 1):
@@ -774,7 +801,9 @@ def scf_solve(cfg: AtomConfig) -> SCFState:
         snapshot = tuple(orbitals), hartree_potential(build_density(orbitals, g), g)
 
         outputs = list(orbitals)
+        operators = {}
         row = {
+            "eigensolve_tol": eig_tol,
             "shift": {},
             "factorizations": 0,
             "shift_invert_solves": 0,
@@ -784,12 +813,12 @@ def scf_solve(cfg: AtomConfig) -> SCFState:
         }
         for l, members in channels.items():
             t_op = time.perf_counter()
-            op = _fock_operator(l, cfg.z, *snapshot, g)
+            op = operators[l] = _fock_operator(l, cfg.z, *snapshot, g)
             t_eig = time.perf_counter()
             v0 = sum(u_to_z(orbitals[i].u, g) for i in members)
             try:
                 vals, vecs, work = _solve_channel(
-                    op, len(members), cfg.z, eigenvalues[members[0]], v0
+                    op, len(members), cfg.z, eigenvalues[members[0]], v0, eig_tol
                 )
             except ConvergenceError as exc:
                 raise ConvergenceError(f"iteration {it}, l={l}: {exc}", trace=trace) from None
@@ -825,8 +854,12 @@ def scf_solve(cfg: AtomConfig) -> SCFState:
             }
         )
         E_prev = E_new
-        if delta_E < cfg.scf.tol_energy and delta_u < cfg.scf.tol_orbital:
+        if eig_tol == 0.0 and delta_E < cfg.scf.tol_energy and delta_u < cfg.scf.tol_orbital:
             break
+        if delta_u < EXACT_SOLVE_FACTOR * cfg.scf.tol_orbital:
+            eig_tol = 0.0
+        else:
+            eig_tol = min(eig_tol, EIGSH_TOL_FACTOR * delta_u)
         xs = (xs + [x])[-ANDERSON_DEPTH:]
         fs = (fs + [f])[-ANDERSON_DEPTH:]
         x = _anderson_step(xs, fs, cfg.scf.mixing)
@@ -850,6 +883,7 @@ def scf_solve(cfg: AtomConfig) -> SCFState:
         trace=trace,
         _snapshot=snapshot,
     )
+    state._operators.update(operators)
     state._token = _state_token(state)
     return state
 

@@ -13,6 +13,11 @@ printed with 17 significant digits, no timestamps or environment echoes.
 JSON for the solver commands, CSV (with the resolved config in # comments)
 for the sweep commands.
 
+`scf` and `pseudo` take `--trace FILE`, a side channel that writes the
+solve's per-iteration trace (one JSON object per line, wall times
+included) next to the artifact, which stays byte-identical; a solve that
+does not converge still writes the trace it carries.
+
 Exit codes: 0 success, 2 non-convergence, 3 bad input (usage, config, domain).
 """
 
@@ -243,16 +248,23 @@ def _atom_config(cfg: RunConfig) -> AtomConfig:
     )
 
 
-def _run_scf(cfg: RunConfig) -> str:
+def _solve(cfg: RunConfig, trace):
     state = scf_solve(_atom_config(cfg))
+    if trace is not None:
+        trace.extend(state.trace)
+    return state
+
+
+def _run_scf(cfg: RunConfig, trace) -> str:
+    state = _solve(cfg, trace)
     doc = {"config": config_block(cfg), "result": state_summary(state)}
     return canonical_json(doc) + "\n"
 
 
-def _run_pseudo(cfg: RunConfig) -> str:
+def _run_pseudo(cfg: RunConfig, trace) -> str:
     if not cfg.valence:
         raise ConfigError("pseudo needs a valence level, e.g. valence=2s")
-    state = scf_solve(_atom_config(cfg))
+    state = _solve(cfg, trace)
     pseudo = pk_solve(state, _parse_level(cfg.valence))
     doc = {"config": config_block(cfg), "result": pseudo_summary(pseudo)}
     return canonical_json(doc) + "\n"
@@ -336,11 +348,12 @@ def _run_verify(cfg: RunConfig, target: str) -> str:
     return f"all anticommutators exact (modes={cfg.modes})\n"
 
 
-def run_command(cfg: RunConfig, target: str = "fock") -> str:
+def run_command(cfg: RunConfig, target: str = "fock", trace=None) -> str:
+    """The command's output text; `trace`, a list, receives an SCF's trace rows."""
     if cfg.command == "scf":
-        return _run_scf(cfg)
+        return _run_scf(cfg, trace)
     if cfg.command == "pseudo":
-        return _run_pseudo(cfg)
+        return _run_pseudo(cfg, trace)
     if cfg.command == "qp":
         return _run_qp(cfg)
     if cfg.command == "spectrum":
@@ -357,6 +370,21 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise ConfigError(f"{message}\n{self.format_usage().rstrip()}")
 
 
+def _write(path: str, text: str) -> bool:
+    """Write text to path; on failure say why on stderr and return False."""
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        print(f"polar-scf: cannot write {path}: {exc.strerror}", file=sys.stderr)
+        return False
+    return True
+
+
+def _json_lines(rows) -> str:
+    return "".join(json.dumps(row) + "\n" for row in rows)
+
+
 def main(argv=None) -> int:
     parser = _ArgumentParser(
         prog="polar-scf",
@@ -370,6 +398,9 @@ def main(argv=None) -> int:
     )
     parser.add_argument("--config", help="key=value config file")
     parser.add_argument("--out", help="write output here instead of stdout")
+    parser.add_argument(
+        "--trace", help="scf, pseudo: write the SCF iteration trace here as JSON lines"
+    )
     parser.add_argument("--modes", type=int, help="verify: number of fermion modes")
     try:
         # intermixed: key=value overrides may come before or after --config/--out
@@ -393,20 +424,23 @@ def main(argv=None) -> int:
         cfg = parse_config(text, command=ns.command, overrides=overrides)
         if ns.modes is not None:
             cfg = replace(cfg, modes=ns.modes)
-        payload = run_command(cfg, target)
+        if ns.trace is not None and cfg.command not in ("scf", "pseudo"):
+            raise ConfigError(f"--trace applies to scf and pseudo, not {cfg.command}")
+        trace = []
+        payload = run_command(cfg, target, trace)
     except ConvergenceError as exc:
         print(f"polar-scf: not converged: {exc}", file=sys.stderr)
+        if ns.trace is not None and not _write(ns.trace, _json_lines(exc.trace)):
+            return 3
         return 2
     except PolarSCFError as exc:
         print(f"polar-scf: {exc}", file=sys.stderr)
         return 3
 
+    if ns.trace is not None and not _write(ns.trace, _json_lines(trace)):
+        return 3
     if ns.out:
-        try:
-            with open(ns.out, "w", encoding="utf-8", newline="") as fh:
-                fh.write(payload)
-        except OSError as exc:
-            print(f"polar-scf: cannot write {ns.out}: {exc.strerror}", file=sys.stderr)
+        if not _write(ns.out, payload):
             return 3
     else:
         sys.stdout.write(payload)

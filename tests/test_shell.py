@@ -220,6 +220,29 @@ def test_out_file_and_fresh_process_determinism(tmp_path):
     assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
+def test_trace_side_channel(tmp_path):
+    """--trace writes the SCF trace as JSON lines; the --out artifact is unchanged."""
+    plain, traced, trace = tmp_path / "plain.json", tmp_path / "traced.json", tmp_path / "t.jsonl"
+    assert main(["scf", *FAST_SCF, "--out", str(plain)]) == 0
+    assert main(["scf", *FAST_SCF, "--out", str(traced), "--trace", str(trace)]) == 0
+    assert plain.read_bytes() == traced.read_bytes()
+    rows = [json.loads(line) for line in trace.read_text().splitlines()]
+    assert [row["iteration"] for row in rows] == list(range(1, len(rows) + 1))
+    assert len(rows) == json.loads(plain.read_text())["result"]["iterations"]
+    assert rows[-1]["eigensolve_tol"] == 0.0
+    assert list(rows[0]["shift"]) == ["0"]
+
+
+def test_trace_side_channel_pseudo_and_nonconvergence(tmp_path):
+    trace = tmp_path / "t.jsonl"
+    assert main(["pseudo", *FAST_SCF, "valence=1s", "--trace", str(trace), "--out",
+                 str(tmp_path / "p.json")]) == 0
+    assert json.loads(trace.read_text().splitlines()[-1])["eigensolve_tol"] == 0.0
+    argv = ["scf", "z=2.0", "shells=1s:2", "n_points=500", "r_max=40.0", "max_iter=2"]
+    assert main([*argv, "--trace", str(trace)]) == 2
+    assert len(trace.read_text().splitlines()) == 2
+
+
 SCIPY_PROBE = """
 import contextlib, io, sys
 from polarscf.shell import main
@@ -286,10 +309,12 @@ def test_only_hfcore_imports_scipy():
         ["spectrum", "l_max=-1"],
         ["verify", "fock", "--modes", "17"],
         ["verify", "fock", "--modes", "2", "--out", str(NO_SUCH_DIR / "x.txt")],
+        ["scf", *FAST_SCF, "--trace", str(NO_SUCH_DIR / "t.jsonl")],
+        ["spectrum", "--trace", "t.jsonl"],
     ],
     ids=[
         "no-args", "missing-config", "inf", "nan", "qp-points", "n-max", "l-max",
-        "modes-17", "unwritable-out",
+        "modes-17", "unwritable-out", "unwritable-trace", "trace-without-scf",
     ],
 )
 def test_bad_input_exits_3_without_traceback(argv):
