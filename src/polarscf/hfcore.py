@@ -8,9 +8,10 @@ The moving parts are:
 * nonlocal exchange per angular channel, kept as the generators of each
   multipole kernel r_<^L / r_>^{L+1} = G·C·G with C_ij = c_min(i,j) and
   parity-filtered angular weights, never as an N×N matrix,
-* one Fock operator per l-channel (`FockOperator`) in the z = sqrt(r)·u
-  coordinates where the mesh measure is flat: it applies in O(N) with two
-  cumulative sums per kernel block, and it solves shifted systems in O(N)
+* one Fock operator per l-channel (`FockOperator`) in z = sqrt(h·r)·u, where
+  the mesh measure is the identity, so that every norm, overlap and
+  expectation value of the solve is a plain dot product: it applies in O(N)
+  with two cumulative sums per kernel block, and it solves shifted systems in O(N)
   because F − σ is the Schur complement of a banded matrix whose Cholesky
   factor, with an inertia check of a small capacitance matrix for the
   odd-shell pins, certifies that σ lies below the whole spectrum,
@@ -25,8 +26,7 @@ The moving parts are:
   and only a full-precision iteration may end the solve,
 * fixed-point iteration on the input orbitals, accelerated by Anderson
   (Pulay) extrapolation over the last few (input, residual) pairs and
-  Gram–Schmidt orthonormalized per channel, so each iteration's operators
-  are built from one orthonormal orbital set and its direct field (the
+  orthonormalized per channel, so each iteration's operators are built from one orthonormal orbital set and its direct field (the
   snapshot), with the shells taken in (l, n) order throughout; the
   per-iteration trace (with ARPACK's tolerance, the shifts, the
   eigensolver's factorizations and solves, and the phase wall times) is
@@ -66,9 +66,7 @@ from .radial import (
     RadialGrid,
     RadialOrbital,
     hydrogenic_orbital,
-    inner,
     integrate,
-    kinetic_apply,
     kinetic_tridiagonal,
     make_grid,
     tridiag_apply,
@@ -81,7 +79,6 @@ MAX_COUPLING_L = 3
 L_LETTERS = "spdf"
 
 DEFAULT_MAX_ITER = 200
-DEFAULT_MIXING = 1.0
 DEFAULT_TOL_ENERGY = 1e-8
 DEFAULT_TOL_ORBITAL = 1e-6
 DEFAULT_R_MAX = 50.0
@@ -154,13 +151,10 @@ class GridParams:
 @dataclass(frozen=True)
 class SCFParams:
     max_iter: int = DEFAULT_MAX_ITER
-    mixing: float = DEFAULT_MIXING
     tol_energy: float = DEFAULT_TOL_ENERGY
     tol_orbital: float = DEFAULT_TOL_ORBITAL
 
     def __post_init__(self):
-        if not (0.0 < self.mixing <= 1.0):
-            raise ParameterError(f"mixing factor must lie in (0, 1], got {self.mixing}")
         if self.max_iter < 1:
             raise ParameterError(f"max_iter must be positive, got {self.max_iter}")
         if self.tol_energy <= 0 or self.tol_orbital <= 0:
@@ -288,14 +282,15 @@ def _electron_count(o: RadialOrbital) -> int:
 def build_density(orbitals, g: RadialGrid):
     """Radial electron density 2·Σ_b floor(q_b/2)·u_b² + Σ_b (q_b mod 2)·u_b².
 
-    Each orbital must be normalized on g; its `occupation` q_b counts
-    electrons, two per pair plus the unpaired remainder, and must be an
-    integer.
+    Each orbital must be normalized in the solver's metric, z·z = 1 for
+    z = `u_to_z(u, g)`; its `occupation` q_b counts electrons, two per pair
+    plus the unpaired remainder, and must be an integer.
     """
     pairs = np.zeros(g.N)
     unpaired = np.zeros(g.N)
     for o in orbitals:
-        nrm = integrate(o.u * o.u, g)
+        z = u_to_z(o.u, g)
+        nrm = float(z @ z)
         if abs(nrm - 1.0) > 1e-6:
             raise PreconditionError(
                 f"orbital {shell_label(o.n, o.l)} is not normalized: <u|u> = {nrm!r}"
@@ -333,20 +328,18 @@ def _exchange_terms(channel_l, orbitals, g: RadialGrid):
     """Generators of the z-space exchange operator of one angular channel.
 
     orbitals: the occupied RadialOrbitals feeding the kernel, each holding
-    an integer number q of electrons.  On the mesh, the multipole kernel
-    r_<^L / r_>^{L+1} with the quadrature factors of both ends is γ·G·C·G
-    with G = diag(√e ⊙ z_b ⊙ r^{-(L+1)}),
-    C_ij = c_min(i,j), c = r^{2L+1} and e = w/(h·r) the end-corrected
-    quadrature factors (exactly 1 inside).  Each source shell b and multipole
-    L gives one block (γ, g, c) with γ = (q_b/2)·λ_L·h; weight q/2 per
-    source reproduces the closed-shell operator.  Odd shells add one pin
-    (ρ, ẑ), the symmetric rank-two term ρẑᵀ + ẑρᵀ described in the module
-    docstring.  Returns (blocks, pins).
+    an integer number q of electrons.  In z = √(h·r)·u, where the mesh
+    measure is the identity, the multipole kernel r_<^L / r_>^{L+1} between
+    the source orbital's z_b on both sides is γ·G·C·G with
+    G = diag(z_b ⊙ r^{-(L+1)}), C_ij = c_min(i,j) and c = r^{2L+1}.  Each
+    source shell b and multipole L gives one block (γ, g, c) with
+    γ = (q_b/2)·λ_L; weight q/2 per source reproduces the closed-shell
+    operator.  Odd shells add one pin (ρ, ẑ), the symmetric rank-two term
+    ρẑᵀ + ẑρᵀ described in the module docstring.  Returns (blocks, pins).
     """
     if channel_l < 0:
         raise ParameterError(f"angular momentum must be nonnegative, got l={channel_l}")
-    r, h = g.points, g.log_step
-    root_e = np.sqrt(g.weights / (h * r))
+    r = g.points
     blocks, pins = [], []
     for o in orbitals:
         if np.asarray(o.u).shape != g.points.shape:
@@ -354,7 +347,7 @@ def _exchange_terms(channel_l, orbitals, g: RadialGrid):
         u_b, l_b, q_b = o.u, o.l, _electron_count(o)
         z_b = u_to_z(u_b, g)
         own = [
-            (angular_weight(channel_l, L, l_b) * h, root_e * z_b * r ** -(L + 1), r ** (2 * L + 1))
+            (angular_weight(channel_l, L, l_b), z_b * r ** -(L + 1), r ** (2 * L + 1))
             for L in _multipoles(channel_l, l_b)
         ]
         blocks += [(0.5 * q_b * gamma, gv, c) for gamma, gv, c in own]
@@ -408,15 +401,18 @@ def _coulomb_integral(fa, fb, L, g):
 def _total_energy(z_nuc, orbitals, g: RadialGrid) -> float:
     """Mean-field total energy of the current orbital set.
 
-    orbitals: RadialOrbitals with integer occupations.  Direct term pairs
-    all electrons; the exchange term weights each shell pair by its
-    same-spin count, with the bare monopole for a lone electron's self term
-    so one-electron systems reduce exactly to the bare Hamiltonian.
+    orbitals: RadialOrbitals with integer occupations.  The one-electron
+    part is z·((T − Z/r) z) on the tridiagonal the operator is built from.
+    Direct term pairs all electrons; the exchange term weights each shell
+    pair by its same-spin count, with the bare monopole for a lone
+    electron's self term so one-electron systems reduce exactly to the bare
+    Hamiltonian.
     """
     E = 0.0
     for a in orbitals:
-        h_a = inner(a.u, kinetic_apply(a, g), g) + integrate(-z_nuc / g.points * a.u**2, g)
-        E += a.occupation * h_a
+        diag, off = kinetic_tridiagonal(g, a.l)
+        z = u_to_z(a.u, g)
+        E += a.occupation * float(z @ tridiag_apply(diag - z_nuc / g.points, off, z))
     for a in orbitals:
         for b in orbitals:
             F0 = _coulomb_integral(a.u**2, b.u**2, 0, g)
@@ -623,7 +619,7 @@ def trace_energy(state: SCFState):
     """Eigenvalue sum vs. density-matrix trace of the same operator.
 
     Returns (sum_eigen, trace_lhs) over the paired orbitals: the first from
-    the solver's eigenvalues, the second from the quadrature form ⟨u|F u⟩
+    the solver's eigenvalues, the second from the quadratic form z·(F z)
     of the operator each orbital was solved with.  A converged state makes
     them agree to the eigensolver's accuracy.
     """
@@ -638,8 +634,8 @@ def trace_energy(state: SCFState):
         if pairs == 0:
             continue
         sum_eigen += pairs * eps
-        Fz = state.channel_operator(o.l).apply(u_to_z(o.u, g))
-        trace_lhs += pairs * inner(o.u, z_to_u(Fz, g), g)
+        z = u_to_z(o.u, g)
+        trace_lhs += pairs * float(z @ state.channel_operator(o.l).apply(z))
     return sum_eigen, trace_lhs
 
 
@@ -710,13 +706,13 @@ def _solve_channel(op: FockOperator, count, z_nuc, eps_low, v0, tol=0.0):
     return vals[order], vecs[:, order], work
 
 
-def _anderson_step(xs, fs, beta):
+def _anderson_step(xs, fs):
     """Next input of a fixed-point iteration by Anderson (type-II, Pulay) extrapolation.
 
     xs are the inputs and fs = Φ(xs) − xs their residuals, newest last.  The
     coefficients c with Σ c_k = 1 that minimize ‖Σ c_k f_k‖ come from a
     least-squares fit of the newest residual by the residual differences (no
-    Gram matrix is formed); the result is Σ c_k (x_k + β f_k).  See Pulay,
+    Gram matrix is formed); the result is Σ c_k (x_k + f_k).  See Pulay,
     Chem. Phys. Lett. 73, 393 (1980) and Walker & Ni, SIAM J. Numer. Anal.
     49, 1715 (2011).
     """
@@ -727,26 +723,22 @@ def _anderson_step(xs, fs, beta):
         gamma = np.linalg.lstsq(dF, -f, rcond=None)[0]
         x = x + dX @ gamma
         f = f + dF @ gamma
-    return x + beta * f
+    return x + f
 
 
 def _orthonormal_orbitals(x, like, channels, g: RadialGrid):
-    """Split x into one u-vector per shell of `like` and Gram–Schmidt each channel.
+    """Split x into one u-vector per shell of `like` and orthonormalize each channel.
 
-    The shells of a channel are taken in increasing n under the quadrature
-    inner product, so each channel's orbitals are orthonormal on g.
+    A channel's z-vectors, in increasing n, go through one QR factorization
+    with R's diagonal made positive, which is Gram–Schmidt in that order:
+    each channel's orbitals come out orthonormal in z·z.
     """
     us = np.split(x, len(like))
     out = list(like)
     for members in channels.values():
-        done = []
-        for i in members:
-            u = us[i]
-            for v in done:
-                u = u - inner(u, v, g) * v
-            u = u / math.sqrt(inner(u, u, g))
-            done.append(u)
-            out[i] = replace(like[i], u=u)
+        Q, R = np.linalg.qr(np.column_stack([u_to_z(us[i], g) for i in members]))
+        for i, q in zip(members, (Q * np.sign(np.diag(R))).T):
+            out[i] = replace(like[i], u=z_to_u(q, g))
     return out
 
 
@@ -756,15 +748,15 @@ def scf_solve(cfg: AtomConfig) -> SCFState:
     Fixed point x = Φ(x) of the input orbitals x: build density → build
     direct field and operator → diagonalize each occupied l-channel →
     reoccupy in eigenvalue order.  The next input is the Anderson
-    extrapolation Σ c_k (x_k + β f_k) over the last ANDERSON_DEPTH inputs
-    and residuals f_k = Φ(x_k) − x_k (β = `mixing`), Gram–Schmidt
-    orthonormalized per channel, so every operator is built from one
-    orthonormal orbital set.  Early iterations are solved inexactly: ARPACK's
-    tolerance is EIGSH_TOL_FACTOR times the smallest residual so far (1 before
-    the first iteration), never growing, and exactly 0 (full precision) once
-    the residual is below EXACT_SOLVE_FACTOR·`tol_orbital`; each trace row
-    records it as `eigensolve_tol` (after Herbst, Levitt & Cancès, Proc.
-    JuliaCon Conf. 3, 69 (2021)).  The solve stops when both the energy
+    extrapolation Σ c_k (x_k + f_k) over the last ANDERSON_DEPTH inputs
+    and residuals f_k = Φ(x_k) − x_k, orthonormalized per channel, so every
+    operator is built from one orthonormal orbital set.  Early iterations
+    are solved inexactly: ARPACK's tolerance is EIGSH_TOL_FACTOR times the
+    smallest residual so far (1 before the first iteration), never growing,
+    and exactly 0 (full precision) once the residual is below
+    EXACT_SOLVE_FACTOR·`tol_orbital`; each trace row records it as
+    `eigensolve_tol` (after Herbst, Levitt & Cancès, Proc. JuliaCon Conf. 3,
+    69 (2021)).  The solve stops when both the energy
     change and the residual max|Φ(x) − x| (the trace's `max_orbital_delta`)
     meet their tolerances in an iteration solved at full precision; met at a
     looser tolerance, they buy one more iteration, so the returned eigenpairs
@@ -831,10 +823,8 @@ def scf_solve(cfg: AtomConfig) -> SCFState:
                 z = vecs[:, rank]
                 if z[np.argmax(np.abs(z))] < 0:
                     z = -z
-                u = z_to_u(z, g)
-                u = u / math.sqrt(integrate(u * u, g))
                 eigenvalues[i] = float(vals[rank])
-                outputs[i] = replace(orbitals[i], u=u)
+                outputs[i] = replace(orbitals[i], u=z_to_u(z, g))
 
         x = np.concatenate([o.u for o in orbitals])
         f = np.concatenate([o.u for o in outputs]) - x
@@ -862,7 +852,7 @@ def scf_solve(cfg: AtomConfig) -> SCFState:
             eig_tol = min(eig_tol, EIGSH_TOL_FACTOR * delta_u)
         xs = (xs + [x])[-ANDERSON_DEPTH:]
         fs = (fs + [f])[-ANDERSON_DEPTH:]
-        x = _anderson_step(xs, fs, cfg.scf.mixing)
+        x = _anderson_step(xs, fs)
     else:
         raise ConvergenceError(
             f"SCF did not converge within {cfg.scf.max_iter} iterations "

@@ -26,7 +26,6 @@ from .hfcore import SCFState, shell_label
 from .radial import (
     RadialGrid,
     RadialOrbital,
-    inner,
     kinetic_tridiagonal,
     node_count,
     sign_flips,
@@ -183,9 +182,12 @@ def pk_solve(state: SCFState, valence) -> PseudoOrbital:
     operator F + Σ_c (ε_v − ε_c)|c⟩⟨c| is degenerate at ε_v on the span of
     the valence and core states, so the solve reduces to picking the
     minimum-kinetic-energy member of that span: a Rayleigh–Ritz step in
-    z = √r·u, where the plain dot product is the metric in which F and the
-    kinetic stencil are symmetric.  The returned eigenvalue is the
-    full-operator Rayleigh quotient of that member.
+    z = √(h·r)·u, where the plain dot product is the mesh measure and the
+    metric in which F and the kinetic stencil are symmetric.  The span is
+    orthonormalized by QR, so the chosen member is a unit vector, and the
+    state's orbitals are unit vectors too: no norm is taken.  The returned
+    eigenvalue is the full-operator Rayleigh quotient of that member, and
+    the core coefficients are its overlaps with the core orbitals.
     """
     n_v, l_v = valence
     g = state.grid
@@ -233,21 +235,18 @@ def pk_solve(state: SCFState, valence) -> PseudoOrbital:
     if phi[np.argmax(np.abs(phi))] < 0:
         phi = -phi
 
-    Z_hat = Z[:, 1:] / np.linalg.norm(Z[:, 1:], axis=0)
+    coefficients = Z[:, 1:].T @ phi
     shifts = np.array([eps_v - e for _, e in cores])
-    eps_pk = float(
-        phi @ state.channel_operator(l_v).apply(phi) + shifts @ (Z_hat.T @ phi) ** 2
-    ) / float(phi @ phi)
+    eps_pk = float(phi @ state.channel_operator(l_v).apply(phi) + shifts @ coefficients**2)
 
     u_pk = z_to_u(phi, g)
-    u_pk = u_pk / np.sqrt(inner(u_pk, u_pk, g))
     return PseudoOrbital(
         n=n_v,
         l=l_v,
         u=u_pk,
         eigenvalue=eps_pk,
         eigenvalue_allelectron=eps_v,
-        core_coefficients=tuple(inner(o.u, u_pk, g) for o, _ in cores),
+        core_coefficients=tuple(float(c) for c in coefficients),
         node_count=node_count(u_pk),
         core_radius=core_radius,
     )

@@ -4,9 +4,16 @@ the kinetic-energy stencil in the log variable.
 Conventions (Hartree atomic units): orbitals are stored as the reduced radial
 function u(r) = r*R(r); all integrals are plain sums against the grid weights.
 The mesh is geometric, r_i = r_min * ratio^i, so the log variable x = ln r is
-uniform with step h and trapezoid weights become w_i = h * r_i (half at the
-ends).  The first weight carries an extra inner-tail patch r_min covering
-[0, r_min] for integrands finite at the origin.
+uniform with step h and trapezoid weights become w_i = h * r_i, Gregory
+end-corrected over the first and last two points.  The first weight carries
+an extra inner-tail patch r_min covering [0, r_min] for integrands finite at
+the origin.
+
+The solvers work in z = sqrt(h*r)*u, where the mesh measure is the identity:
+h*Σ r*u*v = z·z' is a plain dot product, the one metric of the kinetic
+stencil, the Fock operator and every norm and overlap of the mean-field
+solve.  For orbitals that die away at both ends of the mesh it agrees with
+`integrate` to round-off, since the end corrections touch only those ends.
 """
 
 import math
@@ -24,7 +31,7 @@ class RadialGrid:
     points: np.ndarray
     weights: np.ndarray
     spacing: float  # geometric ratio r_{i+1}/r_i
-    log_step: float = field(repr=False, default=0.0)
+    log_step: float = field(repr=False)  # h = ln(spacing), the step of x = ln r
 
     def __post_init__(self):
         r = self.points
@@ -35,6 +42,8 @@ class RadialGrid:
         ratios = r[1:] / r[:-1]
         if np.max(np.abs(ratios - self.spacing)) > 1e-12 * self.spacing:
             raise ParameterError("grid is not geometric (ratio drift exceeds 1e-12)")
+        if not math.isclose(self.log_step, math.log(self.spacing), rel_tol=1e-9):
+            raise ParameterError(f"log_step {self.log_step!r} is not ln(spacing)")
         if np.any(self.weights <= 0.0):
             raise ParameterError("quadrature weights must be positive")
 
@@ -162,8 +171,8 @@ def kinetic_tridiagonal(g: RadialGrid, l: int):
 
     Through the symmetric substitution u = sqrt(r) y the operator becomes
     (1/r^2)[-1/2 d^2/dx^2 + (l+1/2)^2/2] y in the uniform log variable x,
-    discretized by the three-point stencil.  z = sqrt(r) u diagonalizes the
-    measure; the matrix is C_ij = A_ij / (r_i r_j) with
+    discretized by the three-point stencil.  z = sqrt(h r) u makes the mesh
+    measure the identity, so <u|T|u> = z·(C z) with C_ij = A_ij / (r_i r_j),
     A = -1/2 D2 + (l+1/2)^2/2, symmetric tridiagonal.  Near the origin
     y ~ r^(l+1/2), so the ghost value below the mesh is
     y_{-1} = exp(-(l+1/2) h) y_0, which folds into the first diagonal entry.
@@ -188,11 +197,12 @@ def tridiag_apply(diag, off, z):
 
 
 def u_to_z(u, g: RadialGrid):
-    return np.asarray(u) * np.sqrt(g.points)
+    """Orthonormal mesh coordinate z = sqrt(h*r)*u: h*Σ r*u*v is z·z'."""
+    return np.asarray(u) * np.sqrt(g.log_step * g.points)
 
 
 def z_to_u(z, g: RadialGrid):
-    return np.asarray(z) / np.sqrt(g.points)
+    return np.asarray(z) / np.sqrt(g.log_step * g.points)
 
 
 def sign_flips(u):

@@ -36,7 +36,6 @@ from .errors import ConfigError, ConvergenceError, PolarSCFError
 from .fockspace import anticommutator_table
 from .hfcore import (
     DEFAULT_MAX_ITER,
-    DEFAULT_MIXING,
     DEFAULT_N_POINTS,
     DEFAULT_R_MAX,
     DEFAULT_TOL_ENERGY,
@@ -75,7 +74,6 @@ class RunConfig:
     r_max: float = DEFAULT_R_MAX
     n_points: int = DEFAULT_N_POINTS
     max_iter: int = DEFAULT_MAX_ITER
-    mixing: float = DEFAULT_MIXING
     tol_energy: float = DEFAULT_TOL_ENERGY
     tol_orbital: float = DEFAULT_TOL_ORBITAL
     # frozen-core pseudo-orbital
@@ -241,7 +239,6 @@ def _atom_config(cfg: RunConfig) -> AtomConfig:
         grid=GridParams(r_min=cfg.r_min, r_max=cfg.r_max, n_points=cfg.n_points),
         scf=SCFParams(
             max_iter=cfg.max_iter,
-            mixing=cfg.mixing,
             tol_energy=cfg.tol_energy,
             tol_orbital=cfg.tol_orbital,
         ),

@@ -40,6 +40,7 @@ from polarscf.hfcore import (
     state_summary,
     trace_energy,
 )
+from polarscf.pseudopot import pk_solve
 from polarscf.radial import (
     RadialOrbital,
     hydrogenic_orbital,
@@ -202,25 +203,23 @@ def test_exchange_source_on_other_grid_rejected():
 def _dense_exchange(channel_l, sources, g):
     """Dense z-space exchange matrix with its pins: the reference kept in the tests.
 
-    Each source block is (q/2)·Σ_L λ_L·h·(z_b z_bᵀ ⊙ K_L) ⊙ √(e eᵀ), with the
-    kernel K_L = r_<^L / r_>^{L+1} written out entry by entry and e = w/(h·r)
-    the end-corrected quadrature factors.  An odd shell adds the symmetric
-    rank-two pin that maps its block's action on its own orbital to the bare
-    monopole self-potential (q = 1) or to the energy-consistent weight (q >= 3).
+    Each source block is (q/2)·Σ_L λ_L·(z_b z_bᵀ ⊙ K_L) with z_b = √(h·r)·u_b
+    and the kernel K_L = r_<^L / r_>^{L+1} written out entry by entry.  An odd
+    shell adds the symmetric rank-two pin that maps its block's action on its
+    own orbital to the bare monopole self-potential (q = 1) or to the
+    energy-consistent weight (q >= 3).
     """
     r, h = g.points, g.log_step
-    e = g.weights / (h * r)
-    e_pair = np.sqrt(np.outer(e, e))
     r_lo, r_hi = np.minimum.outer(r, r), np.maximum.outer(r, r)
     X = np.zeros((g.N, g.N))
     for o in sources:
-        z_b = np.sqrt(r) * o.u
+        z_b = np.sqrt(h * r) * o.u
         q = int(o.occupation)
         M = np.zeros((g.N, g.N))
         for L in range(abs(channel_l - o.l), channel_l + o.l + 1):
             lam = angular_weight(channel_l, L, o.l)
             K_L = r_lo**L / r_hi ** (L + 1)
-            M += lam * h * (np.outer(z_b, z_b) * K_L) * e_pair
+            M += lam * (np.outer(z_b, z_b) * K_L)
         X += (0.5 * q) * M
         if q % 2 == 1 and o.l == channel_l:
             Mz = M @ z_b
@@ -331,8 +330,6 @@ def test_atom_config_validation():
         AtomConfig(z=1.0, shells=())
     with pytest.raises(ParameterError):
         AtomConfig(z=2.0, shells=((1, 0, 1), (1, 0, 1)))
-    with pytest.raises(ParameterError):
-        SCFParams(mixing=0.0)
     cfg = AtomConfig(z=3.0, shells=((1, 0, 2), (2, 0, 1)))
     assert cfg.electron_count == 3
     assert cfg.shells[0].label == "1s"
@@ -457,20 +454,40 @@ def test_nitrogen_two_channel(n_run):
 def test_snapshot_orbitals_orthonormal(fixture, request):
     """The operators are built from one orthonormal orbital set near the result.
 
-    The inputs of the last iteration are Gram–Schmidt orthonormal in each
-    channel under the quadrature, and the residual test puts them within
-    `tol_orbital` of the returned eigenvectors.
+    The inputs of the last iteration are orthonormal in each channel in the
+    solver's metric, the plain dot product of z = √(h·r)·u, and the residual
+    test puts them within `tol_orbital` of the returned eigenvectors.
     """
     state, _ = request.getfixturevalue(fixture)
     g = state.grid
     inputs, _ = state._snapshot
     for l in {o.l for o in inputs}:
-        us = [o.u for o in inputs if o.l == l]
-        gram = np.array([[inner(a, b, g) for b in us] for a in us])
-        assert np.max(np.abs(gram - np.eye(len(us)))) <= 1e-12
+        zs = np.column_stack([u_to_z(o.u, g) for o in inputs if o.l == l])
+        assert np.max(np.abs(zs.T @ zs - np.eye(zs.shape[1]))) <= 1e-12
     for x, o in zip(inputs, state.orbitals):
         assert (x.n, x.l, x.occupation) == (o.n, o.l, o.occupation)
         assert np.max(np.abs(x.u - o.u)) < state.config.scf.tol_orbital
+
+
+def test_converged_orbitals_agree_in_both_metrics(li_run, n_run):
+    """The solver's norm z·z and the public quadrature's integrate(u²) agree.
+
+    The Gregory end weights of `radial.integrate` touch only samples where a
+    bound orbital has died away, so the converged orbitals of Li, N and Ne
+    and the Li 2s pseudo-orbital carry one norm in both metrics; that is
+    what lets public callers keep the end-corrected quadrature.
+    """
+    ne = scf_solve(
+        AtomConfig(
+            z=10.0, shells=((1, 0, 2), (2, 0, 2), (2, 1, 6)), grid=GridParams(n_points=500)
+        )
+    )
+    li = li_run[0]
+    cases = [(s.grid, o.u) for s in (li, n_run[0], ne) for o in s.orbitals]
+    cases.append((li.grid, pk_solve(li, (2, 0)).u))
+    for g, u in cases:
+        z = u_to_z(u, g)
+        assert abs(integrate(u * u, g) - float(z @ z)) <= 1e-12
 
 
 @pytest.mark.parametrize(

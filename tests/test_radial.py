@@ -5,6 +5,7 @@ import pytest
 
 from polarscf.errors import ParameterError
 from polarscf.radial import (
+    RadialGrid,
     RadialOrbital,
     dump_orbital_csv,
     hydrogenic_orbital,
@@ -41,6 +42,13 @@ def test_make_grid_validation():
         make_grid(1e-6, 1e-6, 100)
     with pytest.raises(ParameterError):
         make_grid(1e-6, 50.0, 1)
+
+
+def test_grid_log_step_checked(grid):
+    """z = sqrt(h*r)*u and the kinetic stencil need h = ln(spacing) itself."""
+    for h in (0.0, 2.0 * grid.log_step):
+        with pytest.raises(ParameterError, match="log_step"):
+            RadialGrid(grid.points, grid.weights, grid.spacing, log_step=h)
 
 
 def test_quadrature_constant(grid):
