@@ -16,8 +16,9 @@ The moving parts are:
   factor, with an inertia check of a small capacitance matrix for the
   odd-shell pins, certifies that σ lies below the whole spectrum,
 * a shift-invert eigensolver that asks ARPACK for exactly the occupied
-  pairs of a channel, warm-started from the previous iteration's orbitals
-  with a shift just below its lowest level: a ladder of shifts that step
+  pairs of a channel, in a Krylov space sized to them, warm-started from
+  the previous iteration's orbitals with a shift just below its lowest
+  level: a ladder of shifts that step
   down from the lower of the previous lowest eigenvalue and the start
   vector's Rayleigh quotient by SHIFT_MARGIN·4^j, ending at the bound
   −(Z²/2 + 2), keeps the first shift that certifies and raises
@@ -87,6 +88,11 @@ DEFAULT_N_POINTS = 2000
 # The first shift-invert shift sits this far (hartree) below the channel's
 # estimated lowest level; each further try steps four times as far.
 SHIFT_MARGIN = 0.1
+
+# ARPACK's Krylov space (ncv) for `count` wanted pairs of a channel with N
+# mesh points: min(N, max(KRYLOV_MIN, KRYLOV_PER_PAIR·count)).
+KRYLOV_MIN = 8
+KRYLOV_PER_PAIR = 4
 
 # (input, residual) pairs the Anderson extrapolation of the orbitals keeps.
 ANDERSON_DEPTH = 8
@@ -403,22 +409,23 @@ def _total_energy(z_nuc, orbitals, g: RadialGrid) -> float:
 
     orbitals: RadialOrbitals with integer occupations.  The one-electron
     part is z·((T − Z/r) z) on the tridiagonal the operator is built from.
-    Direct term pairs all electrons; the exchange term weights each shell
-    pair by its same-spin count, with the bare monopole for a lone
-    electron's self term so one-electron systems reduce exactly to the bare
-    Hamiltonian.
+    The direct term is ½∫ρ·V₀[ρ] of the total density ρ = Σ q_a·u_a², one
+    Slater transform.  The exchange term weights each shell pair by its
+    same-spin count; the summand is symmetric in (a, b), so each pair is
+    taken once for a ≤ b and counted twice when a ≠ b.  A lone electron's
+    self term is the bare monopole, so one-electron systems reduce exactly
+    to the bare Hamiltonian.
     """
     E = 0.0
+    rho = np.zeros(g.N)
     for a in orbitals:
         diag, off = kinetic_tridiagonal(g, a.l)
         z = u_to_z(a.u, g)
         E += a.occupation * float(z @ tridiag_apply(diag - z_nuc / g.points, off, z))
-    for a in orbitals:
-        for b in orbitals:
-            F0 = _coulomb_integral(a.u**2, b.u**2, 0, g)
-            E += 0.5 * a.occupation * b.occupation * F0
-    for a in orbitals:
-        for b in orbitals:
+        rho += a.occupation * a.u**2
+    E += 0.5 * _coulomb_integral(rho, rho, 0, g)
+    for i, a in enumerate(orbitals):
+        for b in orbitals[i:]:
             s_ab = _pair_weights(a.occupation, a.l, b.occupation, b.l)
             if s_ab == 0:
                 continue
@@ -430,7 +437,7 @@ def _total_energy(z_nuc, orbitals, g: RadialGrid) -> float:
                 lam = angular_weight(a.l, L, b.l)
                 cross = a.u * b.u
                 acc += lam * _coulomb_integral(cross, cross, L, g)
-            E -= 0.5 * s_ab * acc
+            E -= (0.5 if a is b else 1.0) * s_ab * acc
     return E
 
 
@@ -487,7 +494,9 @@ class FockOperator:
         Haynsworth inertia additivity, In(S) + In(K) = In(W⁻¹) + In(F − σ), so
         with S ≻ 0, F − σ ≻ 0 exactly when K has the inertia of W⁻¹: one
         positive and one negative eigenvalue per pin.  Raises
-        np.linalg.LinAlgError when either test fails.
+        np.linalg.LinAlgError when either test fails.  Each solve calls
+        LAPACK's banded triangular solve (pbtrs) on the factor directly,
+        without SciPy's per-call wrapper.
         """
         import scipy.linalg as sla  # loaded on first solve, not on import
 
@@ -503,11 +512,14 @@ class FockOperator:
             ab[s, k:-s:s] = -inv_d[1:] / gamma
             ab[m - k, k::s] = gv
         factor = sla.cholesky_banded(ab, overwrite_ab=True, lower=True, check_finite=False)
+        (pbtrs,) = sla.get_lapack_funcs(("pbtrs",), (factor,))
 
         def solve_s(b):
-            rhs = np.zeros((s * N,) + b.shape[1:])
+            rhs = np.zeros((s * N,) + b.shape[1:], order="F")
             rhs[m::s] = b
-            y = sla.cho_solve_banded((factor, True), rhs, overwrite_b=True, check_finite=False)
+            y, info = pbtrs(factor, rhs, lower=1, overwrite_b=1)
+            if info != 0:
+                raise np.linalg.LinAlgError(f"LAPACK pbtrs failed with info={info}")
             return y[m::s]
 
         if not self.pins:
@@ -660,7 +672,16 @@ def _solve_channel(op: FockOperator, count, z_nuc, eps_low, v0, tol=0.0):
     eigenpairs that may not be the lowest.  The certified solver is handed
     to ARPACK as the shift-invert operator and exactly `count` pairs are
     asked for, starting from v0 (the channel's previous orbitals summed),
-    which keeps runs bit-reproducible.  `tol` is ARPACK's relative accuracy
+    which keeps runs bit-reproducible.  ARPACK's least work per call is
+    ncv + 1 shift-invert solves, the first Lanczos factorization of its
+    Krylov space of ncv vectors, however good v0 is: SciPy's default
+    ncv = max(2·count + 1, 20) made every call cost at least 21 solves,
+    where a warm He call needs 9.  The Krylov size is therefore
+    ncv = min(N, max(KRYLOV_MIN, KRYLOV_PER_PAIR·count)): small for the
+    warm calls of channels with one or two levels, roomy enough for those
+    with more (a tighter max(8, 2·count + 1) nearly doubles the solves of
+    K and Ca at N=2000, whose s channels hold four levels), and never more
+    than the N that ARPACK allows.  `tol` is ARPACK's relative accuracy
     of the Ritz values of (F − σ)⁻¹; 0 asks for machine precision, and a
     looser value lets an SCF iteration far from self-consistency stop
     early (see `scf_solve`).  The shift is certified whatever the tol.
@@ -698,8 +719,9 @@ def _solve_channel(op: FockOperator, count, z_nuc, eps_low, v0, tol=0.0):
 
     A = spla.LinearOperator((N, N), matvec=op.apply, dtype=float)
     OPinv = spla.LinearOperator((N, N), matvec=shift_invert, dtype=float)
+    ncv = min(N, max(KRYLOV_MIN, KRYLOV_PER_PAIR * count))
     vals, vecs = spla.eigsh(
-        A, k=count, sigma=sigma, which="LM", v0=v0, OPinv=OPinv, tol=tol
+        A, k=count, sigma=sigma, which="LM", v0=v0, OPinv=OPinv, tol=tol, ncv=ncv
     )
     order = np.argsort(vals)
     work = {"shift": float(sigma), "factorizations": tries, "shift_invert_solves": solves}

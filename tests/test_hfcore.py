@@ -27,8 +27,10 @@ from polarscf.hfcore import (
     _exchange_action,
     _exchange_terms,
     _fock_operator,
+    _multipoles,
     _pair_weights,
     _solve_channel,
+    _total_energy,
     angular_weight,
     build_density,
     exchange_apply,
@@ -47,7 +49,9 @@ from polarscf.radial import (
     inner,
     integrate,
     kinetic_apply,
+    kinetic_tridiagonal,
     make_grid,
+    tridiag_apply,
     u_to_z,
 )
 
@@ -490,6 +494,69 @@ def test_converged_orbitals_agree_in_both_metrics(li_run, n_run):
         assert abs(integrate(u * u, g) - float(z @ z)) <= 1e-12
 
 
+def _pairwise_total_energy(z_nuc, orbitals, g):
+    """Total energy summed over ordered shell pairs: the reference kept in the tests.
+
+    The direct term is ½·Σ_a Σ_b q_a·q_b·F0(a, b), one Slater transform per
+    ordered pair, and the exchange term runs over every ordered pair (a, b);
+    a lone electron's self term is the bare monopole.
+    """
+    E = 0.0
+    for a in orbitals:
+        diag, off = kinetic_tridiagonal(g, a.l)
+        z = u_to_z(a.u, g)
+        E += a.occupation * float(z @ tridiag_apply(diag - z_nuc / g.points, off, z))
+    for a in orbitals:
+        for b in orbitals:
+            F0 = integrate(a.u**2 * slater_potential(b.u**2, 0, g), g)
+            E += 0.5 * a.occupation * b.occupation * F0
+    for a in orbitals:
+        for b in orbitals:
+            s_ab = _pair_weights(a.occupation, a.l, b.occupation, b.l)
+            if s_ab == 0:
+                continue
+            if a is b and a.occupation == 1:
+                E -= 0.5 * integrate(a.u**2 * slater_potential(a.u**2, 0, g), g)
+                continue
+            acc = 0.0
+            for L in _multipoles(a.l, b.l):
+                cross = a.u * b.u
+                acc += angular_weight(a.l, L, b.l) * integrate(
+                    cross * slater_potential(cross, L, g), g
+                )
+            E -= 0.5 * s_ab * acc
+    return E
+
+
+@pytest.mark.parametrize(
+    "z, shells, n_points",
+    [
+        (2.0, ((1, 0, 2),), 600),
+        (3.0, ((1, 0, 2), (2, 0, 1)), 600),
+        (7.0, ((1, 0, 2), (2, 0, 2), (2, 1, 3)), 600),
+        (10.0, ((1, 0, 2), (2, 0, 2), (2, 1, 6)), 600),
+        (19.0, ((1, 0, 2), (2, 0, 2), (2, 1, 6), (3, 0, 2), (3, 1, 6), (4, 0, 1)), 400),
+    ],
+    ids=["he", "li", "n", "ne", "k"],
+)
+def test_total_energy_matches_pairwise_oracle(z, shells, n_points):
+    """One direct transform of the total density and a ≤ b exchange pairs, against all pairs."""
+    state = scf_solve(AtomConfig(z=z, shells=shells, grid=GridParams(n_points=n_points)))
+    ref = _pairwise_total_energy(state.z, state.orbitals, state.grid)
+    assert _total_energy(state.z, state.orbitals, state.grid) == state.total_energy
+    assert abs(state.total_energy - ref) <= 1e-12 * abs(ref)
+
+
+def test_total_energy_one_electron(h_run):
+    """H: the one-transform direct term still cancels the lone electron's self term exactly."""
+    state, _ = h_run
+    g = state.grid
+    diag, off = kinetic_tridiagonal(g, 0)
+    z = u_to_z(state.orbitals[0].u, g)
+    bare = float(z @ tridiag_apply(diag - 1.0 / g.points, off, z))
+    assert abs(state.total_energy - bare) <= 1e-14
+
+
 @pytest.mark.parametrize(
     "z, shells",
     [(2.0, ((1, 0, 2),)), (3.0, ((1, 0, 2), (2, 0, 1))), (4.0, ((1, 0, 2), (2, 0, 2)))],
@@ -758,7 +825,7 @@ def test_inexact_convergence_buys_one_exact_iteration():
 
 HEAVY_ATOMS = {
     "na": (11.0, ((1, 0, 2), (2, 0, 2), (2, 1, 6), (3, 0, 1)), 1500),
-    "ar": (18.0, ((1, 0, 2), (2, 0, 2), (2, 1, 6), (3, 0, 2), (3, 1, 6)), 1500),
+    "ar": (18.0, ((1, 0, 2), (2, 0, 2), (2, 1, 6), (3, 0, 2), (3, 1, 6)), 1100),
     "k": (19.0, ((1, 0, 2), (2, 0, 2), (2, 1, 6), (3, 0, 2), (3, 1, 6), (4, 0, 1)), 2500),
 }
 
@@ -799,11 +866,47 @@ def test_shift_ladder_solve_count():
         assert min(row["shift"].values()) >= -(0.5 * z**2 + 2.0)
 
 
+def _solve_counts(cfg):
+    """Shift-invert solves per iteration of two runs of one configuration."""
+    return [[row["shift_invert_solves"] for row in scf_solve(cfg).trace] for _ in range(2)]
+
+
 def test_warm_shift_solve_count():
-    """He at N=1000: a few shift-invert solves per iteration, the same on every run."""
-    cfg = AtomConfig(z=2.0, shells=((1, 0, 2),), grid=GridParams(n_points=1000))
-    counts = [
-        [row["shift_invert_solves"] for row in scf_solve(cfg).trace] for _ in range(2)
-    ]
+    """He at N=1000: a few shift-invert solves per iteration, the same on every run.
+
+    Each warm call makes ARPACK's least work, ncv + 1 = 9 solves; with
+    SciPy's default ncv of 20 it made 21.
+    """
+    counts = _solve_counts(AtomConfig(z=2.0, shells=((1, 0, 2),), grid=GridParams(n_points=1000)))
     assert counts[0] == counts[1]
-    assert sum(counts[0]) <= 30 * len(counts[0])
+    assert sum(counts[0]) <= 10 * len(counts[0])
+
+
+def test_warm_shift_solve_count_lithium():
+    """Li at N=1000: 131 solves in 9 iterations, the same on every run (206 with ncv = 20)."""
+    counts = _solve_counts(
+        AtomConfig(z=3.0, shells=((1, 0, 2), (2, 0, 1)), grid=GridParams(n_points=1000))
+    )
+    assert counts[0] == counts[1]
+    assert sum(counts[0]) <= 140
+
+
+@pytest.mark.parametrize("count", [5, 15])
+def test_solve_channel_krylov_clipped_to_mesh(count):
+    """On the smallest solver mesh, 4·count Krylov vectors exceed N = 16 and are clipped to N.
+
+    ARPACK takes at most N Krylov vectors, and with ncv = N its first
+    factorization spans the whole space: exactly N + 1 solves, with every
+    pair matching a dense eigensolve.
+    """
+    g = make_grid(0.02, 30.0, 16)
+    orbs = [replace(hydrogenic_orbital(3.0, n, 0, g), occupation=q) for n, q in ((1, 2), (2, 1))]
+    field = hartree_potential(sum(o.occupation * o.u**2 for o in orbs), g)
+    op = _fock_operator(0, 3.0, orbs, field, g)
+    ref_vals, ref_vecs = np.linalg.eigh(op.to_dense())
+    v0 = sum(u_to_z(o.u, g) for o in orbs)
+    vals, vecs, work = _solve_channel(op, count, 3.0, ref_vals[0] + 0.05, v0)
+    assert work["shift_invert_solves"] == g.N + 1
+    assert np.max(np.abs(vals - ref_vals[:count])) <= 1e-12 * np.max(np.abs(ref_vals))
+    overlap = np.abs(vecs.T @ ref_vecs[:, :count])
+    assert np.max(np.abs(overlap - np.eye(count))) <= 1e-12

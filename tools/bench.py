@@ -9,8 +9,9 @@ Run from the repository root, naming the file after the change it measures
 Every case runs RUNS times in this process and is reported as the median of
 each field; nothing is gated.  Cases:
 
-* `scf` for He and Li at the default N=2000 (`end_to_end`), and for Na, Ar
-  and K (`ungated`), each with iterations, factorizations and shift-invert
+* `scf` for He and Li at the default N=2000 (`end_to_end`), and for Ne, Na,
+  Ar, K and Ca (`ungated`; with He and Li their channels hold one to four
+  wanted levels), each with iterations, factorizations and shift-invert
   solves from `state.trace` and the trace's per-phase wall times summed over
   iterations (field, operator build, eigensolve, energy);
 * `pseudo` for Li 2s: the solve plus `pk_solve`, as `polar-scf pseudo` runs it;
@@ -57,9 +58,11 @@ PHASES = ("field_s", "operator_s", "eigensolve_s", "energy_s")
 ATOMS = {
     "he": (2.0, ((1, 0, 2),)),
     "li": (3.0, ((1, 0, 2), (2, 0, 1))),
+    "ne": (10.0, ((1, 0, 2), (2, 0, 2), (2, 1, 6))),
     "na": (11.0, ((1, 0, 2), (2, 0, 2), (2, 1, 6), (3, 0, 1))),
     "ar": (18.0, ((1, 0, 2), (2, 0, 2), (2, 1, 6), (3, 0, 2), (3, 1, 6))),
     "k": (19.0, ((1, 0, 2), (2, 0, 2), (2, 1, 6), (3, 0, 2), (3, 1, 6), (4, 0, 1))),
+    "ca": (20.0, ((1, 0, 2), (2, 0, 2), (2, 1, 6), (3, 0, 2), (3, 1, 6), (4, 0, 2))),
 }
 
 
@@ -181,9 +184,11 @@ def main():
         ("end_to_end", "pseudo_li_2s", pseudo_case),
         ("end_to_end", "he_fixture_n8000", fixture_case),
         ("end_to_end", "tier1", tier1_case),
+        ("ungated", "scf_ne", lambda: scf_case("ne")),
         ("ungated", "scf_na", lambda: scf_case("na")),
         ("ungated", "scf_ar", lambda: scf_case("ar")),
         ("ungated", "scf_k", lambda: scf_case("k")),
+        ("ungated", "scf_ca", lambda: scf_case("ca")),
         ("layers", "anticommutator_table", anticommutator_case),
     ]
     for group, name, case in cases:
