@@ -3,8 +3,7 @@
 Everything runs on the logarithmic radial mesh from :mod:`polarscf.radial`.
 The moving parts are:
 
-* the radial density (two electrons per pair plus the unpaired remainder)
-  and the direct (Hartree) potential it sources,
+* the radial density Σ q·u² and the direct (Hartree) potential it sources,
 * nonlocal exchange per angular channel, kept as the generators of each
   multipole kernel r_<^L / r_>^{L+1} = G·C·G with C_ij = c_min(i,j) and
   parity-filtered angular weights, never as an N×N matrix,
@@ -25,10 +24,12 @@ The moving parts are:
   ConvergenceError if none does; ARPACK's tolerance follows the SCF
   residual, so iterations far from self-consistency are solved inexactly
   and only a full-precision iteration may end the solve,
-* fixed-point iteration on the input orbitals, accelerated by Anderson
-  (Pulay) extrapolation over the last few (input, residual) pairs and
-  orthonormalized per channel, so each iteration's operators are built from one orthonormal orbital set and its direct field (the
-  snapshot), with the shells taken in (l, n) order throughout; the
+* fixed-point iteration on the input orbitals, stopped on its residual
+  max|Φ(x) − x| alone (the energy change is traced, not tested),
+  accelerated by Anderson (Pulay) extrapolation over the last few (input,
+  residual) pairs and orthonormalized per channel, so each iteration's
+  operators are built from one orthonormal orbital set and its direct
+  field (the snapshot), with the shells taken in (l, n) order throughout; the
   per-iteration trace (with ARPACK's tolerance, the shifts, the
   eigensolver's factorizations and solves, and the phase wall times) is
   kept on the returned state next to the last snapshot, from which any
@@ -80,7 +81,6 @@ MAX_COUPLING_L = 3
 L_LETTERS = "spdf"
 
 DEFAULT_MAX_ITER = 200
-DEFAULT_TOL_ENERGY = 1e-8
 DEFAULT_TOL_ORBITAL = 1e-6
 DEFAULT_R_MAX = 50.0
 DEFAULT_N_POINTS = 2000
@@ -157,14 +157,17 @@ class GridParams:
 @dataclass(frozen=True)
 class SCFParams:
     max_iter: int = DEFAULT_MAX_ITER
-    tol_energy: float = DEFAULT_TOL_ENERGY
     tol_orbital: float = DEFAULT_TOL_ORBITAL
 
     def __post_init__(self):
+        if isinstance(self.max_iter, bool) or not isinstance(self.max_iter, numbers.Integral):
+            raise ParameterError(f"max_iter must be an integer, got {self.max_iter!r}")
         if self.max_iter < 1:
             raise ParameterError(f"max_iter must be positive, got {self.max_iter}")
-        if self.tol_energy <= 0 or self.tol_orbital <= 0:
-            raise ParameterError("convergence tolerances must be positive")
+        if not 0.0 < self.tol_orbital < math.inf:
+            raise ParameterError(
+                f"tol_orbital must be positive and finite, got {self.tol_orbital!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -286,14 +289,13 @@ def _electron_count(o: RadialOrbital) -> int:
 
 
 def build_density(orbitals, g: RadialGrid):
-    """Radial electron density 2·Σ_b floor(q_b/2)·u_b² + Σ_b (q_b mod 2)·u_b².
+    """Radial electron density ρ = Σ_b q_b·u_b², summed in the order given.
 
     Each orbital must be normalized in the solver's metric, z·z = 1 for
-    z = `u_to_z(u, g)`; its `occupation` q_b counts electrons, two per pair
-    plus the unpaired remainder, and must be an integer.
+    z = `u_to_z(u, g)`; its `occupation` q_b counts electrons and must be
+    an integer.
     """
-    pairs = np.zeros(g.N)
-    unpaired = np.zeros(g.N)
+    rho = np.zeros(g.N)
     for o in orbitals:
         z = u_to_z(o.u, g)
         nrm = float(z @ z)
@@ -301,11 +303,8 @@ def build_density(orbitals, g: RadialGrid):
             raise PreconditionError(
                 f"orbital {shell_label(o.n, o.l)} is not normalized: <u|u> = {nrm!r}"
             )
-        q = _electron_count(o)
-        p = q // 2
-        pairs += p * o.u**2
-        unpaired += (q - 2 * p) * o.u**2
-    return 2.0 * pairs + unpaired
+        rho += _electron_count(o) * o.u**2
+    return rho
 
 
 def hartree_potential(rho, g: RadialGrid):
@@ -407,22 +406,21 @@ def _coulomb_integral(fa, fb, L, g):
 def _total_energy(z_nuc, orbitals, g: RadialGrid) -> float:
     """Mean-field total energy of the current orbital set.
 
-    orbitals: RadialOrbitals with integer occupations.  The one-electron
-    part is z·((T − Z/r) z) on the tridiagonal the operator is built from.
-    The direct term is ½∫ρ·V₀[ρ] of the total density ρ = Σ q_a·u_a², one
-    Slater transform.  The exchange term weights each shell pair by its
-    same-spin count; the summand is symmetric in (a, b), so each pair is
-    taken once for a ≤ b and counted twice when a ≠ b.  A lone electron's
-    self term is the bare monopole, so one-electron systems reduce exactly
-    to the bare Hamiltonian.
+    orbitals: normalized RadialOrbitals with integer occupations.  The
+    one-electron part is z·((T − Z/r) z) on the tridiagonal the operator is
+    built from.  The direct term is ½∫ρ·V₀[ρ] of the `build_density`
+    density, one Slater transform.  The exchange term weights each shell
+    pair by its same-spin count; the summand is symmetric in (a, b), so each
+    pair is taken once for a ≤ b and counted twice when a ≠ b.  A lone
+    electron's self term is the bare monopole, so one-electron systems
+    reduce exactly to the bare Hamiltonian.
     """
     E = 0.0
-    rho = np.zeros(g.N)
     for a in orbitals:
         diag, off = kinetic_tridiagonal(g, a.l)
         z = u_to_z(a.u, g)
         E += a.occupation * float(z @ tridiag_apply(diag - z_nuc / g.points, off, z))
-        rho += a.occupation * a.u**2
+    rho = build_density(orbitals, g)
     E += 0.5 * _coulomb_integral(rho, rho, 0, g)
     for i, a in enumerate(orbitals):
         for b in orbitals[i:]:
@@ -778,15 +776,16 @@ def scf_solve(cfg: AtomConfig) -> SCFState:
     and exactly 0 (full precision) once the residual is below
     EXACT_SOLVE_FACTOR·`tol_orbital`; each trace row records it as
     `eigensolve_tol` (after Herbst, Levitt & Cancès, Proc. JuliaCon Conf. 3,
-    69 (2021)).  The solve stops when both the energy
-    change and the residual max|Φ(x) − x| (the trace's `max_orbital_delta`)
-    meet their tolerances in an iteration solved at full precision; met at a
-    looser tolerance, they buy one more iteration, so the returned eigenpairs
-    and snapshot always come from a full-precision solve.  The shells are
-    put in (l, n) order first, so the order they are listed in does not
-    change a single bit of the result.
+    69 (2021)).  The residual alone decides when to stop: the solve ends at
+    the first iteration solved at full precision whose max|Φ(x) − x| (the
+    trace's `max_orbital_delta`) is below `tol_orbital`; met at a looser
+    tolerance, it buys one more iteration, so the returned eigenpairs and
+    snapshot always come from a full-precision solve.  The energy change
+    is recorded in every trace row as `delta_energy` but gates nothing.
+    The shells are put in (l, n) order first, so the order they are listed
+    in does not change a single bit of the result.
     Raises ConvergenceError (with the iteration trace attached) if max_iter
-    passes without meeting both tolerances.
+    passes without meeting `tol_orbital`.
     """
     cfg = replace(cfg, shells=tuple(sorted(cfg.shells, key=lambda s: (s.l, s.n))))
     g = cfg.resolved_grid()
@@ -855,18 +854,17 @@ def scf_solve(cfg: AtomConfig) -> SCFState:
         t_energy = time.perf_counter()
         E_new = _total_energy(cfg.z, outputs, g)
         row["energy_s"] = time.perf_counter() - t_energy
-        delta_E = abs(E_new - E_prev) if E_prev is not None else float("inf")
         trace.append(
             {
                 "iteration": it,
                 "total_energy": E_new,
-                "delta_energy": delta_E if math.isfinite(delta_E) else None,
+                "delta_energy": abs(E_new - E_prev) if E_prev is not None else None,
                 "max_orbital_delta": delta_u,
                 **row,
             }
         )
         E_prev = E_new
-        if eig_tol == 0.0 and delta_E < cfg.scf.tol_energy and delta_u < cfg.scf.tol_orbital:
+        if eig_tol == 0.0 and delta_u < cfg.scf.tol_orbital:
             break
         if delta_u < EXACT_SOLVE_FACTOR * cfg.scf.tol_orbital:
             eig_tol = 0.0

@@ -38,7 +38,6 @@ from .hfcore import (
     DEFAULT_MAX_ITER,
     DEFAULT_N_POINTS,
     DEFAULT_R_MAX,
-    DEFAULT_TOL_ENERGY,
     DEFAULT_TOL_ORBITAL,
     AtomConfig,
     GridParams,
@@ -74,7 +73,6 @@ class RunConfig:
     r_max: float = DEFAULT_R_MAX
     n_points: int = DEFAULT_N_POINTS
     max_iter: int = DEFAULT_MAX_ITER
-    tol_energy: float = DEFAULT_TOL_ENERGY
     tol_orbital: float = DEFAULT_TOL_ORBITAL
     # frozen-core pseudo-orbital
     valence: str = ""
@@ -237,11 +235,7 @@ def _atom_config(cfg: RunConfig) -> AtomConfig:
         z=cfg.z,
         shells=parse_shells(cfg.shells),
         grid=GridParams(r_min=cfg.r_min, r_max=cfg.r_max, n_points=cfg.n_points),
-        scf=SCFParams(
-            max_iter=cfg.max_iter,
-            tol_energy=cfg.tol_energy,
-            tol_orbital=cfg.tol_orbital,
-        ),
+        scf=SCFParams(max_iter=cfg.max_iter, tol_orbital=cfg.tol_orbital),
     )
 
 

@@ -67,6 +67,11 @@ def test_parse_config_locates_errors():
     assert err.value.line == 1
     with pytest.raises(ConfigError):
         parse_config("z=abc\n", command="scf")
+    # tol_energy is not a key: the SCF stops on its residual alone
+    with pytest.raises(ConfigError, match="line 1: unknown key 'tol_energy'"):
+        parse_config("tol_energy=1e-8\n", command="scf")
+    with pytest.raises(ConfigError, match="override 1: unknown key 'tol_energy'"):
+        parse_config("", command="scf", overrides=["tol_energy=1e-8"])
 
 
 def test_parse_config_command_sources():
@@ -311,10 +316,12 @@ def test_only_hfcore_imports_scipy():
         ["verify", "fock", "--modes", "2", "--out", str(NO_SUCH_DIR / "x.txt")],
         ["scf", *FAST_SCF, "--trace", str(NO_SUCH_DIR / "t.jsonl")],
         ["spectrum", "--trace", "t.jsonl"],
+        ["scf", "tol_energy=1e-8"],
     ],
     ids=[
         "no-args", "missing-config", "inf", "nan", "qp-points", "n-max", "l-max",
         "modes-17", "unwritable-out", "unwritable-trace", "trace-without-scf",
+        "tol-energy",
     ],
 )
 def test_bad_input_exits_3_without_traceback(argv):
