@@ -56,6 +56,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import DEFAULT_MAX_ITER, DEFAULT_N_POINTS, DEFAULT_R_MAX, DEFAULT_TOL_ORBITAL
 from .errors import (
     CapacityError,
     ConsistencyError,
@@ -79,11 +80,6 @@ from .radial import (
 # The angular coupling table is tabulated exactly for s..f shells.
 MAX_COUPLING_L = 3
 L_LETTERS = "spdf"
-
-DEFAULT_MAX_ITER = 200
-DEFAULT_TOL_ORBITAL = 1e-6
-DEFAULT_R_MAX = 50.0
-DEFAULT_N_POINTS = 2000
 
 # The first shift-invert shift sits this far (hartree) below the channel's
 # estimated lowest level; each further try steps four times as far.
@@ -120,7 +116,7 @@ class ShellSpec:
     def __post_init__(self):
         for name in ("n", "l", "occupation"):
             value = getattr(self, name)
-            if not isinstance(value, numbers.Integral):
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise ParameterError(f"shell {name} must be an integer, got {value!r}")
         if self.n < 1:
             raise ParameterError(f"principal quantum number must be >= 1, got {self.n}")
@@ -152,6 +148,12 @@ class GridParams:
     r_min: float | None = None  # None -> 1e-6 / Z
     r_max: float = DEFAULT_R_MAX
     n_points: int = DEFAULT_N_POINTS
+
+    def __post_init__(self):
+        # make_grid checks the bounds and the count; a fractional count
+        # would fail there as a drifting mesh ratio
+        if isinstance(self.n_points, bool) or not isinstance(self.n_points, numbers.Integral):
+            raise ParameterError(f"n_points must be an integer, got {self.n_points!r}")
 
 
 @dataclass(frozen=True)

@@ -19,40 +19,27 @@ included) next to the artifact, which stays byte-identical; a solve that
 does not converge still writes the trace it carries.
 
 Exit codes: 0 success, 2 non-convergence, 3 bad input (usage, config, domain).
+
+Each command imports only the modules it runs, because a fresh process
+pays for every import (most of a `verify`, `qp` or `spectrum` run): the
+module itself loads only `errors` and the pure-Python `relspectrum`, so
+`spectrum` starts without NumPy, and neither `verify` nor `qp` loads the
+SCF stack.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import math
+import numbers
 import re
 import sys
 from dataclasses import dataclass, fields, replace
 
-import numpy as np
-
+from . import DEFAULT_MAX_ITER, DEFAULT_N_POINTS, DEFAULT_R_MAX, DEFAULT_TOL_ORBITAL
 from .errors import ConfigError, ConvergenceError, PolarSCFError
-from .fockspace import anticommutator_table
-from .hfcore import (
-    DEFAULT_MAX_ITER,
-    DEFAULT_N_POINTS,
-    DEFAULT_R_MAX,
-    DEFAULT_TOL_ORBITAL,
-    AtomConfig,
-    GridParams,
-    L_LETTERS,
-    SCFParams,
-    scf_solve,
-    state_summary,
-)
-from .pseudopot import pk_solve, pseudo_summary
-from .quasiparticle import (
-    SelfEnergyModel,
-    mass_operator_eigen,
-    pair_quantities,
-    resolvent_sweep,
-)
 from .relspectrum import (
     FINE_STRUCTURE_ALPHA,
     SpectrumParams,
@@ -61,6 +48,23 @@ from .relspectrum import (
 )
 
 COMMANDS = ("scf", "pseudo", "qp", "spectrum", "verify")
+
+# Names bound here on first access (PEP 562), each from its module.  The
+# commands call them as attributes of this module, so a wrapper set on it
+# (a tracer's, a test's spy) is the one that runs.
+_DEFERRED = {
+    "anticommutator_table": ".fockspace",
+    "resolvent_sweep": ".quasiparticle",
+}
+_shell = sys.modules[__name__]
+
+
+def __getattr__(name: str):
+    if name not in _DEFERRED:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = importlib.import_module(_DEFERRED[name], __package__)
+    globals()[name] = getattr(module, name)
+    return globals()[name]
 
 
 @dataclass(frozen=True)
@@ -173,6 +177,8 @@ def render_config(cfg: RunConfig) -> str:
 
 def parse_shells(spec: str):
     """Occupied-shell notation '1s:2,2s:1' -> ((n, l, occupation), ...)."""
+    from .hfcore import L_LETTERS
+
     out = []
     for token in spec.split(","):
         token = token.strip()
@@ -184,6 +190,8 @@ def parse_shells(spec: str):
 
 
 def _parse_level(label: str):
+    from .hfcore import L_LETTERS
+
     m = re.fullmatch(r"(\d+)([a-z])", label.strip())
     if not m or m.group(2) not in L_LETTERS:
         raise ConfigError(f"bad level label {label!r}; expected like '2s'")
@@ -209,9 +217,9 @@ def canonical_json(obj) -> str:
         return "true" if obj else "false"
     if obj is None:
         return "null"
-    if isinstance(obj, (int, np.integer)):
+    if isinstance(obj, numbers.Integral):  # NumPy registers its scalar types
         return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
+    if isinstance(obj, numbers.Real):
         return _fmt(obj)
     return json.dumps(obj)
 
@@ -230,29 +238,31 @@ def _config_comments(cfg: RunConfig) -> str:
 # commands
 
 
-def _atom_config(cfg: RunConfig) -> AtomConfig:
-    return AtomConfig(
+def _solve(cfg: RunConfig, trace):
+    from .hfcore import AtomConfig, GridParams, SCFParams, scf_solve
+
+    state = scf_solve(AtomConfig(
         z=cfg.z,
         shells=parse_shells(cfg.shells),
         grid=GridParams(r_min=cfg.r_min, r_max=cfg.r_max, n_points=cfg.n_points),
         scf=SCFParams(max_iter=cfg.max_iter, tol_orbital=cfg.tol_orbital),
-    )
-
-
-def _solve(cfg: RunConfig, trace):
-    state = scf_solve(_atom_config(cfg))
+    ))
     if trace is not None:
         trace.extend(state.trace)
     return state
 
 
 def _run_scf(cfg: RunConfig, trace) -> str:
+    from .hfcore import state_summary
+
     state = _solve(cfg, trace)
     doc = {"config": config_block(cfg), "result": state_summary(state)}
     return canonical_json(doc) + "\n"
 
 
 def _run_pseudo(cfg: RunConfig, trace) -> str:
+    from .pseudopot import pk_solve, pseudo_summary
+
     if not cfg.valence:
         raise ConfigError("pseudo needs a valence level, e.g. valence=2s")
     state = _solve(cfg, trace)
@@ -261,7 +271,9 @@ def _run_pseudo(cfg: RunConfig, trace) -> str:
     return canonical_json(doc) + "\n"
 
 
-def _sigma_model(cfg: RunConfig) -> SelfEnergyModel:
+def _sigma_model(cfg: RunConfig):
+    from .quasiparticle import SelfEnergyModel
+
     if cfg.sigma_kind == "user_matrix":
         raise ConfigError("sigma_kind=user_matrix is library-only; no file syntax")
     coeffs = tuple(
@@ -271,6 +283,10 @@ def _sigma_model(cfg: RunConfig) -> SelfEnergyModel:
 
 
 def _run_qp(cfg: RunConfig) -> str:
+    import numpy as np
+
+    from .quasiparticle import mass_operator_eigen, pair_quantities
+
     try:
         levels = [float(t) for t in cfg.qp_levels.split(",") if t.strip() != ""]
     except ValueError:
@@ -285,7 +301,7 @@ def _run_qp(cfg: RunConfig) -> str:
     if model.kind != "zero":
         sigma = model.matrix_at(h.shape[0], k=0.0)
     energies = np.linspace(cfg.qp_e_min, cfg.qp_e_max, cfg.qp_e_points)
-    trace_imag, poles = resolvent_sweep(h, energies, eta=cfg.qp_eta, sigma=sigma)
+    trace_imag, poles = _shell.resolvent_sweep(h, energies, eta=cfg.qp_eta, sigma=sigma)
     mo = mass_operator_eigen(model)
     pq = pair_quantities(mo.delta_m0, cfg.pair_epsilon0, cfg.n_quanta, cfg.pair_constant)
 
@@ -332,7 +348,7 @@ def _run_spectrum(cfg: RunConfig) -> str:
 def _run_verify(cfg: RunConfig, target: str) -> str:
     if target != "fock":
         raise ConfigError(f"unknown verify target {target!r}; only 'fock' exists")
-    tables = anticommutator_table(cfg.modes)
+    tables = _shell.anticommutator_table(cfg.modes)
     dev = tables.max_deviation()
     if dev != 0.0:
         raise PolarSCFError(f"anticommutator deviation {dev!r} on {cfg.modes} modes")

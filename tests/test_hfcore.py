@@ -344,6 +344,13 @@ def test_atom_config_validation():
         with pytest.raises(ParameterError, match="max_iter"):
             SCFParams(max_iter=bad)
     assert SCFParams(max_iter=np.int64(3)).max_iter == 3
+    for shell in ((True, 0, 1), (1, False, 1), (1, 0, True)):
+        with pytest.raises(ParameterError, match="must be an integer"):
+            AtomConfig(z=1.0, shells=(shell,))
+    for bad in (200.5, True, 300.0):
+        with pytest.raises(ParameterError, match="n_points"):
+            GridParams(n_points=bad)
+    assert GridParams(n_points=np.int64(300)).n_points == 300
 
 
 # ---------------------------------------------------------------------------

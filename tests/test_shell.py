@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import polarscf
+from polarscf import shell
 from polarscf.errors import ConfigError
 from polarscf.shell import (
     RunConfig,
@@ -111,6 +112,8 @@ def test_canonical_json_formatting():
     doc = {"a": 0.3, "b": [1, True, None], "c": "x"}
     out = canonical_json(doc)
     assert out == '{"a": 0.29999999999999999, "b": [1, true, null], "c": "x"}'
+    numpy_doc = {"i": np.int64(3), "f": np.float64(0.3), "g": np.float32(0.5)}
+    assert canonical_json(numpy_doc) == '{"i": 3, "f": 0.29999999999999999, "g": 0.5}'
 
 
 def test_scf_payload_structure():
@@ -248,33 +251,63 @@ def test_trace_side_channel_pseudo_and_nonconvergence(tmp_path):
     assert len(trace.read_text().splitlines()) == 2
 
 
-SCIPY_PROBE = """
-import contextlib, io, sys
+MODULE_PROBE = """
+import contextlib, io, json, sys
 from polarscf.shell import main
 with contextlib.redirect_stdout(io.StringIO()):
     codes = [main(argv) for argv in {runs!r}]
-print(codes, sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+roots = ("numpy", "scipy", "scipy.linalg")
+loaded = [m for m in sys.modules if m in roots or m.startswith("polarscf.")]
+print(json.dumps([codes, sorted(loaded)]))
 """
 
 
-def _scipy_modules_after(runs):
+def _modules_after(*runs):
+    """Exit codes of `runs` in one fresh process, and the modules it then holds."""
     r = subprocess.run(
-        [sys.executable, "-c", SCIPY_PROBE.format(runs=runs)], capture_output=True, text=True
+        [sys.executable, "-c", MODULE_PROBE.format(runs=list(runs))],
+        capture_output=True, text=True,
     )
     assert r.returncode == 0, r.stderr
-    return r.stdout
+    codes, loaded = json.loads(r.stdout)
+    return codes, set(loaded)
 
 
-def test_numpy_only_commands_never_load_scipy():
-    """verify, qp and spectrum run on NumPy alone; a solve loads SciPy on first use."""
-    light = [
-        ["verify", "fock", "--modes", "8"],
-        ["qp", "qp_levels=-0.75,0.75", "qp_e_points=101"],
-        ["spectrum", "n_max=4", "gamma=0.1"],
-    ]
-    assert _scipy_modules_after(light) == "[0, 0, 0] []\n"
-    solve = _scipy_modules_after([["scf", "z=1.0", "shells=1s:1", "n_points=300"]])
-    assert solve.startswith("[0] [") and "'scipy.linalg'" in solve
+def test_each_command_loads_only_its_modules():
+    """spectrum runs without NumPy, verify and qp without the SCF stack, and
+    SciPy loads only with a solve."""
+    base = {"polarscf.errors", "polarscf.relspectrum", "polarscf.shell"}
+    assert _modules_after() == ([], base)
+    assert _modules_after(["spectrum", "n_max=4", "gamma=0.1"]) == ([0], base)
+    verify = {"numpy", "polarscf.fockspace"}
+    assert _modules_after(["verify", "fock", "--modes", "8"]) == ([0], base | verify)
+    qp = {"numpy", "polarscf.quasiparticle"}
+    assert _modules_after(["qp", "qp_levels=-0.75,0.75", "qp_e_points=101"]) == ([0], base | qp)
+    codes, loaded = _modules_after(["scf", "z=1.0", "shells=1s:1", "n_points=300"])
+    assert codes == [0] and {"scipy.linalg", "polarscf.hfcore"} <= loaded
+
+
+@pytest.mark.parametrize(
+    "name, argv",
+    [
+        ("anticommutator_table", ["verify", "fock", "--modes", "2"]),
+        ("resolvent_sweep", ["qp", "qp_e_points=11"]),
+        ("boson_energy", ["spectrum", "n_max=2"]),
+    ],
+)
+def test_commands_call_the_names_bound_on_shell(monkeypatch, tmp_path, name, argv):
+    """A tracer wraps these names with setattr on `shell`; the commands run the wrapper."""
+    if name in shell._DEFERRED:  # as in a fresh process: not yet imported
+        monkeypatch.delitem(vars(shell), name, raising=False)
+    real, calls = getattr(shell, name), []
+
+    def spy(*args, **kwargs):
+        calls.append(name)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(shell, name, spy)
+    assert main([*argv, "--out", str(tmp_path / "out.txt")]) == 0
+    assert calls
 
 
 def test_only_hfcore_imports_scipy():

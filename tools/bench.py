@@ -20,20 +20,27 @@ each field; nothing is gated.  Cases:
 * the N=8000 He solve behind `tests/fixtures/he_reference.json`, with its
   energy change against that fixture (the fixture is not written);
 * the wall time of the Tier-1 suite, in a child process;
-* `anticommutator_table(8)` as the layer outside the mean-field solve.
+* `anticommutator_table(8)` as the layer outside the mean-field solve;
+* the `cli` workload's `verify`, `qp` and `spectrum` commands and a bare
+  `import polarscf.shell`, each in a fresh process (`ungated`, the `cli_`
+  cases): the CPU seconds of the child and the `numpy`, `scipy` and
+  `polarscf` modules it loaded.
 
 The metadata gives `nproc`, the BLAS builds of NumPy and SciPy, the BLAS
-thread setting (one thread unless the environment sets another), the git
-SHA with a flag for uncommitted changes, and the line count of
-`src/polarscf`.  SciPy is imported before the first timed solve, so every
-run is warm.
+thread setting (one thread unless the environment sets another), whether
+`PYTHONDONTWRITEBYTECODE` is set (then every fresh process compiles the
+modules it imports, which the `cli_` cases pay), the git SHA with a flag
+for uncommitted changes, and the line count of `src/polarscf`.  SciPy is
+imported before the first timed solve, so every in-process run is warm.
 """
 
 import argparse
+import functools
 import json
 import os
 import platform
 import re
+import resource
 import statistics
 import subprocess
 import sys
@@ -67,6 +74,20 @@ ATOMS = {
     "k": (19.0, ((1, 0, 2), (2, 0, 2), (2, 1, 6), (3, 0, 2), (3, 1, 6), (4, 0, 1))),
     "ca": (20.0, ((1, 0, 2), (2, 0, 2), (2, 1, 6), (3, 0, 2), (3, 1, 6), (4, 0, 2))),
 }
+# The commands of perfbench's `cli` workload, with its random qp levels fixed.
+CLI_COMMANDS = {
+    "import": [],
+    "verify": ["verify", "fock", "--modes", "8"],
+    "qp": ["qp", "qp_levels=-0.5,0.25,0.75", "sigma_kind=constant_shift", "sigma_shift=-0.25"],
+    "spectrum": ["spectrum", "n_max=50", "l_max=3", "gamma=0.1"],
+}
+CLI_PROBE = """
+import sys
+from polarscf.shell import main
+code = main(sys.argv[1:]) if len(sys.argv) > 1 else 0
+loaded = (m for m in sys.modules if m in ("numpy", "scipy") or m.startswith("polarscf."))
+print(code, *sorted(loaded))
+"""
 
 
 def _timed(fn):
@@ -151,6 +172,27 @@ def anticommutator_case(modes=8):
     return {"modes": modes, **_median(records)}
 
 
+def _children_cpu():
+    kids = resource.getrusage(resource.RUSAGE_CHILDREN)
+    return kids.ru_utime + kids.ru_stime
+
+
+def cli_case(kind):
+    argv = [*CLI_COMMANDS[kind], "--out", os.devnull] if CLI_COMMANDS[kind] else []
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    records = []
+    for _ in range(RUNS):
+        cpu = _children_cpu()
+        done, wall, _ = _timed(lambda: subprocess.run(
+            [sys.executable, "-c", CLI_PROBE, *argv], env=env, capture_output=True,
+            text=True, check=True,
+        ))
+        records.append({"wall_s": wall, "cpu_s": _children_cpu() - cpu})
+    code, *modules = done.stdout.split()
+    return {"argv": CLI_COMMANDS[kind], "exit_code": int(code), **_median(records),
+            "modules": modules}
+
+
 def _git(*args):
     return subprocess.run(["git", *args], cwd=ROOT, capture_output=True, text=True).stdout.strip()
 
@@ -171,6 +213,7 @@ def metadata():
         "numpy_blas": _blas(np),
         "scipy_blas": _blas(scipy),
         "blas_threads": os.environ["OPENBLAS_NUM_THREADS"],
+        "pythondontwritebytecode": bool(os.environ.get("PYTHONDONTWRITEBYTECODE")),
         "git_sha": _git("rev-parse", "HEAD"),
         "git_dirty": bool(_git("status", "--porcelain", "--untracked-files=no")),
         "src_lines": sum(len(p.read_text(encoding="utf-8").splitlines()) for p in sources),
@@ -198,6 +241,7 @@ def main():
         ("ungated", "scf_k_tight", lambda: scf_case("k", tol_orbital=TIGHT_TOL_ORBITAL)),
         ("ungated", "scf_ca_tight", lambda: scf_case("ca", tol_orbital=TIGHT_TOL_ORBITAL)),
         ("layers", "anticommutator_table", anticommutator_case),
+        *(("ungated", f"cli_{kind}", functools.partial(cli_case, kind)) for kind in CLI_COMMANDS),
     ]
     for group, name, case in cases:
         rec = doc[group][name] = case()
