@@ -2,22 +2,21 @@
 the kinetic-energy stencil in the log variable.
 
 Conventions (Hartree atomic units): orbitals are stored as the reduced radial
-function u(r) = r*R(r); all integrals are plain sums against the grid weights.
-The mesh is geometric, r_i = r_min * ratio^i, so the log variable x = ln r is
-uniform with step h and trapezoid weights become w_i = h * r_i, Gregory
-end-corrected over the first and last two points.  The first weight carries
-an extra inner-tail patch r_min covering [0, r_min] for integrands finite at
-the origin.
+function u(r) = r*R(r).  The mesh is geometric, r_i = r_min * exp(i*h), so
+the log variable x = ln r is uniform with step h, and the one quadrature is
+∫f dr = ∫f r dx ≈ h*Σ r_i*f_i: the weights are h*r_i, for integrands that
+vanish at both ends of the mesh, as bound orbitals and their products do.
 
-The solvers work in z = sqrt(h*r)*u, where the mesh measure is the identity:
-h*Σ r*u*v = z·z' is a plain dot product, the one metric of the kinetic
-stencil, the Fock operator and every norm and overlap of the mean-field
-solve.  For orbitals that die away at both ends of the mesh it agrees with
-`integrate` to round-off, since the end corrections touch only those ends.
+The solvers work in z = sqrt(h*r)*u, where that measure is the identity:
+`inner(u, v)` = h*Σ r*u*v is exactly the plain dot product z·z', the one
+metric of the kinetic stencil, the Fock operator and every norm and overlap
+of the mean-field solve.
 """
 
 import math
-from dataclasses import dataclass, field
+import sys
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -29,23 +28,24 @@ MIN_SOLVER_POINTS = 16
 @dataclass(frozen=True)
 class RadialGrid:
     points: np.ndarray
-    weights: np.ndarray
-    spacing: float  # geometric ratio r_{i+1}/r_i
-    log_step: float = field(repr=False)  # h = ln(spacing), the step of x = ln r
+    log_step: float  # h, the step of x = ln r: r_{i+1}/r_i = exp(h)
 
     def __post_init__(self):
-        r = self.points
+        r, h = self.points, self.log_step
         if r.ndim != 1 or len(r) < 2:
             raise ParameterError("grid needs at least 2 increasing points")
         if r[0] <= 0.0 or np.any(np.diff(r) <= 0.0):
             raise ParameterError("grid points must be positive and strictly increasing")
-        ratios = r[1:] / r[:-1]
-        if np.max(np.abs(ratios - self.spacing)) > 1e-12 * self.spacing:
-            raise ParameterError("grid is not geometric (ratio drift exceeds 1e-12)")
-        if not math.isclose(self.log_step, math.log(self.spacing), rel_tol=1e-9):
-            raise ParameterError(f"log_step {self.log_step!r} is not ln(spacing)")
-        if np.any(self.weights <= 0.0):
-            raise ParameterError("quadrature weights must be positive")
+        ratio = math.exp(h)
+        if not np.max(np.abs(r[1:] / r[:-1] - ratio)) <= 1e-12 * ratio:
+            raise ParameterError(
+                f"grid is not geometric with log_step {h!r} (ratio drift exceeds 1e-12)"
+            )
+        # the kinetic stencil's largest entries are about 1/(h*r_min)^2
+        if (h * r[0]) ** 2 * sys.float_info.max < 1.0:
+            raise ParameterError(
+                f"r_min {float(r[0])!r} is too small: the kinetic stencil 1/(h*r_min)^2 overflows"
+            )
 
     @property
     def N(self):
@@ -59,9 +59,16 @@ class RadialGrid:
     def r_max(self):
         return float(self.points[-1])
 
+    @cached_property
+    def weights(self):
+        """Quadrature weights h*r_i, derived from the mesh once and read-only."""
+        w = self.log_step * self.points
+        w.flags.writeable = False
+        return w
+
 
 def make_grid(r_min: float, r_max: float, N: int) -> RadialGrid:
-    """Geometric mesh on [r_min, r_max] with trapezoid-in-log weights.
+    """Geometric mesh of N points on [r_min, r_max].
 
     Parameters
     ----------
@@ -78,25 +85,11 @@ def make_grid(r_min: float, r_max: float, N: int) -> RadialGrid:
     h = math.log(r_max / r_min) / (N - 1)
     r = r_min * np.exp(h * np.arange(N))
     r[-1] = r_max  # exact endpoint
-    w = h * r.copy()
-    if N >= 4:
-        # Gregory end correction (second order): kills the h^2 Euler-Maclaurin
-        # boundary term of the plain trapezoid, which slowly-decaying
-        # integrands such as f = 1 would otherwise feel at the 1e-4 level.
-        w[0] *= 5.0 / 12.0
-        w[-1] *= 5.0 / 12.0
-        w[1] *= 13.0 / 12.0
-        w[-2] *= 13.0 / 12.0
-    else:
-        w[0] *= 0.5
-        w[-1] *= 0.5
-    # Inner-tail patch: rectangle over [0, r_min] so that integrands finite at
-    # the origin are not silently truncated.
-    w[0] += r_min
-    return RadialGrid(points=r, weights=w, spacing=math.exp(h), log_step=h)
+    return RadialGrid(points=r, log_step=h)
 
 
 def integrate(f, g: RadialGrid) -> float:
+    """h*Σ r*f: the mesh quadrature of f, which is z·z' for f = u*u'."""
     f = np.asarray(f)
     if f.shape != g.points.shape:
         raise ShapeError(f"sample length {f.shape} does not match grid {g.points.shape}")
@@ -135,8 +128,7 @@ def hydrogenic_orbital(Z: float, n: int, l: int, g: RadialGrid) -> RadialOrbital
     x = 2Zr/n.  The generalized Laguerre polynomial L^a_{n-l-1}, a = 2l+1,
     comes from the three-term recurrence
     (k+1) L^a_{k+1} = (2k+1+a-x) L^a_k - (k+a) L^a_{k-1}, L^a_0 = 1,
-    L^a_1 = 1+a-x.  Renormalized on the grid so <u|u> = 1 to quadrature
-    accuracy.
+    L^a_1 = 1+a-x.  Renormalized on the grid, so <u|u> = z·z = 1.
     """
     if Z <= 0:
         raise ParameterError(f"Z must be positive, got {Z}")
@@ -220,11 +212,3 @@ def sign_flips(u):
 def node_count(u) -> int:
     """Sign changes of u over samples with magnitude above the noise floor."""
     return int(sign_flips(u).size)
-
-
-def dump_orbital_csv(path, o: RadialOrbital, g: RadialGrid):
-    """Write the orbital as CSV with header `r,u`, 17 significant digits."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("r,u\n")
-        for ri, ui in zip(g.points, o.u):
-            fh.write(f"{ri:.17g},{ui:.17g}\n")

@@ -112,13 +112,23 @@ def _coerce(key: str, raw: str, where: str):
         return raw
     if default is None and raw == "auto":
         return None
+    return _number(key, raw, where, int if isinstance(default, int) else float)
+
+
+def _number(key: str, raw: str, where: str, kind=float):
     try:
-        value = int(raw) if isinstance(default, int) else float(raw)
+        value = kind(raw)
     except ValueError:
         raise ConfigError(f"{where}: cannot parse {key}={raw!r}") from None
     if not math.isfinite(value):
         raise ConfigError(f"{where}: {key}={raw!r} is not a finite number")
     return value
+
+
+def _numbers(cfg: RunConfig, key: str) -> list:
+    """The comma-separated entries of a list-valued key, each checked like a float key."""
+    items = [t for t in getattr(cfg, key).split(",") if t.strip() != ""]
+    return [_number(key, t, f"{key} entry {i}") for i, t in enumerate(items)]
 
 
 def _format_value(value) -> str:
@@ -276,9 +286,7 @@ def _sigma_model(cfg: RunConfig):
 
     if cfg.sigma_kind == "user_matrix":
         raise ConfigError("sigma_kind=user_matrix is library-only; no file syntax")
-    coeffs = tuple(
-        float(c) for c in cfg.sigma_coefficients.split(",") if c.strip() != ""
-    )
+    coeffs = tuple(_numbers(cfg, "sigma_coefficients"))
     return SelfEnergyModel(kind=cfg.sigma_kind, shift=cfg.sigma_shift, coefficients=coeffs)
 
 
@@ -287,10 +295,7 @@ def _run_qp(cfg: RunConfig) -> str:
 
     from .quasiparticle import mass_operator_eigen, pair_quantities
 
-    try:
-        levels = [float(t) for t in cfg.qp_levels.split(",") if t.strip() != ""]
-    except ValueError:
-        raise ConfigError(f"cannot parse qp_levels={cfg.qp_levels!r}") from None
+    levels = _numbers(cfg, "qp_levels")
     if not levels:
         raise ConfigError("qp_levels is empty")
     if cfg.qp_e_points < 1:

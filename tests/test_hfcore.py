@@ -190,7 +190,8 @@ def test_exchange_cancels_direct_for_one_electron(h_run):
     rho = build_density(state.orbitals, g)
     direct = hartree_potential(rho, g) * o.u
     exch = exchange_apply(state.orbitals, o, g)
-    resid = np.sqrt(float(np.sum(g.weights * (direct - exch) ** 2)))
+    z = u_to_z(direct - exch, g)
+    resid = np.sqrt(float(z @ z))
     assert resid < 1e-12
 
 
@@ -446,7 +447,8 @@ def test_orbitals_solve_their_operator(fixture, request):
     g = state.grid
     for o, eps in zip(state.orbitals, state.eigenvalues):
         resid = fock_apply(state, o) - eps * o.u
-        assert np.sqrt(float(np.sum(g.weights * resid**2))) < 1e-6
+        z = u_to_z(resid, g)
+        assert np.sqrt(float(z @ z)) < 1e-6
 
 
 def test_trace_energy_coherent(he_run):
@@ -488,12 +490,11 @@ def test_snapshot_orbitals_orthonormal(fixture, request):
 
 
 def test_converged_orbitals_agree_in_both_metrics(li_run, n_run):
-    """The solver's norm z·z and the public quadrature's integrate(u²) agree.
+    """`integrate(u·v)` is z·z′: the public quadrature is the solver's metric.
 
-    The Gregory end weights of `radial.integrate` touch only samples where a
-    bound orbital has died away, so the converged orbitals of Li, N and Ne
-    and the Li 2s pseudo-orbital carry one norm in both metrics; that is
-    what lets public callers keep the end-corrected quadrature.
+    Both spell h·Σ r·u·v, so they agree to round-off on every pair of
+    converged orbitals of Li, N and Ne and of Li's orbitals with its 2s
+    pseudo-orbital.
     """
     ne = scf_solve(
         AtomConfig(
@@ -501,11 +502,12 @@ def test_converged_orbitals_agree_in_both_metrics(li_run, n_run):
         )
     )
     li = li_run[0]
-    cases = [(s.grid, o.u) for s in (li, n_run[0], ne) for o in s.orbitals]
-    cases.append((li.grid, pk_solve(li, (2, 0)).u))
-    for g, u in cases:
-        z = u_to_z(u, g)
-        assert abs(integrate(u * u, g) - float(z @ z)) <= 1e-12
+    sets = [(s.grid, [o.u for o in s.orbitals]) for s in (li, n_run[0], ne)]
+    sets.append((li.grid, [o.u for o in li.orbitals] + [pk_solve(li, (2, 0)).u]))
+    for g, us in sets:
+        for u in us:
+            for v in us:
+                assert abs(integrate(u * v, g) - float(u_to_z(u, g) @ u_to_z(v, g))) <= 1e-12
 
 
 def _pairwise_total_energy(z_nuc, orbitals, g):

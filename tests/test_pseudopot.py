@@ -1,4 +1,4 @@
-"""Hole-energy bookkeeping, core projection, level-shifted valence solve."""
+"""Level-shifted valence solve: the nodeless pseudo-orbital and its level."""
 
 import copy
 
@@ -7,154 +7,15 @@ import pytest
 
 from polarscf.errors import ParameterError, PreconditionError
 from polarscf.hfcore import AtomConfig, GridParams, scf_solve
-from polarscf.pseudopot import (
-    CoreProjector,
-    core_project,
-    frozen_atom_shift,
-    hole_energy,
-    hole_energy_matrix,
-    pk_solve,
-    pseudo_summary,
-)
-from polarscf.radial import (
-    RadialOrbital,
-    hydrogenic_orbital,
-    inner,
-    kinetic_apply,
-    make_grid,
-    node_count,
-)
-
-LADDER = [-0.5 / n**2 for n in (1, 2, 3, 4)]
+from polarscf.pseudopot import pk_solve, pseudo_summary
+from polarscf.radial import RadialOrbital, inner, kinetic_apply, node_count, u_to_z, z_to_u
 
 
-def test_hole_energy_ladder():
-    # moving the electron up one rung costs 0.375 hartree
-    assert hole_energy(LADDER, 1, 0) == pytest.approx(-0.375, abs=0.0)
-    assert hole_energy(LADDER, 0, 1) == pytest.approx(0.375, abs=0.0)
-    assert hole_energy(LADDER, 2, 2) == 0.0
-
-
-def test_hole_energy_index_errors():
-    with pytest.raises(ParameterError):
-        hole_energy(LADDER, 4, 0)
-    with pytest.raises(ParameterError):
-        hole_energy(LADDER, 0, -1)
-
-
-def test_hole_energy_matrix_structure():
-    M = hole_energy_matrix(LADDER).values
-    assert M.shape == (4, 4)
-    assert np.array_equal(np.diag(M), np.zeros(4))
-    assert np.array_equal(M, -M.T)
-    assert M[1, 0] == pytest.approx(-0.375, abs=0.0)
-
-
-def test_frozen_atom_shift_values(h_run):
-    state, _ = h_run
-    shifts = frozen_atom_shift(state, 0)
-    assert shifts.shape == (1,)
-    assert shifts[0] == 0.0
-
-
-def test_frozen_atom_shift_ladder_signs(li_run):
-    state, _ = li_run
-    shifts = frozen_atom_shift(state, 0)
-    # entry j is eps_0 - eps_j: zero on itself, negative toward the
-    # higher-lying 2s (hole-energy sign convention)
-    assert shifts[0] == 0.0
-    assert shifts[1] == pytest.approx(
-        state.eigenvalues[0] - state.eigenvalues[1], abs=0.0
-    )
-    assert shifts[1] < 0.0
-    # invariant under a global eigenvalue offset
-    shifted = copy.deepcopy(state)
-    shifted.eigenvalues = [e + 3.7 for e in state.eigenvalues]
-    assert np.allclose(frozen_atom_shift(shifted, 0), shifts, atol=1e-12)
-
-
-def test_frozen_atom_shift_preconditions(h_run):
-    state, _ = h_run
-    broken = copy.deepcopy(state)
-    broken.converged = False
-    with pytest.raises(PreconditionError):
-        frozen_atom_shift(broken, 0)
-    with pytest.raises(ParameterError):
-        frozen_atom_shift(state, 5)
-
-
-# ---------------------------------------------------------------------------
-# core projector
-
-
-@pytest.fixture(scope="module")
-def toy_core():
-    g = make_grid(1e-5, 40.0, 400)
-    cores = [
-        RadialOrbital(u=hydrogenic_orbital(2.0, n, 0, g).u, n=n, l=0)
-        for n in (1, 2)
-    ]
-    return g, cores
-
-
-def test_projector_matrix_invariants(toy_core):
-    g, cores = toy_core
-    P = CoreProjector.build(cores, g)
-    assert P.rank == 2
-    M = P.matrix
-    assert np.max(np.abs(M @ M - M)) < 1e-12
-    assert np.max(np.abs(M - M.T)) < 1e-12
-    eigs = np.sort(np.linalg.eigvalsh(M))
-    assert np.sum(eigs > 0.5) == 2  # rank equals the core count
-    assert np.max(np.abs(eigs[-2:] - 1.0)) < 1e-12
-
-
-def test_projector_split_is_orthogonal(toy_core):
-    g, cores = toy_core
-    P = CoreProjector.build(cores, g)
-    psi = RadialOrbital(u=hydrogenic_orbital(2.0, 3, 0, g).u, n=3, l=0)
-    inside, outside = core_project(P, psi)
-    assert np.max(np.abs(inside + outside - psi.u)) < 1e-14
-    for c in cores:
-        assert abs(np.sum(g.weights * c.u * outside)) < 1e-10
-
-
-def test_projector_channel_mismatch(toy_core):
-    g, cores = toy_core
-    P = CoreProjector.build(cores, g)
-    psi = RadialOrbital(u=hydrogenic_orbital(2.0, 2, 1, g).u, n=2, l=1)
-    with pytest.raises(ParameterError):
-        core_project(P, psi)
-
-
-def test_projector_rejects_mixed_channels(toy_core):
-    g, _ = toy_core
-    mixed = [
-        RadialOrbital(u=hydrogenic_orbital(2.0, 1, 0, g).u, n=1, l=0),
-        RadialOrbital(u=hydrogenic_orbital(2.0, 2, 1, g).u, n=2, l=1),
-    ]
-    with pytest.raises(ParameterError):
-        CoreProjector.build(mixed, g)
-
-
-def test_projector_rejects_dependent_cores(toy_core):
-    g, cores = toy_core
-    with pytest.raises(ParameterError):
-        CoreProjector.build([cores[0], cores[0]], g)
-
-
-def test_empty_projector(toy_core):
-    g, _ = toy_core
-    P = CoreProjector.build([], g, l=0)
-    assert P.rank == 0
-    psi = RadialOrbital(u=hydrogenic_orbital(2.0, 1, 0, g).u, n=1, l=0)
-    inside, outside = core_project(P, psi)
-    assert np.array_equal(inside, np.zeros(g.N))
-    assert np.array_equal(outside, psi.u)
-
-
-# ---------------------------------------------------------------------------
-# level-shifted valence solve
+def _outside_span(u, orbitals, g):
+    """The part of u orthogonal to the orbitals' span, in the z = √(h·r)·u metric."""
+    Q = np.linalg.qr(np.column_stack([u_to_z(o.u, g) for o in orbitals]))[0]
+    z = u_to_z(u, g)
+    return z_to_u(z - Q @ (Q.T @ z), g)
 
 
 def test_pk_lithium_invariance(li_run):
@@ -172,7 +33,8 @@ def test_pk_lithium_nodeless(li_run):
     assert node_count(state.orbitals[1].u) == 1
     assert p.core_radius > 0.0  # the all-electron 2s node sits well outside r=0
     g = state.grid
-    assert abs(float(np.sum(g.weights * p.u * p.u)) - 1.0) < 1e-12
+    z = u_to_z(p.u, g)
+    assert abs(float(z @ z) - 1.0) < 1e-12
 
 
 def test_pk_lithium_decomposition(li_run):
@@ -181,9 +43,7 @@ def test_pk_lithium_decomposition(li_run):
     g = state.grid
     p = pk_solve(state, (2, 0))
     assert len(p.core_coefficients) == 1
-    core = CoreProjector.build([state.orbitals[0]], g)
-    pseudo = RadialOrbital(u=p.u, n=2, l=0)
-    inside, outside = core_project(core, pseudo)
+    outside = _outside_span(p.u, [state.orbitals[0]], g)
     recon = outside + p.core_coefficients[0] * state.orbitals[0].u
     assert np.max(np.abs(recon - p.u)) < 1e-8
 
@@ -203,11 +63,10 @@ def test_pk_sodium_two_cores():
     assert len(p.core_coefficients) == 2
     assert abs(p.eigenvalue - p.eigenvalue_allelectron) <= 1e-10
     assert p.node_count == 0
-    span = CoreProjector.build([s_orbitals[n] for n in (3, 1, 2)], g)
-    pseudo = RadialOrbital(u=p.u, n=3, l=0)
-    _, outside = core_project(span, pseudo)
+    outside = _outside_span(p.u, [s_orbitals[n] for n in (3, 1, 2)], g)
     assert np.max(np.abs(outside)) <= 1e-8
     valence = s_orbitals[3]
+    pseudo = RadialOrbital(u=p.u, n=3, l=0)
     kinetic_pk = inner(p.u, kinetic_apply(pseudo, g), g)
     assert kinetic_pk <= inner(valence.u, kinetic_apply(valence, g), g)
 

@@ -7,7 +7,6 @@ from polarscf.errors import ParameterError
 from polarscf.radial import (
     RadialGrid,
     RadialOrbital,
-    dump_orbital_csv,
     hydrogenic_orbital,
     inner,
     integrate,
@@ -28,7 +27,8 @@ def grid():
 
 def test_grid_is_geometric(grid):
     ratios = grid.points[1:] / grid.points[:-1]
-    assert np.max(np.abs(ratios - grid.spacing)) < 1e-13 * grid.spacing
+    spacing = np.exp(grid.log_step)
+    assert np.max(np.abs(ratios - spacing)) < 1e-13 * spacing
     assert grid.N == 2000
     assert grid.r_min == pytest.approx(1e-6)
     assert grid.r_max == pytest.approx(50.0)
@@ -42,25 +42,34 @@ def test_make_grid_validation():
         make_grid(1e-6, 1e-6, 100)
     with pytest.raises(ParameterError):
         make_grid(1e-6, 50.0, 1)
+    with pytest.raises(ParameterError, match="r_min"):
+        make_grid(1e-160, 50.0, 2000)  # 1/(h*r_min)^2 overflows
 
 
 def test_grid_log_step_checked(grid):
-    """z = sqrt(h*r)*u and the kinetic stencil need h = ln(spacing) itself."""
-    for h in (0.0, 2.0 * grid.log_step):
+    """z = sqrt(h*r)*u and the kinetic stencil need h = ln(r_{i+1}/r_i) itself."""
+    for h in (0.0, 2.0 * grid.log_step, float("nan")):
         with pytest.raises(ParameterError, match="log_step"):
-            RadialGrid(grid.points, grid.weights, grid.spacing, log_step=h)
+            RadialGrid(grid.points, log_step=h)
 
 
 def test_quadrature_constant(grid):
-    # includes the inner tail patch, so the target is the full interval
+    """A constant does not vanish at r_max, so the rule h*Σr*f is not built for it.
+
+    It sums to the geometric series h*(r_max*e^h - r_min)/(e^h - 1), which
+    pins the weights to h*r_i at every point, ends included.
+    """
+    h = grid.log_step
+    series = h * (grid.r_max * np.exp(h) - grid.r_min) / np.expm1(h)
     got = integrate(np.ones(grid.N), grid)
-    assert abs(got - 50.0) / 50.0 < 1e-7
+    assert abs(got - series) / series < 1e-7
 
 
 def test_quadrature_exponentials(grid):
+    """Integrands that vanish at both ends: ∫r^k e^{-r} dr = k!."""
     r = grid.points
-    assert abs(integrate(np.exp(-r), grid) - (1.0 - np.exp(-50.0))) < 1e-11
     assert abs(integrate(r * np.exp(-r), grid) - 1.0) < 1e-11
+    assert abs(integrate(r**2 * np.exp(-r), grid) - 2.0) < 1e-11
 
 
 @pytest.mark.parametrize(
@@ -146,15 +155,3 @@ def test_sign_flips_indices():
     u = np.array([0.0, 1.0, 1e-14, -1.0, -2.0, 3.0, 0.0])
     assert sign_flips(u).tolist() == [3, 5]
     assert sign_flips(np.zeros(4)).size == 0
-
-
-def test_dump_orbital_csv(tmp_path, grid):
-    o = hydrogenic_orbital(1.0, 1, 0, grid)
-    path = tmp_path / "orb.csv"
-    dump_orbital_csv(path, o, grid)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "r,u"
-    assert len(lines) == grid.N + 1
-    r0, u0 = lines[1].split(",")
-    assert float(r0) == pytest.approx(grid.points[0])
-    assert float(u0) == pytest.approx(o.u[0])

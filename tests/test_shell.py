@@ -350,11 +350,16 @@ def test_only_hfcore_imports_scipy():
         ["scf", *FAST_SCF, "--trace", str(NO_SUCH_DIR / "t.jsonl")],
         ["spectrum", "--trace", "t.jsonl"],
         ["scf", "tol_energy=1e-8"],
+        ["scf", "r_min=1e-160"],
+        ["qp", "sigma_coefficients=abc"],
+        ["qp", "qp_levels=nan"],
+        ["qp", "qp_levels=inf,0.5"],
     ],
     ids=[
         "no-args", "missing-config", "inf", "nan", "qp-points", "n-max", "l-max",
         "modes-17", "unwritable-out", "unwritable-trace", "trace-without-scf",
-        "tol-energy",
+        "tol-energy", "r-min-overflow", "sigma-coefficients", "qp-levels-nan",
+        "qp-levels-inf",
     ],
 )
 def test_bad_input_exits_3_without_traceback(argv):
