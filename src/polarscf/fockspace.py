@@ -6,10 +6,9 @@ checked by exhausting the full 2^M basis.  Every fermionic sign comes from
 one rule, `_ladder`, applied to whole arrays of masks at once.  That makes
 this module the trusted oracle the rest of the package is tested against.
 
-Canonical slot ordering: spin-orbital slots are numbered 0..M-1,
-orbital-major with spin-up before spin-down, i.e. slot 2*(orb-1) is
-(orb, up) and slot 2*(orb-1)+1 is (orb, down).  All fermionic signs follow
-from this order.
+Slots are numbered 0..M-1, and all fermionic signs follow from this
+order: a ladder operator on slot s picks up one factor -1 per occupied
+slot below s.
 """
 
 import itertools
@@ -22,12 +21,10 @@ from .errors import (
     CapacityError,
     InvalidPermutationError,
     ParameterError,
-    PreconditionError,
 )
 
 RANK_CAP = 8  # antisymmetrize sums over n! permutations
 MODE_CAP = 16  # occupation-number spaces: 2^16 basis masks, each fits in int64
-ATOL = 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -53,32 +50,11 @@ class Permutation:
     def n(self):
         return len(self.images)
 
-    @classmethod
-    def transposition(cls, n, i, j):
-        """The permutation exchanging positions i and j (1-based)."""
-        if not (1 <= i <= n and 1 <= j <= n and i != j):
-            raise ParameterError(f"transposition indices ({i},{j}) invalid for n={n}")
-        imgs = list(range(1, n + 1))
-        imgs[i - 1], imgs[j - 1] = imgs[j - 1], imgs[i - 1]
-        return cls(tuple(imgs))
-
-    def compose(self, other):
-        """self after other: (self∘other)(i) = self(other(i))."""
-        if self.n != other.n:
-            raise ParameterError("cannot compose permutations of different size")
-        return Permutation(tuple(self.images[other.images[i] - 1] for i in range(self.n)))
-
-    def inverse(self):
-        inv = [0] * self.n
-        for pos, img in enumerate(self.images):
-            inv[img - 1] = pos + 1
-        return Permutation(tuple(inv))
-
 
 def parity(p: Permutation) -> int:
     """Sign of a permutation: +1 for even, -1 for odd.
 
-    Counted as (-1)^(number of inversions); multiplicative under compose.
+    Counted as (-1)^(number of inversions); multiplicative under composition.
     """
     imgs = p.images
     inversions = 0
@@ -100,12 +76,6 @@ class AntisymTensor:
     n: int
     dim: int
     amplitudes: np.ndarray
-
-    def norm(self):
-        return float(np.linalg.norm(self.amplitudes.ravel()))
-
-    def max_abs(self):
-        return float(np.max(np.abs(self.amplitudes)))
 
 
 def permute_tensor(amplitudes: np.ndarray, p: Permutation) -> np.ndarray:
@@ -140,49 +110,10 @@ def antisymmetrize(amplitudes: np.ndarray) -> AntisymTensor:
     return AntisymTensor(n=n, dim=t.shape[0], amplitudes=acc)
 
 
-def _worst_swap_violation(t: AntisymTensor):
-    worst = 0.0
-    worst_pair = (1, 2)
-    for i in range(1, t.n + 1):
-        for j in range(i + 1, t.n + 1):
-            swapped = permute_tensor(t.amplitudes, Permutation.transposition(t.n, i, j))
-            dev = float(np.max(np.abs(t.amplitudes + swapped)))
-            if dev > worst:
-                worst, worst_pair = dev, (i, j)
-    return worst, worst_pair
-
-
-def cyclic_residual(t: AntisymTensor, k: int) -> float:
-    """Max-norm residual of the cyclic reinsertion identity at split index k.
-
-    For an antisymmetric tensor the amplitude equals the mean of its n-k
-    reinsertion images with alternating sign:
-        psi = sum_{l=1..n-k} (-1/(n-k)) * psi∘tau_{k,k+l}.
-    The returned value is the max-norm of (psi - that sum); it vanishes
-    identically on antisymmetric input.
-    """
-    if not (1 <= k < t.n):
-        raise ParameterError(f"split index k={k} out of range for n={t.n}")
-    worst, pair = _worst_swap_violation(t)
-    if worst > ATOL * max(1.0, t.max_abs()):
-        raise PreconditionError(
-            f"input not antisymmetric: swapping arguments {pair[0]},{pair[1]} "
-            f"leaves residual {worst:.3e}"
-        )
-    m = t.n - k
-    acc = np.zeros_like(t.amplitudes)
-    for l in range(1, m + 1):
-        p = Permutation.transposition(t.n, k, k + l)
-        acc += (-1.0 / m) * permute_tensor(t.amplitudes, p)
-    return float(np.max(np.abs(t.amplitudes - acc)))
-
-
 def cycle_sum_residual(t: AntisymTensor) -> float:
     """Max-norm of the unsigned sum of psi over all argument permutations.
 
     Transposition pairs cancel on antisymmetric input, so this vanishes.
-    Exposed alongside cyclic_residual as the full-sum variant of the same
-    symmetry check.
     """
     acc = np.zeros_like(t.amplitudes)
     for images in itertools.permutations(range(1, t.n + 1)):
@@ -192,20 +123,6 @@ def cycle_sum_residual(t: AntisymTensor) -> float:
 
 # ---------------------------------------------------------------------------
 # occupation-number states and ladder operators
-
-
-def slot_index(orbital: int, spin: str) -> int:
-    """Canonical slot of (orbital, spin): orbital-major, up before down."""
-    if orbital < 1:
-        raise ParameterError(f"orbital index must be >= 1, got {orbital}")
-    if spin not in ("up", "down"):
-        raise ParameterError(f"spin must be 'up' or 'down', got {spin!r}")
-    return 2 * (orbital - 1) + (0 if spin == "up" else 1)
-
-
-def slot_label(slot: int):
-    """Inverse of slot_index."""
-    return slot // 2 + 1, ("up" if slot % 2 == 0 else "down")
 
 
 @dataclass(frozen=True)
@@ -226,14 +143,6 @@ class OccupationVector:
     def M(self):
         return len(self.bits)
 
-    @property
-    def population(self):
-        return sum(self.bits)
-
-    @classmethod
-    def vacuum(cls, M):
-        return cls((0,) * M)
-
 
 class FockVector:
     """Sparse linear combination of OccupationVector basis states."""
@@ -241,38 +150,9 @@ class FockVector:
     def __init__(self, terms=None):
         self.terms = dict(terms) if terms else {}
 
-    @classmethod
-    def basis_state(cls, occ, amplitude=1.0):
-        if not isinstance(occ, OccupationVector):
-            occ = OccupationVector(tuple(occ))
-        return cls({occ: complex(amplitude)})
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for occ, amp in other.terms.items():
-            out[occ] = out.get(occ, 0.0) + amp
-        return FockVector(out)
-
-    def inner(self, other) -> complex:
-        """<self|other>, conjugate-linear in self."""
-        acc = 0.0 + 0.0j
-        for occ, amp in self.terms.items():
-            if occ in other.terms:
-                acc += np.conj(amp) * other.terms[occ]
-        return complex(acc)
-
-    def norm(self) -> float:
-        return math.sqrt(abs(self.inner(self)))
-
     def pruned(self, tol=0.0):
         """Drop terms with |amplitude| <= tol (exact zeros by default)."""
         return FockVector({o: a for o, a in self.terms.items() if abs(a) > tol})
-
-    def populations(self):
-        return {occ.population for occ in self.pruned().terms}
-
-    def is_zero(self, tol=0.0):
-        return all(abs(a) <= tol for a in self.terms.values())
 
 
 @dataclass(frozen=True)
@@ -287,14 +167,6 @@ class LadderOperator:
             raise ParameterError(f"kind must be create/annihilate, got {self.kind!r}")
         if self.slot < 0:
             raise ParameterError("slot must be nonnegative")
-
-
-def create(slot):
-    return LadderOperator("create", slot)
-
-
-def annihilate(slot):
-    return LadderOperator("annihilate", slot)
 
 
 def _ladder(kind, slot, masks):
@@ -330,14 +202,6 @@ def ladder_apply(op: LadderOperator, v: FockVector) -> FockVector:
             key = OccupationVector(tuple(int(new_mask) >> s & 1 for s in range(occ.M)))
             out[key] = out.get(key, 0.0) + int(sign) * amp
     return FockVector(out).pruned()
-
-
-def product_state(occupied_slots, M) -> FockVector:
-    """a^dag_{s1} ... a^dag_{sk} |0>, applied left to right as listed."""
-    v = FockVector.basis_state(OccupationVector.vacuum(M))
-    for slot in reversed(list(occupied_slots)):
-        v = ladder_apply(create(slot), v)
-    return v
 
 
 # ---------------------------------------------------------------------------
@@ -391,31 +255,3 @@ def anticommutator_table(M: int) -> AnticommutatorTables:
             mixed[i, j] = worst(("annihilate", i), ("create", j), int(i == j))
             same[i, j] = worst(("annihilate", i), ("annihilate", j), 0)
     return AnticommutatorTables(create_annihilate=mixed, annihilate_annihilate=same)
-
-
-# ---------------------------------------------------------------------------
-# hole creation
-
-
-def hole_create(state: FockVector, n: int, spin_config) -> FockVector:
-    """Apply the hole-creation combination [a_(n,down) + a_(n+1,up)].
-
-    `state` is expected to be an (n+1)-electron vector over the canonical
-    slot layout with n = 2k+1 (one unpaired electron); spin_config = (k, n-k)
-    declares the (up, down) electron counts of the target n-electron sector.
-    The two annihilators land in different spin sectors, so the result is a
-    coherent two-term superposition for a filled reference.
-    """
-    k_up, n_down = spin_config
-    if n != 2 * k_up + 1 or k_up + n_down != n:
-        raise ParameterError(
-            f"invalid configuration: n={n} incompatible with spin_config={spin_config!r}"
-        )
-    pops = state.populations()
-    if len(pops) > 1:
-        raise ParameterError(
-            f"invalid configuration: state mixes populations {sorted(pops)}"
-        )
-    down_op = annihilate(slot_index(n, "down"))
-    up_op = annihilate(slot_index(n + 1, "up"))
-    return (ladder_apply(down_op, state) + ladder_apply(up_op, state)).pruned()

@@ -494,9 +494,12 @@ class FockOperator:
         Haynsworth inertia additivity, In(S) + In(K) = In(W⁻¹) + In(F − σ), so
         with S ≻ 0, F − σ ≻ 0 exactly when K has the inertia of W⁻¹: one
         positive and one negative eigenvalue per pin.  Raises
-        np.linalg.LinAlgError when either test fails.  Each solve calls
-        LAPACK's banded triangular solve (pbtrs) on the factor directly,
-        without SciPy's per-call wrapper.
+        np.linalg.LinAlgError when either test fails, and before them when M
+        is not finite: once r^{2L+1} underflows near a tiny r_min, a zero
+        step of c makes C⁻¹ infinite, and the NaN pivots that follow would
+        pass LAPACK's positivity test.  Each solve calls LAPACK's banded
+        triangular solve (pbtrs) on the factor directly, without SciPy's
+        per-call wrapper.
         """
         import scipy.linalg as sla  # loaded on first solve, not on import
 
@@ -505,12 +508,15 @@ class FockOperator:
         ab = np.zeros((s + 1, s * N))  # lower band storage: ab[k, j] = M[j + k, j]
         ab[0, m::s] = self.diag - sigma
         ab[s, m:-1:s] = self.off
-        for k, (gamma, gv, c) in enumerate(self.blocks):
-            inv_d = 1.0 / np.diff(c, prepend=0.0)
-            ab[0, k::s] = inv_d / gamma
-            ab[0, k:-s:s] += inv_d[1:] / gamma
-            ab[s, k:-s:s] = -inv_d[1:] / gamma
-            ab[m - k, k::s] = gv
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            for k, (gamma, gv, c) in enumerate(self.blocks):
+                inv_d = 1.0 / np.diff(c, prepend=0.0)
+                ab[0, k::s] = inv_d / gamma
+                ab[0, k:-s:s] += inv_d[1:] / gamma
+                ab[s, k:-s:s] = -inv_d[1:] / gamma
+                ab[m - k, k::s] = gv
+        if not np.isfinite(ab).all():
+            raise np.linalg.LinAlgError("the banded matrix M has non-finite entries")
         factor = sla.cholesky_banded(ab, overwrite_ab=True, lower=True, check_finite=False)
         (pbtrs,) = sla.get_lapack_funcs(("pbtrs",), (factor,))
 
@@ -669,10 +675,11 @@ def _solve_channel(op: FockOperator, count, z_nuc, eps_low, v0, tol=0.0):
     `FockOperator.shifted_solver` certifies (it succeeds exactly when F − σ
     is positive definite, so σ lies below the whole spectrum) is kept, and
     if none does a ConvergenceError is raised rather than returning
-    eigenpairs that may not be the lowest.  The certified solver is handed
-    to ARPACK as the shift-invert operator and exactly `count` pairs are
-    asked for, starting from v0 (the channel's previous orbitals summed),
-    which keeps runs bit-reproducible.  ARPACK's least work per call is
+    eigenpairs that may not be the lowest; an ARPACK failure raises one
+    too.  The certified solver is handed to ARPACK as the shift-invert
+    operator and exactly `count` pairs are asked for, starting from v0
+    (the channel's previous orbitals summed), which keeps runs
+    bit-reproducible.  ARPACK's least work per call is
     ncv + 1 shift-invert solves, the first Lanczos factorization of its
     Krylov space of ncv vectors, however good v0 is: SciPy's default
     ncv = max(2·count + 1, 20) made every call cost at least 21 solves,
@@ -720,9 +727,12 @@ def _solve_channel(op: FockOperator, count, z_nuc, eps_low, v0, tol=0.0):
     A = spla.LinearOperator((N, N), matvec=op.apply, dtype=float)
     OPinv = spla.LinearOperator((N, N), matvec=shift_invert, dtype=float)
     ncv = min(N, max(KRYLOV_MIN, KRYLOV_PER_PAIR * count))
-    vals, vecs = spla.eigsh(
-        A, k=count, sigma=sigma, which="LM", v0=v0, OPinv=OPinv, tol=tol, ncv=ncv
-    )
+    try:
+        vals, vecs = spla.eigsh(
+            A, k=count, sigma=sigma, which="LM", v0=v0, OPinv=OPinv, tol=tol, ncv=ncv
+        )
+    except spla.ArpackError as exc:
+        raise ConvergenceError(f"ARPACK failed at shift {sigma}: {exc}") from None
     order = np.argsort(vals)
     work = {"shift": float(sigma), "factorizations": tries, "shift_invert_solves": solves}
     return vals[order], vecs[:, order], work

@@ -3,20 +3,18 @@
 Everything here works on small dense matrices (basis dimension a few
 hundred at most).  The pieces chain together: a hermitian single-particle
 matrix yields a free resolvent, a self-energy model dresses it through the
-Dyson equation, the even part of the self-energy's momentum dependence
-gives the mass-operator shift ΔM(k), and ΔM(0) finally feeds the two-level
-pair quantities whose half-splitting is the pairing gap.
+Dyson equation, and the model's shift at k = 0 feeds the two-level pair
+quantities whose half-splitting is the pairing gap.
 
-Sign bookkeeping for the mass operator: the sampled self-energy eigenvalue
-f(k) carries the shift with a minus sign, f(k) = −(ΔM(0) + ΔM(k)) with
-ΔM(0) the k-independent part.  So ΔM(0) = −f(0) and the k-dependent
-remainder is symmetrized explicitly; any odd component is surfaced, never
-silently dropped.
+Sign bookkeeping for the mass operator: the self-energy eigenvalue f(k)
+carries the shift with a minus sign, f(k) = −(ΔM(0) + ΔM(k)) with ΔM(0)
+the k-independent part, so the shift the pair quantities take is
+ΔM(0) = −f(0).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,12 +27,11 @@ from .errors import (
 
 DEFAULT_ETA = 1e-6
 DEFAULT_BORN_TERMS = 30
-DEFAULT_K_SAMPLES = 129
 LIGHT_THRESHOLD = 1e-3
 HEAVY_THRESHOLD = 1.0
 GAP_TOLERANCE = 1e-12
 
-SELF_ENERGY_KINDS = ("zero", "constant_shift", "diagonal_polynomial", "user_matrix")
+SELF_ENERGY_KINDS = ("zero", "constant_shift", "diagonal_polynomial")
 
 
 @dataclass(frozen=True)
@@ -42,10 +39,6 @@ class ProjectorRho:
     """Rank-one density operator |m⟩⟨n| between basis states."""
 
     matrix: np.ndarray
-
-    @property
-    def trace(self) -> complex:
-        return complex(np.trace(self.matrix))
 
 
 def projector(m_state, n_state=None) -> ProjectorRho:
@@ -147,12 +140,12 @@ def dyson_born(g0: GreenValue, sigma, terms: int = DEFAULT_BORN_TERMS) -> GreenV
 
 
 # ---------------------------------------------------------------------------
-# self-energy models and the mass operator
+# self-energy models
 
 
 @dataclass(frozen=True)
 class SelfEnergyModel:
-    """Self-energy Σ in one of four shapes.
+    """Self-energy Σ = f(k)·I in one of three shapes.
 
     kind:
       zero                 no interaction correction
@@ -160,13 +153,11 @@ class SelfEnergyModel:
       diagonal_polynomial  p(k)·I with p given by `coefficients` (powers of
                            k, ascending); odd powers are rejected because a
                            mass operator must be even in k
-      user_matrix          an explicit hermitian matrix, constant in k
     """
 
     kind: str
     shift: float = 0.0
     coefficients: tuple = ()
-    matrix: np.ndarray | None = field(default=None)
 
     def __post_init__(self):
         if self.kind not in SELF_ENERGY_KINDS:
@@ -181,12 +172,6 @@ class SelfEnergyModel:
                     raise ParameterError(
                         f"odd power k^{p} breaks mass-operator evenness"
                     )
-        if self.kind == "user_matrix":
-            if self.matrix is None:
-                raise ParameterError("user_matrix kind needs an explicit matrix")
-            m = np.asarray(self.matrix, dtype=complex)
-            _check_hermitian(m, "user self-energy matrix")
-            object.__setattr__(self, "matrix", m)
 
     def eigenvalue_at(self, k: float) -> float:
         """Scalar eigenvalue branch f(k) of the model."""
@@ -194,90 +179,14 @@ class SelfEnergyModel:
             return 0.0
         if self.kind == "constant_shift":
             return self.shift
-        if self.kind == "diagonal_polynomial":
-            total = 0.0
-            for c in reversed(self.coefficients):
-                total = total * k + c
-            return total
-        return float(np.min(np.linalg.eigvalsh(self.matrix)))
+        total = 0.0
+        for c in reversed(self.coefficients):
+            total = total * k + c
+        return total
 
     def matrix_at(self, dim: int, k: float = 0.0) -> np.ndarray:
         """Dense Σ for a basis of the given dimension."""
-        if self.kind == "user_matrix":
-            if self.matrix.shape[0] != dim:
-                raise ShapeError(
-                    f"user matrix is {self.matrix.shape[0]}-dimensional, "
-                    f"basis is {dim}"
-                )
-            return self.matrix
-        if self.kind == "zero":
-            return np.zeros((dim, dim), dtype=complex)
         return self.eigenvalue_at(k) * np.eye(dim, dtype=complex)
-
-
-DEFAULT_K_GRID = np.linspace(-2.0, 2.0, DEFAULT_K_SAMPLES)
-
-
-@dataclass(frozen=True)
-class MassOperatorResult:
-    """k-resolved mass-operator shift split into ΔM(0) and even remainder."""
-
-    delta_m0: float
-    k_samples: np.ndarray
-    delta_m: np.ndarray
-    asymmetry: float
-    curvature: float
-
-
-def _symmetric_grid(k_samples):
-    k = np.asarray(k_samples, dtype=float)
-    if k.ndim != 1 or k.size < 3 or k.size % 2 == 0:
-        raise ParameterError("k grid must be a 1-d array of odd length >= 3")
-    if np.any(np.diff(k) <= 0):
-        raise ParameterError("k grid must be strictly increasing")
-    if np.max(np.abs(k + k[::-1])) > 1e-12:
-        raise ParameterError("k grid must be symmetric about k = 0")
-    return k
-
-
-def mass_operator_eigen(sigma, k_samples=None) -> MassOperatorResult:
-    """Extract ΔM(0) and the even shift ΔM(k) from a self-energy branch.
-
-    `sigma` is either a SelfEnergyModel or a pre-diagonalized sequence of
-    eigenvalue samples f(k_i) aligned with the grid.  The samples stand for
-    −(ΔM(0) + ΔM(k)); the remainder after removing −f(0) is forced even by
-    symmetrization, and for user-supplied samples an odd part beyond 1e-8
-    is an error rather than something to paper over.
-    """
-    k = _symmetric_grid(DEFAULT_K_GRID if k_samples is None else k_samples)
-    user_samples = not isinstance(sigma, SelfEnergyModel)
-    if user_samples:
-        f = np.asarray(sigma, dtype=float)
-        if f.shape != k.shape:
-            raise ShapeError("self-energy samples do not line up with the k grid")
-    else:
-        f = np.array([sigma.eigenvalue_at(ki) for ki in k])
-
-    mid = k.size // 2
-    delta_m0 = -f[mid]
-    remainder = -f - delta_m0
-    delta_m = 0.5 * (remainder + remainder[::-1])
-    asymmetry = 0.5 * float(np.max(np.abs(remainder - remainder[::-1])))
-    if user_samples and asymmetry > 1e-8:
-        raise SymmetryViolationError(
-            f"self-energy samples have odd component {asymmetry:.3e} "
-            "(> 1e-8); a mass operator must be even in k",
-            asymmetry=asymmetry,
-        )
-    dk = k[mid + 1] - k[mid]
-    curvature = float(delta_m[mid + 1] - 2.0 * delta_m[mid] + delta_m[mid - 1]) / dk**2
-    return MassOperatorResult(
-        delta_m0=float(delta_m0),
-        k_samples=k,
-        delta_m=delta_m,
-        asymmetry=asymmetry,
-        curvature=curvature,
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -82,7 +82,10 @@ def make_grid(r_min: float, r_max: float, N: int) -> RadialGrid:
         raise ParameterError(f"need 0 < r_min < r_max, got ({r_min}, {r_max})")
     if N < 2:
         raise ParameterError(f"need N >= 2 grid points, got {N}")
-    h = math.log(r_max / r_min) / (N - 1)
+    ratio = r_max / r_min
+    if not math.isfinite(ratio):
+        raise ParameterError(f"r_max/r_min overflows for ({r_min}, {r_max})")
+    h = math.log(ratio) / (N - 1)
     r = r_min * np.exp(h * np.arange(N))
     r[-1] = r_max  # exact endpoint
     return RadialGrid(points=r, log_step=h)

@@ -4,8 +4,7 @@ The energy of a spin-1 particle of mass m bound in a Coulomb field, with
 coupling γ = Zα, expands in even powers of γ around the rest-plus-binding
 value.  Each order is kept as a separate term so the composition of the
 level — rest energy, Balmer term, fine structure, and the γ⁶ correction —
-stays inspectable, and so a comparison against the plain hydrogenic series
-can isolate exactly the relativistic part.
+stays inspectable.
 
 Levels are labeled by the principal number n and an integer k that encodes
 the angular momentum coupling; k = 0 never occurs (the formulas divide by
@@ -64,33 +63,6 @@ def boson_energy(p: SpectrumParams) -> SpectrumBreakdown:
     total = leading + term2 + term4 + term6
     return SpectrumBreakdown(
         leading=leading, term2=term2, term4=term4, term6=term6, total=total
-    )
-
-
-@dataclass(frozen=True)
-class HydrogenicComparison:
-    """Boson binding against the nonrelativistic hydrogenic Balmer term."""
-
-    binding_boson: float
-    binding_hydrogenic: float
-    difference: float
-    leading_coefficient: float
-
-
-def compare_hydrogenic(p: SpectrumParams) -> HydrogenicComparison:
-    """Relativistic excess of the boson binding over the Balmer series.
-
-    The difference starts at order γ⁴; its coefficient −m/(8n³)(4/|k| − 3/n)
-    is reported alongside so small-γ behavior can be checked directly.
-    """
-    b = boson_energy(p)
-    binding_boson = b.term2 + b.term4 + b.term6
-    binding_hydrogenic = b.term2
-    return HydrogenicComparison(
-        binding_boson=binding_boson,
-        binding_hydrogenic=binding_hydrogenic,
-        difference=binding_boson - binding_hydrogenic,
-        leading_coefficient=-p.m / (8.0 * p.n**3) * (4.0 / abs(p.k) - 3.0 / p.n),
     )
 
 

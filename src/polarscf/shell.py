@@ -281,19 +281,10 @@ def _run_pseudo(cfg: RunConfig, trace) -> str:
     return canonical_json(doc) + "\n"
 
 
-def _sigma_model(cfg: RunConfig):
-    from .quasiparticle import SelfEnergyModel
-
-    if cfg.sigma_kind == "user_matrix":
-        raise ConfigError("sigma_kind=user_matrix is library-only; no file syntax")
-    coeffs = tuple(_numbers(cfg, "sigma_coefficients"))
-    return SelfEnergyModel(kind=cfg.sigma_kind, shift=cfg.sigma_shift, coefficients=coeffs)
-
-
 def _run_qp(cfg: RunConfig) -> str:
     import numpy as np
 
-    from .quasiparticle import mass_operator_eigen, pair_quantities
+    from .quasiparticle import SelfEnergyModel, pair_quantities
 
     levels = _numbers(cfg, "qp_levels")
     if not levels:
@@ -301,14 +292,19 @@ def _run_qp(cfg: RunConfig) -> str:
     if cfg.qp_e_points < 1:
         raise ConfigError(f"qp_e_points must be >= 1, got {cfg.qp_e_points}")
     h = np.diag(levels)
-    model = _sigma_model(cfg)
+    model = SelfEnergyModel(
+        kind=cfg.sigma_kind,
+        shift=cfg.sigma_shift,
+        coefficients=tuple(_numbers(cfg, "sigma_coefficients")),
+    )
     sigma = None
     if model.kind != "zero":
         sigma = model.matrix_at(h.shape[0], k=0.0)
     energies = np.linspace(cfg.qp_e_min, cfg.qp_e_max, cfg.qp_e_points)
     trace_imag, poles = _shell.resolvent_sweep(h, energies, eta=cfg.qp_eta, sigma=sigma)
-    mo = mass_operator_eigen(model)
-    pq = pair_quantities(mo.delta_m0, cfg.pair_epsilon0, cfg.n_quanta, cfg.pair_constant)
+    # the self-energy branch is f(k) = −(ΔM(0) + ΔM(k)), so ΔM(0) = −f(0)
+    delta_m0 = -model.eigenvalue_at(0.0)
+    pq = pair_quantities(delta_m0, cfg.pair_epsilon0, cfg.n_quanta, cfg.pair_constant)
 
     lines = [_config_comments(cfg)]
     lines.append(f"# delta_m0={_fmt(pq.delta_m0)}\n")

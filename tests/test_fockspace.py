@@ -7,31 +7,38 @@ import numpy as np
 import pytest
 
 from polarscf import fockspace
-from polarscf.errors import (
-    CapacityError,
-    InvalidPermutationError,
-    ParameterError,
-    PreconditionError,
-)
+from polarscf.errors import CapacityError, InvalidPermutationError, ParameterError
 from polarscf.fockspace import (
-    AntisymTensor,
     FockVector,
+    LadderOperator,
     OccupationVector,
     Permutation,
-    annihilate,
     anticommutator_table,
     antisymmetrize,
-    create,
     cycle_sum_residual,
-    cyclic_residual,
-    hole_create,
     ladder_apply,
     parity,
     permute_tensor,
-    product_state,
-    slot_index,
-    slot_label,
 )
+
+
+def create(slot):
+    return LadderOperator("create", slot)
+
+
+def annihilate(slot):
+    return LadderOperator("annihilate", slot)
+
+
+def basis_state(bits):
+    return FockVector({OccupationVector(bits): 1.0})
+
+
+def transposition(n, i, j):
+    """The permutation of 1..n exchanging positions i and j."""
+    images = list(range(1, n + 1))
+    images[i - 1], images[j - 1] = j, i
+    return Permutation(tuple(images))
 
 
 def cycle_parity(images):
@@ -75,8 +82,10 @@ def test_parity_multiplicative():
     for _ in range(50):
         a = Permutation(tuple(rng.permutation(5) + 1))
         b = Permutation(tuple(rng.permutation(5) + 1))
-        assert parity(a.compose(b)) == parity(a) * parity(b)
-        assert parity(a.inverse()) == parity(a)
+        a_after_b = Permutation(tuple(a.images[i - 1] for i in b.images))
+        a_inverse = Permutation(tuple(np.argsort(a.images) + 1))
+        assert parity(a_after_b) == parity(a) * parity(b)
+        assert parity(a_inverse) == parity(a)
 
 
 def test_invalid_permutation_rejected():
@@ -92,7 +101,7 @@ def test_antisymmetrize_swap_antisymmetry():
     rng = np.random.default_rng(3)
     t = antisymmetrize(rng.standard_normal((5, 5, 5)))
     for i, j in itertools.combinations(range(1, 4), 2):
-        swapped = permute_tensor(t.amplitudes, Permutation.transposition(3, i, j))
+        swapped = permute_tensor(t.amplitudes, transposition(3, i, j))
         assert np.allclose(swapped, -t.amplitudes, rtol=0.0, atol=1e-14)
 
 
@@ -101,7 +110,7 @@ def test_antisymmetrize_idempotent_direction():
     rng = np.random.default_rng(4)
     t = antisymmetrize(rng.standard_normal((4, 4, 4, 4)))
     again = antisymmetrize(t.amplitudes)
-    assert np.allclose(again.amplitudes, t.amplitudes / t.norm(), atol=1e-14)
+    assert np.allclose(again.amplitudes, t.amplitudes / np.linalg.norm(t.amplitudes), atol=1e-14)
 
 
 @pytest.mark.parametrize("n, dim", [(2, 4), (2, 5), (3, 4), (3, 5), (4, 4), (4, 5)])
@@ -109,66 +118,38 @@ def test_cyclic_residual_vanishes(n, dim):
     rng = np.random.default_rng(100 * n + dim)
     for trial in range(5):
         t = antisymmetrize(rng.standard_normal((dim,) * n))
-        for k in range(1, n):
-            assert cyclic_residual(t, k) < 1e-12
         assert cycle_sum_residual(t) < 1e-12
-
-
-def test_cyclic_residual_rejects_non_antisymmetric():
-    sym = np.ones((4, 4))
-    t = AntisymTensor(n=2, dim=4, amplitudes=sym)
-    with pytest.raises(PreconditionError):
-        cyclic_residual(t, 1)
-
-
-def test_cyclic_residual_split_range():
-    rng = np.random.default_rng(9)
-    t = antisymmetrize(rng.standard_normal((4, 4, 4)))
-    with pytest.raises(ParameterError):
-        cyclic_residual(t, 0)
-    with pytest.raises(ParameterError):
-        cyclic_residual(t, 3)
 
 
 # ---------------------------------------------------------------------------
 # ladder operators
 
 
-def test_slot_layout():
-    assert slot_index(1, "up") == 0
-    assert slot_index(1, "down") == 1
-    assert slot_index(3, "down") == 5
-    assert slot_label(6) == (4, "up")
-    with pytest.raises(ParameterError):
-        slot_index(0, "up")
-    with pytest.raises(ParameterError):
-        slot_index(1, "sideways")
-
-
 def test_ladder_sign_convention():
     # |0110> : annihilating slot 2 crosses one occupied slot -> sign -1
-    v = FockVector.basis_state((0, 1, 1, 0))
+    v = basis_state((0, 1, 1, 0))
     out = ladder_apply(annihilate(2), v)
     assert out.terms == {OccupationVector((0, 1, 0, 0)): -1.0}
     # creating on slot 0 crosses nothing
     out = ladder_apply(create(0), v)
     assert out.terms == {OccupationVector((1, 1, 1, 0)): 1.0}
     # double creation on an occupied slot kills the term
-    assert ladder_apply(create(1), v).is_zero()
-    assert ladder_apply(annihilate(0), v).is_zero()
+    assert ladder_apply(create(1), v).terms == {}
+    assert ladder_apply(annihilate(0), v).terms == {}
 
 
 def test_nilpotency():
-    v = FockVector.basis_state((0, 0, 1, 0))
-    assert ladder_apply(create(1), ladder_apply(create(1), v)).is_zero()
-    assert ladder_apply(annihilate(2), ladder_apply(annihilate(2), v)).is_zero()
+    v = basis_state((0, 0, 1, 0))
+    assert ladder_apply(create(1), ladder_apply(create(1), v)).terms == {}
+    assert ladder_apply(annihilate(2), ladder_apply(annihilate(2), v)).terms == {}
 
 
 def test_product_state_ordering():
-    # a+_0 a+_2 |0> has positive amplitude; swapping the list flips the sign
-    v = product_state([0, 2], 4)
+    # a+_0 a+_2 |0> has positive amplitude; swapping the order flips the sign
+    vacuum = basis_state((0, 0, 0, 0))
+    v = ladder_apply(create(0), ladder_apply(create(2), vacuum))
     assert v.terms == {OccupationVector((1, 0, 1, 0)): 1.0}
-    w = product_state([2, 0], 4)
+    w = ladder_apply(create(2), ladder_apply(create(0), vacuum))
     assert w.terms == {OccupationVector((1, 0, 1, 0)): -1.0}
 
 
@@ -189,7 +170,7 @@ def test_ladder_matches_jordan_wigner():
         for op, matrix in ((annihilate(s), a), (create(s), a.T)):
             for bits in itertools.product((0, 1), repeat=M):
                 column = np.zeros(2**M, dtype=complex)
-                for occ, amp in ladder_apply(op, FockVector.basis_state(bits)).terms.items():
+                for occ, amp in ladder_apply(op, basis_state(bits)).terms.items():
                     column[index(occ.bits)] += amp
                 assert np.array_equal(column, matrix[:, index(bits)]), (op, bits)
 
@@ -220,46 +201,3 @@ def test_anticommutator_capacity():
         OccupationVector((0,) * 17)
     with pytest.raises(ParameterError):
         anticommutator_table(0)
-
-
-def test_basis_state_accepts_raw_bits():
-    v = FockVector.basis_state((1, 0, 1))
-    assert v.populations() == {2}
-
-
-# ---------------------------------------------------------------------------
-# hole creation
-
-
-def test_hole_create_reference():
-    """Four-electron reference, one hole: coherent two-term result.
-
-    Reference occupies slots (1,up), (2,down), (3,down), (4,up).  Removing
-    (3,down) crosses two occupied slots (+), removing (4,up) crosses
-    three (-).
-    """
-    ref = product_state([0, 3, 5, 6], 8)
-    out = hole_create(ref, 3, (1, 2))
-    expect = {
-        OccupationVector((1, 0, 0, 1, 0, 0, 1, 0)): 1.0,
-        OccupationVector((1, 0, 0, 1, 0, 1, 0, 0)): -1.0,
-    }
-    assert out.terms == expect
-    assert out.populations() == {3}
-
-
-def test_hole_create_validates_configuration():
-    ref = product_state([0, 3, 5, 6], 8)
-    with pytest.raises(ParameterError):
-        hole_create(ref, 4, (1, 2))  # n must be 2k+1
-    with pytest.raises(ParameterError):
-        hole_create(ref, 3, (1, 1))  # counts must add to n
-    mixed = ref + product_state([0], 8)
-    with pytest.raises(ParameterError):
-        hole_create(mixed, 3, (1, 2))
-
-
-def test_hole_create_norm():
-    ref = product_state([0, 3, 5, 6], 8)
-    out = hole_create(ref, 3, (1, 2))
-    assert out.norm() == pytest.approx(np.sqrt(2.0), abs=0.0)

@@ -1,6 +1,7 @@
 """Mean-field machinery: coupling weights, potentials, exchange, SCF."""
 
 import copy
+import warnings
 from dataclasses import replace
 from fractions import Fraction
 
@@ -780,6 +781,37 @@ def test_solve_channel_refuses_indefinite_capacitance(li_channel):
         strong.shifted_solver(sigma)
     with pytest.raises(ConvergenceError):
         _solve_channel(strong, 2, 3.0, ref_vals[0], v0)
+
+
+def test_solve_channel_refuses_non_finite_block(li_channel):
+    """A zero step in an exchange block's c makes M infinite; no shift is certified.
+
+    With r^{2L+1} underflowing to 0 at a tiny r_min, C⁻¹ has 1/0 on its
+    diagonal, and the banded Cholesky would pass the NaN pivots it makes.
+    """
+    op, _, v0, ref_vals, _ = li_channel
+    gamma, gv, c = op.blocks[0]
+    flat = c.copy()
+    flat[1] = flat[0]
+    broken = replace(op, blocks=((gamma, gv, flat),) + op.blocks[1:])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no NumPy warning on the way
+        with pytest.raises(np.linalg.LinAlgError, match="non-finite"):
+            broken.shifted_solver(-(0.5 * 3.0**2 + 2.0))
+        with pytest.raises(ConvergenceError, match="no certified shift"):
+            _solve_channel(broken, 2, 3.0, ref_vals[0], v0)
+
+
+def test_solve_channel_reports_arpack_failure(li_channel, monkeypatch):
+    import scipy.sparse.linalg as spla
+
+    def failing_eigsh(*args, **kwargs):
+        raise spla.ArpackError(-9999)
+
+    monkeypatch.setattr(spla, "eigsh", failing_eigsh)
+    op, _, v0, ref_vals, _ = li_channel
+    with pytest.raises(ConvergenceError, match="ARPACK"):
+        _solve_channel(op, 2, 3.0, ref_vals[0], v0)
 
 
 def test_state_keeps_iteration_trace(h_run):

@@ -1,4 +1,4 @@
-"""Projectors, resolvents, mass-operator shifts, and pair quantities."""
+"""Projectors, resolvents, self-energy models, and pair quantities."""
 
 import numpy as np
 import pytest
@@ -10,13 +10,11 @@ from polarscf.errors import (
     SymmetryViolationError,
 )
 from polarscf.quasiparticle import (
-    DEFAULT_K_GRID,
     GreenValue,
     SelfEnergyModel,
     dyson_born,
     dyson_solve,
     green0,
-    mass_operator_eigen,
     pair_quantities,
     projector,
     resolvent_sweep,
@@ -152,7 +150,7 @@ def test_born_truncation_error_shrinks():
 
 
 # ---------------------------------------------------------------------------
-# self-energy models and the mass operator
+# self-energy models
 
 
 def test_self_energy_kinds():
@@ -166,65 +164,22 @@ def test_self_energy_kinds():
         SelfEnergyModel("diagonal_polynomial", coefficients=(0.0, 1.0))  # odd power
     with pytest.raises(ParameterError):
         SelfEnergyModel("user_matrix")
-    with pytest.raises(SymmetryViolationError):
-        SelfEnergyModel("user_matrix", matrix=np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
 def test_self_energy_matrix_rendering():
     m = SelfEnergyModel("constant_shift", shift=0.25).matrix_at(3)
     assert np.array_equal(m, 0.25 * np.eye(3))
-    user = SelfEnergyModel("user_matrix", matrix=np.eye(2))
-    with pytest.raises(ShapeError):
-        user.matrix_at(3)
 
 
 def test_mass_operator_worked_example():
-    """f(k) = -(0.3 + 0.01 k^2): the parts separate exactly."""
+    """f(k) = -(0.3 + 0.01 k^2): ΔM(0) = -f(0) and ΔM(k) separate exactly."""
     model = SelfEnergyModel("diagonal_polynomial", coefficients=(-0.3, 0.0, -0.01))
-    mo = mass_operator_eigen(model)
-    assert mo.delta_m0 == pytest.approx(0.3, abs=1e-15)
-    assert np.max(np.abs(mo.delta_m - 0.01 * mo.k_samples**2)) < 1e-14
-    assert mo.asymmetry < 1e-14
-    assert np.array_equal(mo.k_samples, DEFAULT_K_GRID)
-    assert mo.k_samples.size == 129
-
-
-def test_mass_operator_curvature_matches_finite_difference():
-    # the default grid step 0.03125 biases the quartic by 2*a4*h^2 ~ 4e-6,
-    # so sample densely here and compare against an independent step
-    model = SelfEnergyModel("diagonal_polynomial", coefficients=(-0.1, 0.0, -0.04, 0.0, -0.002))
-    mo = mass_operator_eigen(model, k_samples=np.linspace(-0.5, 0.5, 501))
-    dk = 1e-3
-    f = lambda k: -model.eigenvalue_at(k) - mo.delta_m0
-    fd = (f(dk) - 2.0 * f(0.0) + f(-dk)) / dk**2
-    assert abs(mo.curvature - fd) < 1e-6
-    assert abs(mo.curvature - 0.08) < 1e-6
-
-
-def test_mass_operator_user_samples_even():
-    k = np.linspace(-1.0, 1.0, 41)
-    f = -(0.2 + 0.05 * k**2)
-    mo = mass_operator_eigen(f, k)
-    assert mo.delta_m0 == pytest.approx(0.2, abs=1e-15)
-    assert np.max(np.abs(mo.delta_m - 0.05 * k**2)) < 1e-14
-
-
-def test_mass_operator_surfaces_asymmetry():
-    k = np.linspace(-1.0, 1.0, 41)
-    f = -(0.2 + 0.05 * k**2 + 1e-6 * k)
-    with pytest.raises(SymmetryViolationError) as err:
-        mass_operator_eigen(f, k)
-    assert err.value.asymmetry == pytest.approx(1e-6, rel=1e-6)
-
-
-def test_mass_operator_grid_validation():
-    model = SelfEnergyModel("zero")
-    with pytest.raises(ParameterError):
-        mass_operator_eigen(model, np.array([0.0, 1.0]))  # not symmetric
-    with pytest.raises(ParameterError):
-        mass_operator_eigen(model, np.array([-1.0, 0.0, 0.5]))
-    with pytest.raises(ShapeError):
-        mass_operator_eigen(np.zeros(5), np.linspace(-1, 1, 7))
+    delta_m0 = -model.eigenvalue_at(0.0)
+    assert delta_m0 == pytest.approx(0.3, abs=1e-15)
+    k = np.linspace(-2.0, 2.0, 129)
+    delta_m = -np.array([model.eigenvalue_at(ki) for ki in k]) - delta_m0
+    assert np.max(np.abs(delta_m - 0.01 * k**2)) < 1e-14
+    assert 0.5 * np.max(np.abs(delta_m - delta_m[::-1])) < 1e-14  # even in k
 
 
 # ---------------------------------------------------------------------------

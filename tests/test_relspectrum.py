@@ -10,7 +10,6 @@ from polarscf.relspectrum import (
     FINE_STRUCTURE_ALPHA,
     SpectrumParams,
     boson_energy,
-    compare_hydrogenic,
     k_values_for_l,
 )
 
@@ -94,18 +93,19 @@ def test_term_hierarchy(gamma):
 
 
 def test_hydrogenic_comparison_small_coupling():
-    """difference/gamma^4 approaches the reported leading coefficient."""
-    c = compare_hydrogenic(SpectrumParams(1.0, 1e-4, 1, 1))
-    assert c.leading_coefficient == -0.125
-    assert c.difference / 1e-4**4 == pytest.approx(-0.125, rel=1e-6)
-    assert c.binding_hydrogenic == pytest.approx(-0.5 * 1e-8, rel=1e-12)
+    """The excess over the Balmer term, over gamma^4, approaches -m/(8n^3)(4/|k| - 3/n)."""
+    b = boson_energy(SpectrumParams(1.0, 1e-4, 1, 1))
+    excess = (b.term2 + b.term4 + b.term6) - b.term2
+    assert excess / 1e-4**4 == pytest.approx(-0.125, rel=1e-6)
+    assert b.term2 == pytest.approx(-0.5 * 1e-8, rel=1e-12)
 
 
 def test_hydrogenic_comparison_moderate_coupling():
     # at gamma = 0.01 the gamma^6 part is already visible at 1e-4 relative
     g = 0.01
-    c = compare_hydrogenic(SpectrumParams(1.0, g, 1, 1))
-    assert c.difference / g**4 == pytest.approx(-0.125 * (1.0 - g**2), rel=1e-9)
+    b = boson_energy(SpectrumParams(1.0, g, 1, 1))
+    excess = (b.term2 + b.term4 + b.term6) - b.term2
+    assert excess / g**4 == pytest.approx(-0.125 * (1.0 - g**2), rel=1e-9)
 
 
 @pytest.mark.parametrize(
@@ -118,8 +118,10 @@ def test_hydrogenic_comparison_moderate_coupling():
     ],
 )
 def test_leading_coefficient_table(n, k, coeff):
-    c = compare_hydrogenic(SpectrumParams(1.0, 0.05, n, k))
-    assert c.leading_coefficient == pytest.approx(float(coeff), rel=1e-15)
+    """The γ⁴ term over γ⁴ is the coefficient −m/(8n³)(4/|k| − 3/n)."""
+    gamma = 0.05
+    b = boson_energy(SpectrumParams(1.0, gamma, n, k))
+    assert b.term4 / gamma**4 == pytest.approx(float(coeff), rel=1e-15)
 
 
 def test_k_labels():

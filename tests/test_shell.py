@@ -4,6 +4,7 @@ import ast
 import json
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -165,6 +166,12 @@ def test_qp_csv_shape():
     poles = [row.split(",")[2] for row in body if row.split(",")[2]]
     # both shifted levels sit on the sampled grid
     assert np.allclose([float(p) for p in poles], [-1.0, 0.5], atol=1e-9)
+    # a polynomial branch f(k) = c0 + c2 k^2 + c4 k^4 gives delta_m0 = -f(0) = -c0,
+    # here 0.3 printed to 17 significant digits
+    poly = replace(
+        cfg, sigma_kind="diagonal_polynomial", sigma_coefficients="-0.3,0,-0.01,0,0.002"
+    )
+    assert "# delta_m0=0.29999999999999999" in run_command(poly).splitlines()
 
 
 def test_spectrum_csv_rows():
@@ -241,7 +248,7 @@ def test_trace_side_channel(tmp_path):
     assert list(rows[0]["shift"]) == ["0"]
 
 
-def test_trace_side_channel_pseudo_and_nonconvergence(tmp_path):
+def test_trace_side_channel_pseudo_and_nonconvergence(tmp_path, capsys):
     trace = tmp_path / "t.jsonl"
     assert main(["pseudo", *FAST_SCF, "valence=1s", "--trace", str(trace), "--out",
                  str(tmp_path / "p.json")]) == 0
@@ -249,6 +256,14 @@ def test_trace_side_channel_pseudo_and_nonconvergence(tmp_path):
     argv = ["scf", "z=2.0", "shells=1s:2", "n_points=500", "r_max=40.0", "max_iter=2"]
     assert main([*argv, "--trace", str(trace)]) == 2
     assert len(trace.read_text().splitlines()) == 2
+    # at r_min=1e-80, r^5 underflows to 0 in the p channel's L=2 exchange block,
+    # so no shift is certified in iteration 1: exit 2 with an (empty) trace
+    capsys.readouterr()
+    ne = tmp_path / "ne.jsonl"
+    argv = ["scf", "z=10", "shells=1s:2,2s:2,2p:6", "r_min=1e-80", "n_points=400"]
+    assert main([*argv, "--trace", str(ne)]) == 2
+    assert capsys.readouterr().err.startswith("polar-scf: not converged")
+    assert ne.read_text() == ""
 
 
 MODULE_PROBE = """
@@ -354,12 +369,14 @@ def test_only_hfcore_imports_scipy():
         ["qp", "sigma_coefficients=abc"],
         ["qp", "qp_levels=nan"],
         ["qp", "qp_levels=inf,0.5"],
+        ["scf", "r_min=1e-300", "r_max=1e300", "n_points=2"],
+        ["qp", "sigma_kind=user_matrix"],
     ],
     ids=[
         "no-args", "missing-config", "inf", "nan", "qp-points", "n-max", "l-max",
         "modes-17", "unwritable-out", "unwritable-trace", "trace-without-scf",
         "tol-energy", "r-min-overflow", "sigma-coefficients", "qp-levels-nan",
-        "qp-levels-inf",
+        "qp-levels-inf", "mesh-ratio-overflow", "sigma-user-matrix",
     ],
 )
 def test_bad_input_exits_3_without_traceback(argv):
