@@ -25,10 +25,6 @@ class PreconditionError(PolarSCFError):
     """A documented precondition on the input state was violated."""
 
 
-class ConsistencyError(PolarSCFError):
-    """Cached derived data no longer matches its source objects."""
-
-
 class DomainError(PolarSCFError, ValueError):
     """A physical/mathematical domain restriction was violated (CLI exit 3)."""
 

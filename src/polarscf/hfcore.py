@@ -33,7 +33,8 @@ The moving parts are:
   per-iteration trace (with ARPACK's tolerance, the shifts, the
   eigensolver's factorizations and solves, and the phase wall times) is
   kept on the returned state next to the last snapshot, from which any
-  channel's operator is built once, and
+  channel's operator is built once; the returned state is read-only, so
+  those operators always belong to its orbitals, and
 * trace bookkeeping that confronts the eigenvalue sum with the quadratic
   form of the same converged operator.
 
@@ -47,7 +48,6 @@ cancel at the operator level, not just in expectation values.
 from __future__ import annotations
 
 import functools
-import hashlib
 import math
 import numbers
 import time
@@ -59,7 +59,6 @@ import numpy as np
 from . import DEFAULT_MAX_ITER, DEFAULT_N_POINTS, DEFAULT_R_MAX, DEFAULT_TOL_ORBITAL
 from .errors import (
     CapacityError,
-    ConsistencyError,
     ConvergenceError,
     ParameterError,
     PreconditionError,
@@ -180,8 +179,8 @@ class AtomConfig:
     scf: SCFParams = SCFParams()
 
     def __post_init__(self):
-        if self.z <= 0:
-            raise ParameterError(f"nuclear charge must be positive, got {self.z}")
+        if not 0 < self.z < math.inf:
+            raise ParameterError(f"nuclear charge must be positive and finite, got {self.z}")
         if not self.shells:
             raise ParameterError("at least one occupied shell is required")
         shells = tuple(
@@ -193,10 +192,6 @@ class AtomConfig:
             if (s.n, s.l) in seen:
                 raise ParameterError(f"shell {s.label} listed twice")
             seen.add((s.n, s.l))
-
-    @property
-    def electron_count(self) -> int:
-        return sum(s.occupation for s in self.shells)
 
     def resolved_grid(self) -> RadialGrid:
         r_min = self.grid.r_min if self.grid.r_min is not None else 1e-6 / self.z
@@ -561,9 +556,9 @@ def _fock_operator(l, z_nuc, orbitals, field, g: RadialGrid) -> FockOperator:
 # SCF state
 
 
-@dataclass
+@dataclass(frozen=True)
 class SCFState:
-    """Converged (or abandoned) mean-field solution.
+    """Converged (or abandoned) mean-field solution; the returned state is read-only.
 
     `orbitals` and `eigenvalues` follow the shells of `config`, which the
     solve put in (l, n) order: they are the eigenpairs the last iteration
@@ -572,18 +567,22 @@ class SCFState:
     within each channel and within `tol_orbital` of `orbitals` once the solve
     converged.  Every channel's operator, occupied or not, is built from it
     once and kept in `_operators`; the occupied channels' entries are the
-    operators the eigensolver diagonalized.  `_token` fingerprints the
-    orbitals and the snapshot, so that edits made after the solve are caught
-    on every `channel_operator` call.  `trace` has one row per iteration, the
-    same rows a ConvergenceError carries: energy, changes, ARPACK's
-    tolerance, the shift per channel, the eigensolver's factorizations and
-    shift-invert solves summed over channels, and the wall time of each
-    phase (field, operator build, eigensolve, energy).
+    operators the eigensolver diagonalized.  The state cannot be edited, so
+    those operators always belong to its orbitals: no field can be
+    reassigned, `orbitals` and `eigenvalues` are tuples, every array it holds
+    (the orbitals' and the snapshot orbitals' `u`, the snapshot field and the
+    mesh points of `make_grid`) refuses writes, and a deep copy is the state
+    itself.  `dataclasses.replace` gives a new state with an empty
+    cache.  `trace` has one row per iteration, the same rows a
+    ConvergenceError carries: energy, changes, ARPACK's tolerance, the shift
+    per channel, the eigensolver's factorizations and shift-invert solves
+    summed over channels, and the wall time of each phase (field, operator
+    build, eigensolve, energy).
     """
 
     z: float
-    orbitals: list
-    eigenvalues: list
+    orbitals: tuple
+    eigenvalues: tuple
     total_energy: float
     converged: bool
     iterations: int
@@ -591,12 +590,13 @@ class SCFState:
     config: AtomConfig
     trace: list = field(default_factory=list, repr=False)
     _snapshot: tuple = field(default=(), repr=False)
-    _token: str = field(default="", repr=False)
     _operators: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def __deepcopy__(self, memo):
+        return self
 
     def channel_operator(self, l: int) -> FockOperator:
         """The z-space Fock operator of one angular channel, built once per state."""
-        self._check_token()
         if l not in self._operators:
             self._operators[l] = _fock_operator(l, self.z, *self._snapshot, self.grid)
         return self._operators[l]
@@ -604,24 +604,6 @@ class SCFState:
     def channel_matrix(self, l: int):
         """Dense, read-only z-space Fock matrix of one angular channel (for tests)."""
         return self.channel_operator(l).to_dense()
-
-    def _check_token(self):
-        if self._token and _state_token(self) != self._token:
-            raise ConsistencyError(
-                "SCF state caches are stale: orbitals or fields were modified "
-                "after the solve"
-            )
-
-
-def _state_token(state: SCFState) -> str:
-    hsh = hashlib.sha256()
-    for o in state.orbitals:
-        hsh.update(np.ascontiguousarray(o.u).tobytes())
-    orbitals, v = state._snapshot
-    for o in orbitals:
-        hsh.update(np.ascontiguousarray(o.u).tobytes())
-    hsh.update(np.ascontiguousarray(v).tobytes())
-    return hsh.hexdigest()
 
 
 def fock_apply(state: SCFState, target: RadialOrbital):
@@ -643,7 +625,6 @@ def trace_energy(state: SCFState):
     """
     if not state.converged:
         raise PreconditionError("trace_energy needs a converged SCF state")
-    state._check_token()
     g = state.grid
     sum_eigen = 0.0
     trace_lhs = 0.0
@@ -893,10 +874,13 @@ def scf_solve(cfg: AtomConfig) -> SCFState:
             trace=trace,
         )
 
+    for o in outputs + list(snapshot[0]):
+        o.u.flags.writeable = False
+    snapshot[1].flags.writeable = False
     state = SCFState(
         z=cfg.z,
-        orbitals=outputs,
-        eigenvalues=eigenvalues,
+        orbitals=tuple(outputs),
+        eigenvalues=tuple(eigenvalues),
         total_energy=E_prev,
         converged=True,
         iterations=it,
@@ -906,7 +890,6 @@ def scf_solve(cfg: AtomConfig) -> SCFState:
         _snapshot=snapshot,
     )
     state._operators.update(operators)
-    state._token = _state_token(state)
     return state
 
 

@@ -18,7 +18,6 @@ from .hfcore import SCFState, shell_label
 from .radial import (
     kinetic_tridiagonal,
     node_count,
-    sign_flips,
     tridiag_apply,
     u_to_z,
     z_to_u,
@@ -36,7 +35,6 @@ class PseudoOrbital:
     eigenvalue_allelectron: float
     core_coefficients: tuple
     node_count: int
-    core_radius: float
 
 
 def pk_solve(state: SCFState, valence) -> PseudoOrbital:
@@ -69,8 +67,6 @@ def pk_solve(state: SCFState, valence) -> PseudoOrbital:
         raise PreconditionError("pk_solve needs a converged SCF state")
     eps_v = float(state.eigenvalues[v_idx])
     v_orb = state.orbitals[v_idx]
-    flips = sign_flips(v_orb.u)
-    core_radius = float(g.points[flips[-1]]) if flips.size else 0.0
 
     cores = [
         (o, float(e))
@@ -88,7 +84,6 @@ def pk_solve(state: SCFState, valence) -> PseudoOrbital:
             eigenvalue_allelectron=eps_v,
             core_coefficients=(),
             node_count=node_count(u),
-            core_radius=core_radius,
         )
 
     # minimum-kinetic member of span{valence, cores}: lowest Ritz vector of T
@@ -113,7 +108,6 @@ def pk_solve(state: SCFState, valence) -> PseudoOrbital:
         eigenvalue_allelectron=eps_v,
         core_coefficients=tuple(float(c) for c in coefficients),
         node_count=node_count(u_pk),
-        core_radius=core_radius,
     )
 
 

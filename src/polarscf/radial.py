@@ -41,10 +41,15 @@ class RadialGrid:
             raise ParameterError(
                 f"grid is not geometric with log_step {h!r} (ratio drift exceeds 1e-12)"
             )
-        # the kinetic stencil's largest entries are about 1/(h*r_min)^2
+        # the kinetic stencil's largest entries are about 1/(h*r_min)^2, and it
+        # divides by r_i*r_{i+1}, which reaches r_max^2
         if (h * r[0]) ** 2 * sys.float_info.max < 1.0:
             raise ParameterError(
                 f"r_min {float(r[0])!r} is too small: the kinetic stencil 1/(h*r_min)^2 overflows"
+            )
+        if r[-1] / sys.float_info.max * r[-1] > 1.0:
+            raise ParameterError(
+                f"r_max {float(r[-1])!r} is too large: the kinetic stencil's r_max^2 overflows"
             )
 
     @property
@@ -88,6 +93,7 @@ def make_grid(r_min: float, r_max: float, N: int) -> RadialGrid:
     h = math.log(ratio) / (N - 1)
     r = r_min * np.exp(h * np.arange(N))
     r[-1] = r_max  # exact endpoint
+    r.flags.writeable = False
     return RadialGrid(points=r, log_step=h)
 
 
@@ -200,18 +206,11 @@ def z_to_u(z, g: RadialGrid):
     return np.asarray(z) / np.sqrt(g.log_step * g.points)
 
 
-def sign_flips(u):
-    """Mesh indices where u changes sign, over samples above the noise floor.
+def node_count(u) -> int:
+    """Sign changes of u over samples with magnitude above the noise floor.
 
-    Samples no larger than 1e-8 times the peak magnitude are skipped; each
-    index is the first live sample past a flip.
+    Samples no larger than 1e-8 times the peak magnitude are skipped.
     """
     u = np.asarray(u)
-    live = np.flatnonzero(np.abs(u) > 1e-8 * np.max(np.abs(u)))
-    s = np.sign(u[live])
-    return live[1:][s[1:] != s[:-1]]
-
-
-def node_count(u) -> int:
-    """Sign changes of u over samples with magnitude above the noise floor."""
-    return int(sign_flips(u).size)
+    s = np.sign(u[np.abs(u) > 1e-8 * np.max(np.abs(u))])
+    return int(np.count_nonzero(s[1:] != s[:-1]))

@@ -431,6 +431,8 @@ def main(argv=None) -> int:
                 raise ConfigError(f"cannot read config file: {exc}") from None
         cfg = parse_config(text, command=ns.command, overrides=overrides)
         if ns.modes is not None:
+            if cfg.command != "verify":
+                raise ConfigError(f"--modes applies to verify, not {cfg.command}")
             cfg = replace(cfg, modes=ns.modes)
         if ns.trace is not None and cfg.command not in ("scf", "pseudo"):
             raise ConfigError(f"--trace applies to scf and pseudo, not {cfg.command}")

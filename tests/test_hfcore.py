@@ -2,7 +2,7 @@
 
 import copy
 import warnings
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 from fractions import Fraction
 
 import numpy as np
@@ -10,7 +10,6 @@ import pytest
 
 from polarscf.errors import (
     CapacityError,
-    ConsistencyError,
     ConvergenceError,
     ParameterError,
     PreconditionError,
@@ -336,8 +335,10 @@ def test_atom_config_validation():
         AtomConfig(z=1.0, shells=())
     with pytest.raises(ParameterError):
         AtomConfig(z=2.0, shells=((1, 0, 1), (1, 0, 1)))
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ParameterError, match="nuclear charge"):
+            AtomConfig(z=bad, shells=((1, 0, 1),))
     cfg = AtomConfig(z=3.0, shells=((1, 0, 2), (2, 0, 1)))
-    assert cfg.electron_count == 3
     assert cfg.shells[0].label == "1s"
     for bad in (float("nan"), float("inf"), 0.0, -1e-6):
         with pytest.raises(ParameterError, match="tol_orbital"):
@@ -619,23 +620,21 @@ def test_channel_matrix_read_only(h_run):
 
 def test_trace_energy_needs_convergence(he_run):
     state, _ = he_run
-    broken = copy.deepcopy(state)
-    broken.converged = False
+    broken = replace(state, converged=False)
     with pytest.raises(PreconditionError):
         trace_energy(broken)
 
 
 def test_stale_caches_detected(h_run):
+    """A stale cache cannot arise: the edit that would make one raises."""
     state, _ = h_run
-    tampered = copy.deepcopy(state)
-    tampered.orbitals[0].u[100] += 1e-3
-    with pytest.raises(ConsistencyError):
-        tampered.channel_matrix(0)
+    with pytest.raises(ValueError, match="read-only"):
+        state.orbitals[0].u[100] += 1e-3
 
 
 def test_channel_operator_built_once(n_run):
     """Each channel's operator is built once per state; edits still raise."""
-    state = copy.deepcopy(n_run[0])
+    state = n_run[0]
     for l in (0, 1, 2):
         op = state.channel_operator(l)
         assert state.channel_operator(l) is op
@@ -643,9 +642,46 @@ def test_channel_operator_built_once(n_run):
         assert np.array_equal(op.diag, fresh.diag)
         x = np.linspace(1.0, 2.0, state.grid.N)
         assert np.array_equal(op.apply(x), fresh.apply(x))
-    state._snapshot[0][0].u[100] += 1e-3
-    with pytest.raises(ConsistencyError):
-        state.channel_operator(0)
+    with pytest.raises(ValueError, match="read-only"):
+        state._snapshot[0][0].u[100] += 1e-3
+
+
+def test_state_refuses_every_edit(li_run):
+    """Every route to a stale operator cache raises at the edit itself."""
+    state, _ = li_run
+    before = trace_energy(state)
+    snap_orbitals, snap_field = state._snapshot
+    copied = copy.deepcopy(state)
+    for array in (
+        state.orbitals[0].u,
+        snap_orbitals[1].u,
+        snap_field,
+        state.grid.points,
+        copied.orbitals[1].u,
+        copied._snapshot[1],
+    ):
+        with pytest.raises(ValueError, match="read-only"):
+            array[:] *= 1.5
+    with pytest.raises(TypeError):
+        state.eigenvalues[0] = 99.0
+    with pytest.raises(TypeError):
+        state.orbitals[0] = state.orbitals[1]
+    with pytest.raises(TypeError):
+        snap_orbitals[0] = snap_orbitals[1]
+    for name, value in (
+        ("eigenvalues", (99.0, -0.2)),
+        ("converged", False),
+        ("grid", make_grid(1e-6, 50.0, 2000)),
+        ("_snapshot", ()),
+    ):
+        with pytest.raises(FrozenInstanceError):
+            setattr(state, name, value)
+    with pytest.raises(FrozenInstanceError):
+        state.orbitals[0].u = np.zeros(state.grid.N)
+    assert copied is state
+    after = trace_energy(state)
+    assert after == before
+    assert abs(after[0] - after[1]) <= 1e-9
 
 
 def test_nonconvergence_reports_trace():

@@ -14,7 +14,6 @@ from polarscf.radial import (
     kinetic_tridiagonal,
     make_grid,
     node_count,
-    sign_flips,
     u_to_z,
     z_to_u,
 )
@@ -33,6 +32,8 @@ def test_grid_is_geometric(grid):
     assert grid.r_min == pytest.approx(1e-6)
     assert grid.r_max == pytest.approx(50.0)
     assert np.all(grid.weights > 0)
+    with pytest.raises(ValueError, match="read-only"):
+        grid.points[0] = 2e-6
 
 
 def test_make_grid_validation():
@@ -44,6 +45,9 @@ def test_make_grid_validation():
         make_grid(1e-6, 50.0, 1)
     with pytest.raises(ParameterError, match="r_min"):
         make_grid(1e-160, 50.0, 2000)  # 1/(h*r_min)^2 overflows
+    with pytest.raises(ParameterError, match="r_max"):
+        make_grid(1e-6, 1e300, 400)  # r_max^2 overflows
+    assert make_grid(1e-6, 1e150, 200).r_max == 1e150  # r_max^2 = 1e300 does not
 
 
 def test_grid_log_step_checked(grid):
@@ -150,8 +154,8 @@ def test_node_count(u, expected):
     assert node_count(np.asarray(u)) == expected
 
 
-def test_sign_flips_indices():
-    """Each flip is reported at the first live sample past it; noise is skipped."""
+def test_node_count_skips_noise():
+    """Flips are counted between live samples only; noise and zeros are skipped."""
     u = np.array([0.0, 1.0, 1e-14, -1.0, -2.0, 3.0, 0.0])
-    assert sign_flips(u).tolist() == [3, 5]
-    assert sign_flips(np.zeros(4)).size == 0
+    assert node_count(u) == 2
+    assert node_count(np.zeros(4)) == 0

@@ -371,12 +371,15 @@ def test_only_hfcore_imports_scipy():
         ["qp", "qp_levels=inf,0.5"],
         ["scf", "r_min=1e-300", "r_max=1e300", "n_points=2"],
         ["qp", "sigma_kind=user_matrix"],
+        ["scf", "z=2", "shells=1s:2", "r_max=1e300", "n_points=400"],
+        ["scf", *FAST_SCF, "--modes", "3"],
     ],
     ids=[
         "no-args", "missing-config", "inf", "nan", "qp-points", "n-max", "l-max",
         "modes-17", "unwritable-out", "unwritable-trace", "trace-without-scf",
         "tol-energy", "r-min-overflow", "sigma-coefficients", "qp-levels-nan",
-        "qp-levels-inf", "mesh-ratio-overflow", "sigma-user-matrix",
+        "qp-levels-inf", "mesh-ratio-overflow", "sigma-user-matrix", "r-max-overflow",
+        "modes-without-verify",
     ],
 )
 def test_bad_input_exits_3_without_traceback(argv):
