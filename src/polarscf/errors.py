@@ -10,7 +10,7 @@ class ParameterError(PolarSCFError, ValueError):
 
 
 class InvalidPermutationError(ParameterError):
-    """Permutation images are not a bijection on 1..n."""
+    """The images of a permutation are not a bijection on 1..n."""
 
 
 class CapacityError(PolarSCFError):

@@ -31,32 +31,16 @@ MODE_CAP = 16  # occupation-number spaces: 2^16 basis masks, each fits in int64
 # permutations
 
 
-@dataclass(frozen=True)
-class Permutation:
-    """A bijection on {1..n}, stored as the image tuple (bottom row)."""
+def parity(images) -> int:
+    """Sign of the permutation of {1..n} with the given image tuple (bottom row).
 
-    images: tuple
-
-    def __post_init__(self):
-        imgs = tuple(int(i) for i in self.images)
-        object.__setattr__(self, "images", imgs)
-        n = len(imgs)
-        if sorted(imgs) != list(range(1, n + 1)):
-            raise InvalidPermutationError(
-                f"images {imgs} are not a bijection on 1..{n}"
-            )
-
-    @property
-    def n(self):
-        return len(self.images)
-
-
-def parity(p: Permutation) -> int:
-    """Sign of a permutation: +1 for even, -1 for odd.
-
-    Counted as (-1)^(number of inversions); multiplicative under composition.
+    +1 for even, -1 for odd, counted as (-1)^(number of inversions);
+    multiplicative under composition.  Images that are not a bijection on
+    1..n raise InvalidPermutationError.
     """
-    imgs = p.images
+    imgs = tuple(int(i) for i in images)
+    if sorted(imgs) != list(range(1, len(imgs) + 1)):
+        raise InvalidPermutationError(f"images {imgs} are not a bijection on 1..{len(imgs)}")
     inversions = 0
     for a in range(len(imgs)):
         for b in range(a + 1, len(imgs)):
@@ -69,27 +53,13 @@ def parity(p: Permutation) -> int:
 # antisymmetric tensors
 
 
-@dataclass(frozen=True)
-class AntisymTensor:
-    """Dense rank-n amplitude tensor over a dim-sized one-particle basis."""
-
-    n: int
-    dim: int
-    amplitudes: np.ndarray
-
-
-def permute_tensor(amplitudes: np.ndarray, p: Permutation) -> np.ndarray:
-    """Amplitudes with arguments reordered by p: result(i_1..i_n) = t(i_p(1)..i_p(n))."""
-    axes = tuple(i - 1 for i in p.images)
-    return np.transpose(amplitudes, axes)
-
-
-def antisymmetrize(amplitudes: np.ndarray) -> AntisymTensor:
+def antisymmetrize(amplitudes: np.ndarray) -> np.ndarray:
     """Project a dense rank-n tensor onto its antisymmetric part and normalize.
 
-    Returns (1/n!) sum_P sign(P) * permuted(t), rescaled to unit norm when the
-    projection is nonzero.  A symmetric input (e.g. e1⊗e1) projects to zero
-    and is returned as the zero tensor.
+    Returns (1/n!) Σ_P sign(P)·np.transpose(t, P) over the permutations P
+    of the n axes, rescaled to unit norm when the projection is nonzero.  A
+    symmetric input (e.g. e1⊗e1) projects to zero and is returned as the
+    zero tensor.
     """
     t = np.asarray(amplitudes, dtype=complex)
     n = t.ndim
@@ -100,24 +70,23 @@ def antisymmetrize(amplitudes: np.ndarray) -> AntisymTensor:
     if not np.all(np.isfinite(t)):
         raise ParameterError("tensor amplitudes must be finite")
     acc = np.zeros_like(t)
-    for images in itertools.permutations(range(1, n + 1)):
-        p = Permutation(images)
-        acc += parity(p) * permute_tensor(t, p)
+    for axes in itertools.permutations(range(n)):
+        acc += parity([a + 1 for a in axes]) * np.transpose(t, axes)
     acc /= math.factorial(n)
     nrm = np.linalg.norm(acc.ravel())
     if nrm > 0.0:
         acc = acc / nrm
-    return AntisymTensor(n=n, dim=t.shape[0], amplitudes=acc)
+    return acc
 
 
-def cycle_sum_residual(t: AntisymTensor) -> float:
-    """Max-norm of the unsigned sum of psi over all argument permutations.
+def cycle_sum_residual(t: np.ndarray) -> float:
+    """Max-norm of the unsigned sum of a tensor over all argument permutations.
 
     Transposition pairs cancel on antisymmetric input, so this vanishes.
     """
-    acc = np.zeros_like(t.amplitudes)
-    for images in itertools.permutations(range(1, t.n + 1)):
-        acc += permute_tensor(t.amplitudes, Permutation(images))
+    acc = np.zeros_like(t)
+    for axes in itertools.permutations(range(t.ndim)):
+        acc += np.transpose(t, axes)
     return float(np.max(np.abs(acc)))
 
 

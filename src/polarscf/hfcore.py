@@ -50,6 +50,7 @@ from __future__ import annotations
 import functools
 import math
 import numbers
+import sys
 import time
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
@@ -274,23 +275,11 @@ def slater_potential(f, L: int, g: RadialGrid):
 # density
 
 
-def _electron_count(o: RadialOrbital) -> int:
-    """The integer electron count of an orbital; a fractional one raises."""
-    q = float(o.occupation)
-    if not q.is_integer():
-        raise ParameterError(
-            f"orbital {shell_label(o.n, o.l)} occupation must be an integer, "
-            f"got {o.occupation!r}"
-        )
-    return int(q)
-
-
 def build_density(orbitals, g: RadialGrid):
     """Radial electron density ρ = Σ_b q_b·u_b², summed in the order given.
 
     Each orbital must be normalized in the solver's metric, z·z = 1 for
-    z = `u_to_z(u, g)`; its `occupation` q_b counts electrons and must be
-    an integer.
+    z = `u_to_z(u, g)`; its `occupation` q_b counts electrons.
     """
     rho = np.zeros(g.N)
     for o in orbitals:
@@ -300,19 +289,8 @@ def build_density(orbitals, g: RadialGrid):
             raise PreconditionError(
                 f"orbital {shell_label(o.n, o.l)} is not normalized: <u|u> = {nrm!r}"
             )
-        rho += _electron_count(o) * o.u**2
+        rho += o.occupation * o.u**2
     return rho
-
-
-def hartree_potential(rho, g: RadialGrid):
-    """Direct electrostatic potential of the sampled radial density (hartree).
-
-    r·V tends to the enclosed electron charge at large r.
-    """
-    source = np.asarray(rho, dtype=float)
-    if source.shape != g.points.shape:
-        raise ShapeError(f"density has shape {source.shape}, grid has {g.points.shape}")
-    return slater_potential(source, 0, g)
 
 
 # ---------------------------------------------------------------------------
@@ -338,15 +316,23 @@ def _exchange_terms(channel_l, orbitals, g: RadialGrid):
     γ = (q_b/2)·λ_L; weight q/2 per source reproduces the closed-shell
     operator.  Odd shells add one pin (ρ, ẑ), the symmetric rank-two term
     ρẑᵀ + ẑρᵀ described in the module docstring.  Returns (blocks, pins).
+    Raises ParameterError when c = r^{2L+1} of the largest multipole
+    L = channel_l + max l_b would overflow at r_max.
     """
     if channel_l < 0:
         raise ParameterError(f"angular momentum must be nonnegative, got l={channel_l}")
+    L_max = channel_l + max((o.l for o in orbitals), default=0)
+    if (2 * L_max + 1) * math.log(g.r_max) > math.log(sys.float_info.max):
+        raise ParameterError(
+            f"r_max {g.r_max!r} is too large: the l={channel_l} exchange kernel "
+            f"r^{2 * L_max + 1} overflows"
+        )
     r = g.points
     blocks, pins = [], []
     for o in orbitals:
         if np.asarray(o.u).shape != g.points.shape:
             raise ShapeError(f"source orbital {shell_label(o.n, o.l)} is not sampled on the grid")
-        u_b, l_b, q_b = o.u, o.l, _electron_count(o)
+        u_b, l_b, q_b = o.u, o.l, o.occupation
         z_b = u_to_z(u_b, g)
         own = [
             (angular_weight(channel_l, L, l_b), z_b * r ** -(L + 1), r ** (2 * L + 1))
@@ -549,7 +535,11 @@ def _fock_operator(l, z_nuc, orbitals, field, g: RadialGrid) -> FockOperator:
     """Channel-l operator T_l − Z/r + field − exchange − pins of one orbital set."""
     blocks, pins = _exchange_terms(l, orbitals, g)
     diag, off = kinetic_tridiagonal(g, l)
-    return FockOperator(diag + (-z_nuc / g.points + field), off, tuple(blocks), tuple(pins))
+    diag = diag + (-z_nuc / g.points + field)
+    # read-only, so an operator cached on a state cannot drift from its orbitals
+    for arr in (diag, off, *(v for b in blocks for v in b[1:]), *(v for pin in pins for v in pin)):
+        arr.flags.writeable = False
+    return FockOperator(diag, off, tuple(blocks), tuple(pins))
 
 
 # ---------------------------------------------------------------------------
@@ -570,17 +560,16 @@ class SCFState:
     operators the eigensolver diagonalized.  The state cannot be edited, so
     those operators always belong to its orbitals: no field can be
     reassigned, `orbitals` and `eigenvalues` are tuples, every array it holds
-    (the orbitals' and the snapshot orbitals' `u`, the snapshot field and the
-    mesh points of `make_grid`) refuses writes, and a deep copy is the state
-    itself.  `dataclasses.replace` gives a new state with an empty
-    cache.  `trace` has one row per iteration, the same rows a
-    ConvergenceError carries: energy, changes, ARPACK's tolerance, the shift
-    per channel, the eigensolver's factorizations and shift-invert solves
-    summed over channels, and the wall time of each phase (field, operator
-    build, eigensolve, energy).
+    (the orbitals' and the snapshot orbitals' `u`, the snapshot field, the
+    mesh points of `make_grid` and the cached operators' arrays) refuses
+    writes, and a deep copy is the state itself.  `dataclasses.replace`
+    gives a new state with an empty cache.  `trace` has one row per
+    iteration, the same rows a ConvergenceError carries: energy, changes,
+    ARPACK's tolerance, the shift per channel, the eigensolver's
+    factorizations and shift-invert solves summed over channels, and the
+    wall time of each phase (field, operator build, eigensolve, energy).
     """
 
-    z: float
     orbitals: tuple
     eigenvalues: tuple
     total_energy: float
@@ -598,7 +587,7 @@ class SCFState:
     def channel_operator(self, l: int) -> FockOperator:
         """The z-space Fock operator of one angular channel, built once per state."""
         if l not in self._operators:
-            self._operators[l] = _fock_operator(l, self.z, *self._snapshot, self.grid)
+            self._operators[l] = _fock_operator(l, self.config.z, *self._snapshot, self.grid)
         return self._operators[l]
 
     def channel_matrix(self, l: int):
@@ -629,7 +618,7 @@ def trace_energy(state: SCFState):
     sum_eigen = 0.0
     trace_lhs = 0.0
     for o, eps in zip(state.orbitals, state.eigenvalues):
-        pairs = _electron_count(o) // 2
+        pairs = o.occupation // 2
         if pairs == 0:
             continue
         sum_eigen += pairs * eps
@@ -804,7 +793,7 @@ def scf_solve(cfg: AtomConfig) -> SCFState:
     for it in range(1, cfg.scf.max_iter + 1):
         t_start = time.perf_counter()
         orbitals = _orthonormal_orbitals(x, start, channels, g)
-        snapshot = tuple(orbitals), hartree_potential(build_density(orbitals, g), g)
+        snapshot = tuple(orbitals), slater_potential(build_density(orbitals, g), 0, g)
 
         outputs = list(orbitals)
         operators = {}
@@ -878,7 +867,6 @@ def scf_solve(cfg: AtomConfig) -> SCFState:
         o.u.flags.writeable = False
     snapshot[1].flags.writeable = False
     state = SCFState(
-        z=cfg.z,
         orbitals=tuple(outputs),
         eigenvalues=tuple(eigenvalues),
         total_energy=E_prev,
@@ -896,9 +884,9 @@ def scf_solve(cfg: AtomConfig) -> SCFState:
 def state_summary(state: SCFState) -> dict:
     """Plain-data summary of a solve, in the stable field order."""
     return {
-        "z": state.z,
+        "z": state.config.z,
         "shells": [
-            f"{shell_label(o.n, o.l)}:{_electron_count(o)}"
+            f"{shell_label(o.n, o.l)}:{o.occupation}"
             for o in state.orbitals
         ],
         "eigenvalues_hartree": [float(e) for e in state.eigenvalues],

@@ -1,7 +1,8 @@
 """Finite-basis quasiparticle layer: projectors, resolvents, pair gaps.
 
 Everything here works on small dense matrices (basis dimension a few
-hundred at most).  The pieces chain together: a hermitian single-particle
+hundred at most), and projectors and resolvents are returned as plain
+NumPy matrices.  The pieces chain together: a hermitian single-particle
 matrix yields a free resolvent, a self-energy model dresses it through the
 Dyson equation, and the model's shift at k = 0 feeds the two-level pair
 quantities whose half-splitting is the pairing gap.
@@ -11,8 +12,6 @@ carries the shift with a minus sign, f(k) = −(ΔM(0) + ΔM(k)) with ΔM(0)
 the k-independent part, so the shift the pair quantities take is
 ΔM(0) = −f(0).
 """
-
-from __future__ import annotations
 
 from dataclasses import dataclass
 
@@ -34,15 +33,8 @@ GAP_TOLERANCE = 1e-12
 SELF_ENERGY_KINDS = ("zero", "constant_shift", "diagonal_polynomial")
 
 
-@dataclass(frozen=True)
-class ProjectorRho:
-    """Rank-one density operator |m⟩⟨n| between basis states."""
-
-    matrix: np.ndarray
-
-
-def projector(m_state, n_state=None) -> ProjectorRho:
-    """Outer product |m⟩⟨n| (or |m⟩⟨m| when n is omitted).
+def projector(m_state, n_state=None) -> np.ndarray:
+    """Rank-one density matrix |m⟩⟨n| (or |m⟩⟨m| when n is omitted).
 
     States are expected normalized; a numerically zero vector has no
     direction to project onto and is rejected.
@@ -54,20 +46,11 @@ def projector(m_state, n_state=None) -> ProjectorRho:
     for v in (m, n):
         if np.linalg.norm(v) < 1e-14:
             raise ParameterError("zero-norm state has no projector")
-    return ProjectorRho(matrix=np.outer(m, n.conj()))
+    return np.outer(m, n.conj())
 
 
 # ---------------------------------------------------------------------------
 # resolvents
-
-
-@dataclass(frozen=True)
-class GreenValue:
-    """Resolvent matrix G(E + iη) of a hermitian operator."""
-
-    energy: float
-    eta: float
-    matrix: np.ndarray
 
 
 def _check_hermitian(h, what: str):
@@ -81,8 +64,8 @@ def _check_hermitian(h, what: str):
     return h
 
 
-def green0(h, energy: float, eta: float = DEFAULT_ETA) -> GreenValue:
-    """Free resolvent ((E + iη)I − h)⁻¹.
+def green0(h, energy: float, eta: float = DEFAULT_ETA) -> np.ndarray:
+    """Free resolvent matrix ((E + iη)I − h)⁻¹.
 
     η < 0 is rejected outright.  η = 0 is allowed on the real axis as long
     as E is not an eigenvalue; hitting one there is a genuine pole.
@@ -100,43 +83,40 @@ def green0(h, energy: float, eta: float = DEFAULT_ETA) -> GreenValue:
             )
     A = (energy + 1j * eta) * np.eye(dim) - h
     try:
-        G = np.linalg.solve(A, np.eye(dim, dtype=complex))
+        return np.linalg.solve(A, np.eye(dim, dtype=complex))
     except np.linalg.LinAlgError as exc:
         raise SingularityError(f"resolvent solve failed at E={energy}") from exc
-    return GreenValue(energy=float(energy), eta=float(eta), matrix=G)
 
 
-def dyson_solve(g0: GreenValue, sigma) -> GreenValue:
-    """Dressed resolvent from the closed Dyson form (G₀⁻¹ − Σ)⁻¹."""
+def dyson_solve(g0, sigma) -> np.ndarray:
+    """Dressed resolvent matrix from the closed Dyson form (G₀⁻¹ − Σ)⁻¹."""
     sigma = np.asarray(sigma, dtype=complex)
-    if sigma.shape != g0.matrix.shape:
+    if sigma.shape != np.shape(g0):
         raise ShapeError("self-energy shape does not match the resolvent")
     try:
-        g0_inv = np.linalg.inv(g0.matrix)
-        G = np.linalg.inv(g0_inv - sigma)
+        return np.linalg.inv(np.linalg.inv(g0) - sigma)
     except np.linalg.LinAlgError as exc:
         raise SingularityError("Dyson inversion hit a singular matrix") from exc
-    return GreenValue(energy=g0.energy, eta=g0.eta, matrix=G)
 
 
-def dyson_born(g0: GreenValue, sigma, terms: int = DEFAULT_BORN_TERMS) -> GreenValue:
+def dyson_born(g0, sigma, terms: int = DEFAULT_BORN_TERMS) -> np.ndarray:
     """Born-series resolvent Σ_j (G₀Σ)ʲ G₀, the independent route to Dyson.
 
     Converges only for spectral radius ρ(G₀Σ) < 1; the caller owns that
     judgement, this routine just sums the requested number of terms.
     """
     sigma = np.asarray(sigma, dtype=complex)
-    if sigma.shape != g0.matrix.shape:
+    if sigma.shape != np.shape(g0):
         raise ShapeError("self-energy shape does not match the resolvent")
     if terms < 1:
         raise ParameterError("Born series needs at least one term")
-    acc = g0.matrix.copy()
-    term = g0.matrix.copy()
-    step = g0.matrix @ sigma
+    acc = np.array(g0, dtype=complex)
+    term = acc.copy()
+    step = acc @ sigma
     for _ in range(terms - 1):
         term = step @ term
         acc += term
-    return GreenValue(energy=g0.energy, eta=g0.eta, matrix=acc)
+    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -261,7 +241,7 @@ def resolvent_sweep(h, energies, eta: float = DEFAULT_ETA, sigma=None):
         G = green0(h, float(E), eta)
         if sigma is not None:
             G = dyson_solve(G, sigma)
-        trace_imag[i] = float(np.trace(G.matrix).imag)
+        trace_imag[i] = float(np.trace(G).imag)
     poles = []
     for i in range(1, energies.size - 1):
         if trace_imag[i] < trace_imag[i - 1] and trace_imag[i] < trace_imag[i + 1]:

@@ -8,9 +8,9 @@ the log variable x = ln r is uniform with step h, and the one quadrature is
 vanish at both ends of the mesh, as bound orbitals and their products do.
 
 The solvers work in z = sqrt(h*r)*u, where that measure is the identity:
-`inner(u, v)` = h*Σ r*u*v is exactly the plain dot product z·z', the one
-metric of the kinetic stencil, the Fock operator and every norm and overlap
-of the mean-field solve.
+`integrate(u*v, g)` = h*Σ r*u*v is exactly the plain dot product z·z', the
+one metric of the kinetic stencil, the Fock operator and every norm and
+overlap of the mean-field solve.
 """
 
 import math
@@ -105,28 +105,24 @@ def integrate(f, g: RadialGrid) -> float:
     return float(np.dot(f, g.weights))
 
 
-def inner(f1, f2, g: RadialGrid) -> float:
-    return integrate(np.asarray(f1) * np.asarray(f2), g)
-
-
 @dataclass(frozen=True)
 class RadialOrbital:
-    """Sampled u(r) = r*R(r) with quantum numbers and occupation."""
+    """Sampled u(r) = r*R(r) with quantum numbers and its electron count.
+
+    `occupation` is checked once, here: an integral float or NumPy integer
+    is stored as an int, and a fractional or negative count raises.
+    """
 
     u: np.ndarray
     n: int
     l: int
-    occupation: float = 0.0
+    occupation: int = 0
 
     def __post_init__(self):
-        if self.occupation < 0.0:
-            raise ParameterError("occupation must be nonnegative")
-
-    def normalized(self, g: RadialGrid):
-        nrm = math.sqrt(inner(self.u, self.u, g))
-        if nrm == 0.0:
-            raise ParameterError("cannot normalize a zero orbital")
-        return RadialOrbital(u=self.u / nrm, n=self.n, l=self.l, occupation=self.occupation)
+        q = float(self.occupation)
+        if not (q.is_integer() and q >= 0.0):
+            raise ParameterError(f"occupation must be an integer >= 0, got {self.occupation!r}")
+        object.__setattr__(self, "occupation", int(q))
 
 
 def hydrogenic_orbital(Z: float, n: int, l: int, g: RadialGrid) -> RadialOrbital:
@@ -152,19 +148,11 @@ def hydrogenic_orbital(Z: float, n: int, l: int, g: RadialGrid) -> RadialOrbital
     lag_prev, lag = np.zeros_like(x), np.ones_like(x)
     for k in range(n - l - 1):
         lag_prev, lag = lag, ((2 * k + 1 + a - x) * lag - (k + a) * lag_prev) / (k + 1)
-    R = norm * np.exp(-x / 2.0) * x**l * lag
-    orb = RadialOrbital(u=r * R, n=n, l=l)
-    return orb.normalized(g)
-
-
-def kinetic_apply(o: RadialOrbital, g: RadialGrid):
-    """Radial kinetic operator -1/2 [u'' - l(l+1) u / r^2] on the log mesh.
-
-    Applies the z-space matrix of kinetic_tridiagonal, so virial checks and
-    kinetic energies use the operator the SCF diagonalizes.
-    """
-    diag, off = kinetic_tridiagonal(g, o.l)
-    return z_to_u(tridiag_apply(diag, off, u_to_z(o.u, g)), g)
+    u = r * (norm * np.exp(-x / 2.0) * x**l * lag)
+    nrm = math.sqrt(integrate(u * u, g))
+    if nrm == 0.0:
+        raise ParameterError("cannot normalize a zero orbital")
+    return RadialOrbital(u=u / nrm, n=n, l=l)
 
 
 def kinetic_tridiagonal(g: RadialGrid, l: int):

@@ -35,7 +35,6 @@ from polarscf.hfcore import (
     build_density,
     exchange_apply,
     fock_apply,
-    hartree_potential,
     scf_solve,
     shell_label,
     slater_potential,
@@ -46,9 +45,7 @@ from polarscf.pseudopot import pk_solve
 from polarscf.radial import (
     RadialOrbital,
     hydrogenic_orbital,
-    inner,
     integrate,
-    kinetic_apply,
     kinetic_tridiagonal,
     make_grid,
     tridiag_apply,
@@ -131,7 +128,7 @@ def test_hartree_unit_density_origin(fine_grid):
     orb = RadialOrbital(u=o.u, n=1, l=0, occupation=1.0)
     rho = build_density([orb], g)
     assert np.array_equal(rho, o.u**2)
-    V = hartree_potential(rho, g)
+    V = slater_potential(rho, 0, g)
     assert abs(V[0] - 1.0) < 1e-9
 
 
@@ -141,7 +138,7 @@ def test_hartree_charge_asymptote(fine_grid):
     orb = RadialOrbital(u=o.u, n=1, l=0, occupation=2.0)
     rho = build_density([orb], g)
     assert np.allclose(rho, 2.0 * o.u**2, atol=1e-15)
-    V = hartree_potential(rho, g)
+    V = slater_potential(rho, 0, g)
     assert abs(g.points[-1] * V[-1] - 2.0) < 1e-8
 
 
@@ -154,16 +151,15 @@ def test_build_density_requires_normalization(fine_grid):
 
 
 def test_fractional_occupation_rejected(fine_grid):
-    """A fractional electron count raises instead of being rounded to 2."""
+    """A fractional or negative electron count raises when the orbital is built."""
     g = fine_grid
     o = hydrogenic_orbital(1.0, 1, 0, g)
-    half = RadialOrbital(u=o.u, n=1, l=0, occupation=1.5)
-    with pytest.raises(ParameterError, match="occupation must be an integer"):
-        build_density([half], g)
-    with pytest.raises(ParameterError, match="occupation must be an integer"):
-        exchange_apply([half], o, g)
+    for q in (1.5, -1, float("nan")):
+        with pytest.raises(ParameterError, match="occupation must be an integer"):
+            RadialOrbital(u=o.u, n=1, l=0, occupation=q)
     for q in (1.0, np.int64(2)):
         whole = RadialOrbital(u=o.u, n=1, l=0, occupation=q)
+        assert type(whole.occupation) is int and whole.occupation == q
         assert np.array_equal(build_density([whole], g), int(q) * o.u**2)
         assert np.all(np.isfinite(exchange_apply([whole], o, g)))
 
@@ -188,7 +184,7 @@ def test_exchange_cancels_direct_for_one_electron(h_run):
     g = state.grid
     o = state.orbitals[0]
     rho = build_density(state.orbitals, g)
-    direct = hartree_potential(rho, g) * o.u
+    direct = slater_potential(rho, 0, g) * o.u
     exch = exchange_apply(state.orbitals, o, g)
     z = u_to_z(direct - exch, g)
     resid = np.sqrt(float(z @ z))
@@ -279,7 +275,7 @@ def test_operator_apply_matches_dense_oracle(Z, shells, channel_l):
     rng = np.random.default_rng(17)
     for zeta in (Z, 0.8 * Z):
         orbs = [replace(hydrogenic_orbital(zeta, n, l, g), occupation=q) for n, l, q in shells]
-        op = _fock_operator(channel_l, Z, orbs, hartree_potential(build_density(orbs, g), g), g)
+        op = _fock_operator(channel_l, Z, orbs, slater_potential(build_density(orbs, g), 0, g), g)
         assert len(op.pins) == sum(q % 2 == 1 and l == channel_l for _, l, q in shells)
         X_ref = _dense_exchange(channel_l, orbs, g)
         for x in (rng.standard_normal(g.N), u_to_z(orbs[-1].u, g)):
@@ -419,9 +415,10 @@ def test_richardson_limit(z, shells, n_points, limit, bound):
 def test_helium_virial(he_run):
     state, _ = he_run
     g = state.grid
-    T = sum(
-        o.occupation * inner(o.u, kinetic_apply(o, g), g) for o in state.orbitals
-    )
+    T = 0.0
+    for o in state.orbitals:
+        z = u_to_z(o.u, g)
+        T += o.occupation * float(z @ tridiag_apply(*kinetic_tridiagonal(g, o.l), z))
     V = state.total_energy - T
     assert abs(V / T + 2.0) < 1e-4
 
@@ -438,9 +435,9 @@ def test_lithium_orthonormal_channel(li_run):
     state, _ = li_run
     g = state.grid
     u1, u2 = state.orbitals[0].u, state.orbitals[1].u
-    assert abs(inner(u1, u1, g) - 1.0) < 1e-12
-    assert abs(inner(u2, u2, g) - 1.0) < 1e-12
-    assert abs(inner(u1, u2, g)) < 1e-10
+    assert abs(integrate(u1 * u1, g) - 1.0) < 1e-12
+    assert abs(integrate(u2 * u2, g) - 1.0) < 1e-12
+    assert abs(integrate(u1 * u2, g)) < 1e-10
 
 
 @pytest.mark.parametrize("fixture", ["h_run", "he_run", "li_run", "n_run"])
@@ -466,7 +463,7 @@ def test_nitrogen_two_channel(n_run):
     sum_eigen, trace_lhs = trace_energy(state)
     assert abs(sum_eigen - trace_lhs) < 1e-9
     s_orbitals = [o.u for o in state.orbitals if o.l == 0]
-    gram = np.array([[inner(a, b, g) for b in s_orbitals] for a in s_orbitals])
+    gram = np.array([[integrate(a * b, g) for b in s_orbitals] for a in s_orbitals])
     assert np.max(np.abs(gram - np.eye(len(s_orbitals)))) < 1e-10
     # Hartree-Fock limit E = -54.400934; the N=400 mesh sits ~6e-3 below it
     assert abs(state.total_energy + 54.400934) < 1e-2
@@ -560,8 +557,8 @@ def _pairwise_total_energy(z_nuc, orbitals, g):
 def test_total_energy_matches_pairwise_oracle(z, shells, n_points):
     """One direct transform of the total density and a ≤ b exchange pairs, against all pairs."""
     state = scf_solve(AtomConfig(z=z, shells=shells, grid=GridParams(n_points=n_points)))
-    ref = _pairwise_total_energy(state.z, state.orbitals, state.grid)
-    assert _total_energy(state.z, state.orbitals, state.grid) == state.total_energy
+    ref = _pairwise_total_energy(state.config.z, state.orbitals, state.grid)
+    assert _total_energy(state.config.z, state.orbitals, state.grid) == state.total_energy
     assert abs(state.total_energy - ref) <= 1e-12 * abs(ref)
 
 
@@ -638,7 +635,7 @@ def test_channel_operator_built_once(n_run):
     for l in (0, 1, 2):
         op = state.channel_operator(l)
         assert state.channel_operator(l) is op
-        fresh = _fock_operator(l, state.z, *state._snapshot, state.grid)
+        fresh = _fock_operator(l, state.config.z, *state._snapshot, state.grid)
         assert np.array_equal(op.diag, fresh.diag)
         x = np.linspace(1.0, 2.0, state.grid.N)
         assert np.array_equal(op.apply(x), fresh.apply(x))
@@ -682,6 +679,38 @@ def test_state_refuses_every_edit(li_run):
     after = trace_energy(state)
     assert after == before
     assert abs(after[0] - after[1]) <= 1e-9
+
+
+def test_cached_operator_refuses_edits(li_run):
+    """The cached operator's diagonal, off-diagonal, block and pin arrays are read-only."""
+    state, _ = li_run
+    before = trace_energy(state)
+    op = state.channel_operator(0)
+    assert op.blocks and op.pins
+    arrays = [op.diag, op.off]
+    arrays += [a for _, gv, c in op.blocks for a in (gv, c)]
+    arrays += [a for pin in op.pins for a in pin]
+    for array in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            array[:] += 1.0
+    assert trace_energy(state) == before
+
+
+def test_exchange_kernel_overflow_rejected():
+    """r^(2L+1) of the largest multipole must fit a float at r_max: else ParameterError.
+
+    He's s channel needs only L = 0, so it solves at r_max = 1e70; a 3d
+    target couples to 1s through L = 2, whose r^5 would overflow.
+    """
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        state = scf_solve(
+            AtomConfig(z=2.0, shells=((1, 0, 2),), grid=GridParams(r_max=1e70, n_points=2000))
+        )
+        assert state.converged
+        target = hydrogenic_orbital(2.0, 3, 2, state.grid)
+        with pytest.raises(ParameterError, match="r_max"):
+            fock_apply(state, target)
 
 
 def test_nonconvergence_reports_trace():
@@ -1017,7 +1046,7 @@ def test_solve_channel_krylov_clipped_to_mesh(count):
     """
     g = make_grid(0.02, 30.0, 16)
     orbs = [replace(hydrogenic_orbital(3.0, n, 0, g), occupation=q) for n, q in ((1, 2), (2, 1))]
-    field = hartree_potential(sum(o.occupation * o.u**2 for o in orbs), g)
+    field = slater_potential(sum(o.occupation * o.u**2 for o in orbs), 0, g)
     op = _fock_operator(0, 3.0, orbs, field, g)
     ref_vals, ref_vecs = np.linalg.eigh(op.to_dense())
     v0 = sum(u_to_z(o.u, g) for o in orbs)

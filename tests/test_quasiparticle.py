@@ -10,7 +10,6 @@ from polarscf.errors import (
     SymmetryViolationError,
 )
 from polarscf.quasiparticle import (
-    GreenValue,
     SelfEnergyModel,
     dyson_born,
     dyson_solve,
@@ -34,7 +33,7 @@ def test_projector_diagonal_invariants():
     rng = np.random.default_rng(7)
     v = rng.standard_normal(20) + 1j * rng.standard_normal(20)
     v /= np.linalg.norm(v)
-    P = projector(v).matrix
+    P = projector(v)
     assert np.max(np.abs(P @ P - P)) < 1e-12
     assert np.max(np.abs(P - P.conj().T)) < 1e-12
     assert abs(np.trace(P) - 1.0) < 1e-12
@@ -45,9 +44,9 @@ def test_projector_offdiagonal_composition():
     m = rng.standard_normal(6) + 1j * rng.standard_normal(6)
     n = rng.standard_normal(6) + 1j * rng.standard_normal(6)
     m, n = m / np.linalg.norm(m), n / np.linalg.norm(n)
-    P = projector(m, n).matrix
+    P = projector(m, n)
     # |m><n| |n><m| = |m><m|
-    assert np.max(np.abs(P @ P.conj().T - projector(m).matrix)) < 1e-12
+    assert np.max(np.abs(P @ P.conj().T - projector(m))) < 1e-12
     assert abs(np.trace(P) - np.vdot(n, m)) < 1e-12
 
 
@@ -65,7 +64,7 @@ def test_projector_rejects_zero_state():
 def test_green0_scalar_value():
     # single level at 0.5 probed at E = 0 on the real axis
     G = green0(np.array([[0.5]]), 0.0, eta=0.0)
-    assert G.matrix[0, 0] == pytest.approx(-2.0, abs=1e-14)
+    assert G[0, 0] == pytest.approx(-2.0, abs=1e-14)
 
 
 def test_green0_pole_detection():
@@ -81,9 +80,10 @@ def test_green0_eta_domain():
 
 
 def test_green0_default_broadening():
-    G = green0(np.diag([1.0, -1.0]), 0.0)
-    assert G.eta == 1e-6
-    assert isinstance(G, GreenValue)
+    h = np.diag([1.0, -1.0])
+    G = green0(h, 0.0)
+    assert np.array_equal(G, green0(h, 0.0, eta=1e-6))
+    assert isinstance(G, np.ndarray)
 
 
 def test_resolvent_identity():
@@ -91,8 +91,8 @@ def test_resolvent_identity():
     h = random_hermitian(rng, 15)
     G1 = green0(h, 0.3, 1e-3)
     G2 = green0(h, -0.7, 1e-3)
-    lhs = G1.matrix - G2.matrix
-    rhs = (-0.7 - 0.3) * (G1.matrix @ G2.matrix)
+    lhs = G1 - G2
+    rhs = (-0.7 - 0.3) * (G1 @ G2)
     assert np.max(np.abs(lhs - rhs)) < 1e-12
 
 
@@ -102,7 +102,7 @@ def test_green0_hermitian_conjugation():
     G = green0(h, 0.2, 1e-2)
     # (E + i eta - h)^dag = (E - i eta - h): conjugate transpose flips eta
     explicit = np.linalg.inv((0.2 - 1e-2j) * np.eye(9) - h)
-    assert np.max(np.abs(G.matrix.conj().T - explicit)) < 1e-12
+    assert np.max(np.abs(G.conj().T - explicit)) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -114,11 +114,11 @@ def test_dyson_closed_vs_born():
     h = np.diag(np.linspace(-2.0, 2.0, 50))
     g0 = green0(h, 5.0, 1e-3)
     sigma = random_hermitian(rng, 50)
-    rho = max(abs(np.linalg.eigvals(g0.matrix @ sigma)))
+    rho = max(abs(np.linalg.eigvals(g0 @ sigma)))
     sigma *= 0.45 / rho
     closed = dyson_solve(g0, sigma)
     born = dyson_born(g0, sigma, terms=30)
-    assert np.max(np.abs(closed.matrix - born.matrix)) < 1e-8
+    assert np.max(np.abs(closed - born)) < 1e-8
 
 
 def test_dyson_constant_shift_moves_poles():
@@ -126,7 +126,7 @@ def test_dyson_constant_shift_moves_poles():
     g0 = green0(h, 2.0, 1e-6)
     shifted = dyson_solve(g0, 0.5 * np.eye(2))
     direct = green0(h + 0.5 * np.eye(2), 2.0, 1e-6)
-    assert np.max(np.abs(shifted.matrix - direct.matrix)) < 1e-10
+    assert np.max(np.abs(shifted - direct)) < 1e-10
 
 
 def test_dyson_shape_check():
@@ -142,10 +142,10 @@ def test_born_truncation_error_shrinks():
     h = np.diag([0.0, 1.0, 2.0])
     g0 = green0(h, 5.0, 1e-3)
     sigma = random_hermitian(rng, 3)
-    sigma *= 0.4 / max(abs(np.linalg.eigvals(g0.matrix @ sigma)))
-    closed = dyson_solve(g0, sigma).matrix
-    e5 = np.max(np.abs(dyson_born(g0, sigma, 5).matrix - closed))
-    e15 = np.max(np.abs(dyson_born(g0, sigma, 15).matrix - closed))
+    sigma *= 0.4 / max(abs(np.linalg.eigvals(g0 @ sigma)))
+    closed = dyson_solve(g0, sigma)
+    e5 = np.max(np.abs(dyson_born(g0, sigma, 5) - closed))
+    e15 = np.max(np.abs(dyson_born(g0, sigma, 15) - closed))
     assert e15 < e5 * 1e-3
 
 

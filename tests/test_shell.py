@@ -373,18 +373,23 @@ def test_only_hfcore_imports_scipy():
         ["qp", "sigma_kind=user_matrix"],
         ["scf", "z=2", "shells=1s:2", "r_max=1e300", "n_points=400"],
         ["scf", *FAST_SCF, "--modes", "3"],
+        # passes the grid's r_max² check, but the s–p exchange kernel's r³ overflows
+        ["scf", "z=7", "shells=1s:2,2s:2,2p:3", "r_max=1e150", "n_points=400"],
     ],
     ids=[
         "no-args", "missing-config", "inf", "nan", "qp-points", "n-max", "l-max",
         "modes-17", "unwritable-out", "unwritable-trace", "trace-without-scf",
         "tol-energy", "r-min-overflow", "sigma-coefficients", "qp-levels-nan",
         "qp-levels-inf", "mesh-ratio-overflow", "sigma-user-matrix", "r-max-overflow",
-        "modes-without-verify",
+        "modes-without-verify", "exchange-kernel-overflow",
     ],
 )
 def test_bad_input_exits_3_without_traceback(argv):
+    """Exit 3 with a `polar-scf:` message, under warnings as errors: no warning either."""
     r = subprocess.run(
-        [sys.executable, "-m", "polarscf.shell", *argv], capture_output=True, text=True
+        [sys.executable, "-W", "error", "-m", "polarscf.shell", *argv],
+        capture_output=True,
+        text=True,
     )
     assert r.returncode == 3, r.stderr
     assert "Traceback" not in r.stderr

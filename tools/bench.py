@@ -30,8 +30,9 @@ The metadata gives `nproc`, the BLAS builds of NumPy and SciPy, the BLAS
 thread setting (one thread unless the environment sets another), whether
 `PYTHONDONTWRITEBYTECODE` is set (then every fresh process compiles the
 modules it imports, which the `cli_` cases pay), the git SHA with a flag
-for uncommitted changes, and the line count of `src/polarscf`.  SciPy is
-imported before the first timed solve, so every in-process run is warm.
+for uncommitted changes, and the line count of `src/polarscf`, in total and
+per module (largest first).  SciPy is imported before the first timed
+solve, so every in-process run is warm.
 """
 
 import argparse
@@ -204,6 +205,7 @@ def _blas(module):
 
 def metadata():
     sources = sorted((ROOT / "src" / "polarscf").glob("*.py"))
+    lines = {p.stem: len(p.read_text(encoding="utf-8").splitlines()) for p in sources}
     return {
         "nproc": os.cpu_count(),
         "machine": platform.machine(),
@@ -216,7 +218,8 @@ def metadata():
         "pythondontwritebytecode": bool(os.environ.get("PYTHONDONTWRITEBYTECODE")),
         "git_sha": _git("rev-parse", "HEAD"),
         "git_dirty": bool(_git("status", "--porcelain", "--untracked-files=no")),
-        "src_lines": sum(len(p.read_text(encoding="utf-8").splitlines()) for p in sources),
+        "src_lines": sum(lines.values()),
+        "src_lines_by_module": dict(sorted(lines.items(), key=lambda kv: (-kv[1], kv[0]))),
         "runs_per_case": RUNS,
     }
 
