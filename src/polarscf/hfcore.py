@@ -23,7 +23,8 @@ The moving parts are:
   −(Z²/2 + 2), keeps the first shift that certifies and raises
   ConvergenceError if none does; ARPACK's tolerance follows the SCF
   residual, so iterations far from self-consistency are solved inexactly
-  and only a full-precision iteration may end the solve,
+  and only one at the final tolerance may end the solve, from a start at
+  Slater's screened charges,
 * fixed-point iteration on the input orbitals, stopped on its residual
   max|Φ(x) − x| alone (the energy change is traced, not tested),
   accelerated by Anderson (Pulay) extrapolation over the last few (input,
@@ -86,8 +87,7 @@ L_LETTERS = "spdf"
 SHIFT_MARGIN = 0.1
 
 # ARPACK's Krylov space (ncv) for `count` wanted pairs of a channel with N
-# mesh points: min(N, max(KRYLOV_MIN, KRYLOV_PER_PAIR·count)).
-KRYLOV_MIN = 8
+# mesh points: min(N, KRYLOV_PER_PAIR·count).
 KRYLOV_PER_PAIR = 4
 
 # (input, residual) pairs the Anderson extrapolation of the orbitals keeps.
@@ -95,10 +95,12 @@ ANDERSON_DEPTH = 8
 
 # ARPACK's tolerance in an SCF iteration is EIGSH_TOL_FACTOR times the
 # smallest residual max|Φ(x) − x| seen so far (taken as 1 before the first
-# iteration), and 0 (machine precision) once the residual has fallen below
-# EXACT_SOLVE_FACTOR·tol_orbital.
+# iteration), and the final FINAL_TOL_FACTOR·tol_orbital once the residual
+# has fallen below EXACT_SOLVE_FACTOR·tol_orbital: the eigenvector error it
+# leaves, about 750·tol for K's 4s (Saad 2011), lies far below tol_orbital.
 EIGSH_TOL_FACTOR = 1e-3
 EXACT_SOLVE_FACTOR = 10.0
+FINAL_TOL_FACTOR = 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -649,19 +651,15 @@ def _solve_channel(op: FockOperator, count, z_nuc, eps_low, v0, tol=0.0):
     too.  The certified solver is handed to ARPACK as the shift-invert
     operator and exactly `count` pairs are asked for, starting from v0
     (the channel's previous orbitals summed), which keeps runs
-    bit-reproducible.  ARPACK's least work per call is
-    ncv + 1 shift-invert solves, the first Lanczos factorization of its
-    Krylov space of ncv vectors, however good v0 is: SciPy's default
-    ncv = max(2·count + 1, 20) made every call cost at least 21 solves,
-    where a warm He call needs 9.  The Krylov size is therefore
-    ncv = min(N, max(KRYLOV_MIN, KRYLOV_PER_PAIR·count)): small for the
-    warm calls of channels with one or two levels, roomy enough for those
-    with more (a tighter max(8, 2·count + 1) nearly doubles the solves of
-    K and Ca at N=2000, whose s channels hold four levels), and never more
-    than the N that ARPACK allows.  `tol` is ARPACK's relative accuracy
-    of the Ritz values of (F − σ)⁻¹; 0 asks for machine precision, and a
-    looser value lets an SCF iteration far from self-consistency stop
-    early (see `scf_solve`).  The shift is certified whatever the tol.
+    bit-reproducible.  ARPACK's least work per call is ncv + 1 shift-invert
+    solves, however good v0 is, so ncv = min(N, KRYLOV_PER_PAIR·count):
+    5 solves for a warm one-level call (SciPy's default max(2·count + 1, 20)
+    cost 21), roomy enough for channels with more levels (2·count + 1
+    nearly doubles the solves of K and Ca at N=2000), and never more than
+    the N that ARPACK allows.  `tol` is ARPACK's relative accuracy of the
+    Ritz values of (F − σ)⁻¹ (0: machine precision); `scf_solve` passes a
+    loose one far from self-consistency and FINAL_TOL_FACTOR·tol_orbital
+    near it.  The shift is certified whatever the tol.
 
     Returns (values, vectors, work) with values ascending and work holding
     the shift, the number of factorizations (shifts tried) and of
@@ -696,7 +694,7 @@ def _solve_channel(op: FockOperator, count, z_nuc, eps_low, v0, tol=0.0):
 
     A = spla.LinearOperator((N, N), matvec=op.apply, dtype=float)
     OPinv = spla.LinearOperator((N, N), matvec=shift_invert, dtype=float)
-    ncv = min(N, max(KRYLOV_MIN, KRYLOV_PER_PAIR * count))
+    ncv = min(N, KRYLOV_PER_PAIR * count)
     try:
         vals, vecs = spla.eigsh(
             A, k=count, sigma=sigma, which="LM", v0=v0, OPinv=OPinv, tol=tol, ncv=ncv
@@ -744,6 +742,26 @@ def _orthonormal_orbitals(x, like, channels, g: RadialGrid):
     return out
 
 
+def _slater_charges(z, shells):
+    """Slater's effective charge Z − s of each shell, at least Z/10 (Phys. Rev. 36, 57 (1930)).
+
+    Groups (1s)(2s,2p)(3s,3p)(3d)(4s,4p)(4d)(4f)… are keyed (n, 0) or (n, l ≥ 2).  Each
+    other electron of the group screens 0.35 (0.30 in 1s), each of a group to the left
+    1.00, or 0.85 if it is in shell n − 1 and the screened electron is s or p.
+    """
+    keys = [(s.n, s.l if s.l > 1 else 0) for s in shells]
+    charges = []
+    for a, (ka, sa) in enumerate(zip(keys, shells)):
+        screen = 0.0
+        for b, (kb, sb) in enumerate(zip(keys, shells)):
+            if kb == ka:
+                screen += (sb.occupation - (a == b)) * (0.30 if sa.n == 1 else 0.35)
+            elif kb < ka:
+                screen += sb.occupation * (0.85 if sa.l < 2 and sb.n == sa.n - 1 else 1.0)
+        charges.append(max(z - screen, 0.1 * z))
+    return charges
+
+
 def scf_solve(cfg: AtomConfig) -> SCFState:
     """Self-consistent solve of the mean-field equations for one atom.
 
@@ -755,14 +773,16 @@ def scf_solve(cfg: AtomConfig) -> SCFState:
     operator is built from one orthonormal orbital set.  Early iterations
     are solved inexactly: ARPACK's tolerance is EIGSH_TOL_FACTOR times the
     smallest residual so far (1 before the first iteration), never growing,
-    and exactly 0 (full precision) once the residual is below
-    EXACT_SOLVE_FACTOR·`tol_orbital`; each trace row records it as
-    `eigensolve_tol` (after Herbst, Levitt & Cancès, Proc. JuliaCon Conf. 3,
-    69 (2021)).  The residual alone decides when to stop: the solve ends at
-    the first iteration solved at full precision whose max|Φ(x) − x| (the
-    trace's `max_orbital_delta`) is below `tol_orbital`; met at a looser
-    tolerance, it buys one more iteration, so the returned eigenpairs and
-    snapshot always come from a full-precision solve.  The energy change
+    and the final FINAL_TOL_FACTOR·`tol_orbital` once the residual is
+    below EXACT_SOLVE_FACTOR·`tol_orbital`; each trace row records the
+    tolerance used as `eigensolve_tol` (after Herbst, Levitt & Cancès,
+    Proc. JuliaCon Conf. 3, 69 (2021)).  The residual alone decides when to
+    stop: the solve ends at the first iteration solved at the final
+    tolerance whose max|Φ(x) − x| (the trace's `max_orbital_delta`) is
+    below `tol_orbital`; met at a looser tolerance, it buys one more
+    iteration, so the returned eigenpairs and snapshot always come from a
+    solve at the final tolerance.  The start is hydrogenic at Slater's
+    charges Z_eff, the first shifts at −Z_eff²/(2n²).  The energy change
     is recorded in every trace row as `delta_energy` but gates nothing.
     The shells are put in (l, n) order first, so the order they are listed
     in does not change a single bit of the result.
@@ -776,18 +796,18 @@ def scf_solve(cfg: AtomConfig) -> SCFState:
     for i, s in enumerate(cfg.shells):
         channels.setdefault(s.l, []).append(i)
 
-    # bare-nucleus starting guess
+    charges = _slater_charges(cfg.z, cfg.shells)
     start = [
-        replace(hydrogenic_orbital(cfg.z, s.n, s.l, g), occupation=s.occupation)
-        for s in cfg.shells
+        replace(hydrogenic_orbital(zeff, s.n, s.l, g), occupation=s.occupation)
+        for zeff, s in zip(charges, cfg.shells)
     ]
     x = np.concatenate([o.u for o in start])
     # hydrogenic levels of the start: the first iteration's warm shifts
-    eigenvalues = [-0.5 * (cfg.z / s.n) ** 2 for s in cfg.shells]
+    eigenvalues = [-0.5 * (zeff / s.n) ** 2 for zeff, s in zip(charges, cfg.shells)]
 
     xs, fs = [], []  # the Anderson history, newest last
     E_prev = None
-    eig_tol = EIGSH_TOL_FACTOR
+    eig_tol, final_tol = EIGSH_TOL_FACTOR, FINAL_TOL_FACTOR * cfg.scf.tol_orbital
     trace = []
 
     for it in range(1, cfg.scf.max_iter + 1):
@@ -846,12 +866,10 @@ def scf_solve(cfg: AtomConfig) -> SCFState:
             }
         )
         E_prev = E_new
-        if eig_tol == 0.0 and delta_u < cfg.scf.tol_orbital:
+        if eig_tol <= final_tol and delta_u < cfg.scf.tol_orbital:
             break
-        if delta_u < EXACT_SOLVE_FACTOR * cfg.scf.tol_orbital:
-            eig_tol = 0.0
-        else:
-            eig_tol = min(eig_tol, EIGSH_TOL_FACTOR * delta_u)
+        near = delta_u < EXACT_SOLVE_FACTOR * cfg.scf.tol_orbital
+        eig_tol = min(eig_tol, final_tol if near else EIGSH_TOL_FACTOR * delta_u)
         xs = (xs + [x])[-ANDERSON_DEPTH:]
         fs = (fs + [f])[-ANDERSON_DEPTH:]
         x = _anderson_step(xs, fs)

@@ -43,7 +43,7 @@ class RadialGrid:
             )
         # the kinetic stencil's largest entries are about 1/(h*r_min)^2, and it
         # divides by r_i*r_{i+1}, which reaches r_max^2
-        if (h * r[0]) ** 2 * sys.float_info.max < 1.0:
+        if h * r[0] < 1.0 / math.sqrt(sys.float_info.max):
             raise ParameterError(
                 f"r_min {float(r[0])!r} is too small: the kinetic stencil 1/(h*r_min)^2 overflows"
             )

@@ -13,6 +13,7 @@ import pytest
 import polarscf
 from polarscf import shell
 from polarscf.errors import ConfigError
+from polarscf.hfcore import FINAL_TOL_FACTOR
 from polarscf.shell import (
     RunConfig,
     canonical_json,
@@ -25,6 +26,8 @@ from polarscf.shell import (
 
 FAST_SCF = ["z=1.0", "shells=1s:1", "n_points=500", "r_max=40.0"]
 NO_SUCH_DIR = Path(__file__).parent / "no-such-dir"
+# ARPACK's tolerance in the last iteration of a solve at the default tol_orbital
+FINAL_TOL = FINAL_TOL_FACTOR * polarscf.DEFAULT_TOL_ORBITAL
 
 
 def test_parse_shells_notation():
@@ -244,7 +247,7 @@ def test_trace_side_channel(tmp_path):
     rows = [json.loads(line) for line in trace.read_text().splitlines()]
     assert [row["iteration"] for row in rows] == list(range(1, len(rows) + 1))
     assert len(rows) == json.loads(plain.read_text())["result"]["iterations"]
-    assert rows[-1]["eigensolve_tol"] == 0.0
+    assert rows[-1]["eigensolve_tol"] == FINAL_TOL
     assert list(rows[0]["shift"]) == ["0"]
 
 
@@ -252,7 +255,7 @@ def test_trace_side_channel_pseudo_and_nonconvergence(tmp_path, capsys):
     trace = tmp_path / "t.jsonl"
     assert main(["pseudo", *FAST_SCF, "valence=1s", "--trace", str(trace), "--out",
                  str(tmp_path / "p.json")]) == 0
-    assert json.loads(trace.read_text().splitlines()[-1])["eigensolve_tol"] == 0.0
+    assert json.loads(trace.read_text().splitlines()[-1])["eigensolve_tol"] == FINAL_TOL
     argv = ["scf", "z=2.0", "shells=1s:2", "n_points=500", "r_max=40.0", "max_iter=2"]
     assert main([*argv, "--trace", str(trace)]) == 2
     assert len(trace.read_text().splitlines()) == 2
@@ -375,13 +378,15 @@ def test_only_hfcore_imports_scipy():
         ["scf", *FAST_SCF, "--modes", "3"],
         # passes the grid's r_max² check, but the s–p exchange kernel's r³ overflows
         ["scf", "z=7", "shells=1s:2,2s:2,2p:3", "r_max=1e150", "n_points=400"],
+        # h·r_min > 1: the r_min check must not overflow on a mesh that starts far out
+        ["scf", "z=2", "shells=1s:2", "r_min=1000", "r_max=2000", "n_points=100"],
     ],
     ids=[
         "no-args", "missing-config", "inf", "nan", "qp-points", "n-max", "l-max",
         "modes-17", "unwritable-out", "unwritable-trace", "trace-without-scf",
         "tol-energy", "r-min-overflow", "sigma-coefficients", "qp-levels-nan",
         "qp-levels-inf", "mesh-ratio-overflow", "sigma-user-matrix", "r-max-overflow",
-        "modes-without-verify", "exchange-kernel-overflow",
+        "modes-without-verify", "exchange-kernel-overflow", "far-r-min",
     ],
 )
 def test_bad_input_exits_3_without_traceback(argv):

@@ -12,8 +12,9 @@ each field; nothing is gated.  Cases:
 * `scf` for He and Li at the default N=2000 (`end_to_end`), and for Ne, Na,
   Ar, K and Ca (`ungated`; with He and Li their channels hold one to four
   wanted levels), each with iterations, factorizations and shift-invert
-  solves from `state.trace` and the trace's per-phase wall times summed over
-  iterations (field, operator build, eigensolve, energy);
+  solves from `state.trace` (in total, and in the first and the last
+  iteration) and the trace's per-phase wall times summed over iterations
+  (field, operator build, eigensolve, energy);
 * `scf` for Ar, K and Ca at N=2000 with tol_orbital=1e-10 (`ungated`, the
   `_tight` cases): the tight run that published numbers are judged against;
 * `pseudo` for Li 2s: the solve plus `pk_solve`, as `polar-scf pseudo` runs it;
@@ -111,6 +112,8 @@ def _scf_record(state, wall, cpu):
     rec = {"wall_s": wall, "cpu_s": cpu, "iterations": state.iterations}
     for key in ("factorizations", "shift_invert_solves", *PHASES):
         rec[key] = sum(row[key] for row in state.trace)
+    rec["first_iteration_solves"] = state.trace[0]["shift_invert_solves"]
+    rec["last_iteration_solves"] = state.trace[-1]["shift_invert_solves"]
     return rec
 
 
