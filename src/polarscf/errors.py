@@ -1,4 +1,11 @@
-"""Exception hierarchy shared by all polarscf modules."""
+"""The errors of polarscf, one class per way a `polar-scf` run ends.
+
+`ParameterError`, a `ValueError`, is bad input: an argument, config line,
+grid or state outside its documented domain (exit 3).  `ConvergenceError`
+is a solve that did not converge, and keeps its iteration trace (exit 2).
+`PolarSCFError` is their base; raised directly, it is a failed self-check,
+such as a nonzero anticommutator in `verify` (exit 3).
+"""
 
 
 class PolarSCFError(Exception):
@@ -6,73 +13,12 @@ class PolarSCFError(Exception):
 
 
 class ParameterError(PolarSCFError, ValueError):
-    """An argument is outside its documented domain."""
-
-
-class InvalidPermutationError(ParameterError):
-    """The images of a permutation are not a bijection on 1..n."""
-
-
-class CapacityError(PolarSCFError):
-    """Input exceeds a hard enumeration or table limit."""
-
-
-class ShapeError(PolarSCFError, ValueError):
-    """Array lengths or dimensions do not match."""
-
-
-class PreconditionError(PolarSCFError):
-    """A documented precondition on the input state was violated."""
-
-
-class DomainError(PolarSCFError, ValueError):
-    """A physical/mathematical domain restriction was violated (CLI exit 3)."""
+    """An argument, config line or input is outside its documented domain."""
 
 
 class ConvergenceError(PolarSCFError):
-    """Iteration failed to converge (CLI exit 2).
-
-    Attributes
-    ----------
-    trace : list of dict
-        Per-iteration convergence record (energy, deltas).
-    """
+    """Iteration failed to converge; `trace` holds its per-iteration rows."""
 
     def __init__(self, message, trace=None):
         super().__init__(message)
         self.trace = list(trace) if trace is not None else []
-
-
-class SingularityError(PolarSCFError):
-    """A linear system that must be regular was singular."""
-
-
-class SymmetryViolationError(PolarSCFError):
-    """Data violates a required symmetry beyond tolerance.
-
-    Attributes
-    ----------
-    asymmetry : float
-        Largest detected violation.
-    """
-
-    def __init__(self, message, asymmetry=None):
-        super().__init__(message)
-        self.asymmetry = asymmetry
-
-
-class ConfigError(DomainError):
-    """Malformed or out-of-domain configuration text.
-
-    Attributes
-    ----------
-    line : int or None
-        1-based line number of the offending entry, when known.
-    key : str or None
-        Offending key name, when known.
-    """
-
-    def __init__(self, message, line=None, key=None):
-        super().__init__(message)
-        self.line = line
-        self.key = key

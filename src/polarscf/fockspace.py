@@ -17,11 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    CapacityError,
-    InvalidPermutationError,
-    ParameterError,
-)
+from .errors import ParameterError
 
 RANK_CAP = 8  # antisymmetrize sums over n! permutations
 MODE_CAP = 16  # occupation-number spaces: 2^16 basis masks, each fits in int64
@@ -36,11 +32,11 @@ def parity(images) -> int:
 
     +1 for even, -1 for odd, counted as (-1)^(number of inversions);
     multiplicative under composition.  Images that are not a bijection on
-    1..n raise InvalidPermutationError.
+    1..n raise ParameterError.
     """
     imgs = tuple(int(i) for i in images)
     if sorted(imgs) != list(range(1, len(imgs) + 1)):
-        raise InvalidPermutationError(f"images {imgs} are not a bijection on 1..{len(imgs)}")
+        raise ParameterError(f"images {imgs} are not a bijection on 1..{len(imgs)}")
     inversions = 0
     for a in range(len(imgs)):
         for b in range(a + 1, len(imgs)):
@@ -64,7 +60,7 @@ def antisymmetrize(amplitudes: np.ndarray) -> np.ndarray:
     t = np.asarray(amplitudes, dtype=complex)
     n = t.ndim
     if n > RANK_CAP:
-        raise CapacityError(f"rank {n} exceeds enumeration cap {RANK_CAP}")
+        raise ParameterError(f"rank {n} exceeds enumeration cap {RANK_CAP}")
     if t.shape != (t.shape[0],) * n:
         raise ParameterError(f"tensor shape {t.shape} is not cubic")
     if not np.all(np.isfinite(t)):
@@ -105,7 +101,7 @@ class OccupationVector:
         if any(b not in (0, 1) for b in bits):
             raise ParameterError("bits must be 0 or 1")
         if len(bits) > MODE_CAP:
-            raise CapacityError(f"M={len(bits)} exceeds mode cap {MODE_CAP}")
+            raise ParameterError(f"M={len(bits)} exceeds mode cap {MODE_CAP}")
         object.__setattr__(self, "bits", bits)
 
     @property
@@ -201,7 +197,7 @@ def anticommutator_table(M: int) -> AnticommutatorTables:
     if M < 1:
         raise ParameterError("M must be >= 1")
     if M > MODE_CAP:
-        raise CapacityError(f"M={M} exceeds mode cap {MODE_CAP}")
+        raise ParameterError(f"M={M} exceeds mode cap {MODE_CAP}")
     basis = np.arange(1 << M, dtype=np.int64)
 
     def product(first, second):

@@ -59,13 +59,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import DEFAULT_MAX_ITER, DEFAULT_N_POINTS, DEFAULT_R_MAX, DEFAULT_TOL_ORBITAL
-from .errors import (
-    CapacityError,
-    ConvergenceError,
-    ParameterError,
-    PreconditionError,
-    ShapeError,
-)
+from .errors import ConvergenceError, ParameterError
 from .radial import (
     RadialGrid,
     RadialOrbital,
@@ -141,7 +135,7 @@ class ShellSpec:
 
 def shell_label(n: int, l: int) -> str:
     if l >= len(L_LETTERS):
-        raise CapacityError(f"no letter for l={l}; supported shells are s..f")
+        raise ParameterError(f"no letter for l={l}; supported shells are s..f")
     return f"{n}{L_LETTERS[l]}"
 
 
@@ -230,7 +224,7 @@ def angular_weight(l_target: int, L: int, l_source: int) -> float:
     if l_target < 0 or l_source < 0 or L < 0:
         raise ParameterError("angular momenta must be nonnegative")
     if l_target > MAX_COUPLING_L or l_source > MAX_COUPLING_L:
-        raise CapacityError(
+        raise ParameterError(
             f"angular coupling table covers l <= {MAX_COUPLING_L}, "
             f"got ({l_target}, {l_source})"
         )
@@ -258,7 +252,7 @@ def slater_potential(f, L: int, g: RadialGrid):
     """
     f = np.asarray(f, dtype=float)
     if f.shape != g.points.shape:
-        raise ShapeError(f"source has shape {f.shape}, grid has {g.points.shape}")
+        raise ParameterError(f"source has shape {f.shape}, grid has {g.points.shape}")
     r = g.points
     h = g.log_step
     # ds = s dx on the log mesh
@@ -288,7 +282,7 @@ def build_density(orbitals, g: RadialGrid):
         z = u_to_z(o.u, g)
         nrm = float(z @ z)
         if abs(nrm - 1.0) > 1e-6:
-            raise PreconditionError(
+            raise ParameterError(
                 f"orbital {shell_label(o.n, o.l)} is not normalized: <u|u> = {nrm!r}"
             )
         rho += o.occupation * o.u**2
@@ -333,7 +327,9 @@ def _exchange_terms(channel_l, orbitals, g: RadialGrid):
     blocks, pins = [], []
     for o in orbitals:
         if np.asarray(o.u).shape != g.points.shape:
-            raise ShapeError(f"source orbital {shell_label(o.n, o.l)} is not sampled on the grid")
+            raise ParameterError(
+                f"source orbital {shell_label(o.n, o.l)} is not sampled on the grid"
+            )
         u_b, l_b, q_b = o.u, o.l, o.occupation
         z_b = u_to_z(u_b, g)
         own = [
@@ -375,7 +371,7 @@ def _exchange_action(blocks, pins, x):
 def exchange_apply(orbitals, target: RadialOrbital, g: RadialGrid):
     """Apply the nonlocal exchange of the occupied orbitals to a target."""
     if np.asarray(target.u).shape != g.points.shape:
-        raise ShapeError("target orbital is not sampled on the given grid")
+        raise ParameterError("target orbital is not sampled on the given grid")
     blocks, pins = _exchange_terms(target.l, orbitals, g)
     return z_to_u(_exchange_action(blocks, pins, u_to_z(target.u, g)), g)
 
@@ -598,10 +594,14 @@ class SCFState:
 
 
 def fock_apply(state: SCFState, target: RadialOrbital):
-    """Apply the converged Fock operator (kinetic − Z/r + field) to a target."""
+    """Apply the state's whole channel operator for target.l to a target.
+
+    That is `state.channel_operator(target.l)`: kinetic − Z/r + field, minus
+    the exchange blocks and the odd-shell pins, applied in z and returned as u.
+    """
     g = state.grid
     if np.asarray(target.u).shape != g.points.shape:
-        raise ShapeError("target orbital is not sampled on the state's grid")
+        raise ParameterError("target orbital is not sampled on the state's grid")
     op = state.channel_operator(target.l)
     return z_to_u(op.apply(u_to_z(target.u, g)), g)
 
@@ -615,7 +615,7 @@ def trace_energy(state: SCFState):
     them agree to the eigensolver's accuracy.
     """
     if not state.converged:
-        raise PreconditionError("trace_energy needs a converged SCF state")
+        raise ParameterError("trace_energy needs a converged SCF state")
     g = state.grid
     sum_eigen = 0.0
     trace_lhs = 0.0

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, PreconditionError
+from .errors import ParameterError
 from .hfcore import SCFState, shell_label
 from .radial import (
     kinetic_tridiagonal,
@@ -64,7 +64,7 @@ def pk_solve(state: SCFState, valence) -> PseudoOrbital:
             f"valence level ({n_v}, {l_v}) not found among occupied shells"
         )
     if not state.converged:
-        raise PreconditionError("pk_solve needs a converged SCF state")
+        raise ParameterError("pk_solve needs a converged SCF state")
     eps_v = float(state.eigenvalues[v_idx])
     v_orb = state.orbitals[v_idx]
 

@@ -17,12 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    ParameterError,
-    ShapeError,
-    SingularityError,
-    SymmetryViolationError,
-)
+from .errors import ParameterError
 
 DEFAULT_ETA = 1e-6
 DEFAULT_BORN_TERMS = 30
@@ -42,7 +37,7 @@ def projector(m_state, n_state=None) -> np.ndarray:
     m = np.asarray(m_state, dtype=complex)
     n = m if n_state is None else np.asarray(n_state, dtype=complex)
     if m.ndim != 1 or n.ndim != 1 or m.shape != n.shape:
-        raise ShapeError("projector states must be vectors of equal length")
+        raise ParameterError("projector states must be vectors of equal length")
     for v in (m, n):
         if np.linalg.norm(v) < 1e-14:
             raise ParameterError("zero-norm state has no projector")
@@ -56,11 +51,11 @@ def projector(m_state, n_state=None) -> np.ndarray:
 def _check_hermitian(h, what: str):
     h = np.asarray(h)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
-        raise ShapeError(f"{what} must be a square matrix")
+        raise ParameterError(f"{what} must be a square matrix")
     scale = max(1.0, float(np.max(np.abs(h))))
     dev = float(np.max(np.abs(h - h.conj().T)))
     if dev > 1e-10 * scale:
-        raise SymmetryViolationError(f"{what} is not hermitian", asymmetry=dev)
+        raise ParameterError(f"{what} is not hermitian")
     return h
 
 
@@ -78,25 +73,25 @@ def green0(h, energy: float, eta: float = DEFAULT_ETA) -> np.ndarray:
         eigs = np.linalg.eigvalsh(h)
         scale = max(1.0, float(np.max(np.abs(eigs))))
         if np.min(np.abs(energy - eigs)) < 1e-12 * scale:
-            raise SingularityError(
+            raise ParameterError(
                 f"resolvent pole: E={energy} lies on the spectrum with eta=0"
             )
     A = (energy + 1j * eta) * np.eye(dim) - h
     try:
         return np.linalg.solve(A, np.eye(dim, dtype=complex))
     except np.linalg.LinAlgError as exc:
-        raise SingularityError(f"resolvent solve failed at E={energy}") from exc
+        raise ParameterError(f"resolvent solve failed at E={energy}") from exc
 
 
 def dyson_solve(g0, sigma) -> np.ndarray:
     """Dressed resolvent matrix from the closed Dyson form (G₀⁻¹ − Σ)⁻¹."""
     sigma = np.asarray(sigma, dtype=complex)
     if sigma.shape != np.shape(g0):
-        raise ShapeError("self-energy shape does not match the resolvent")
+        raise ParameterError("self-energy shape does not match the resolvent")
     try:
         return np.linalg.inv(np.linalg.inv(g0) - sigma)
     except np.linalg.LinAlgError as exc:
-        raise SingularityError("Dyson inversion hit a singular matrix") from exc
+        raise ParameterError("Dyson inversion hit a singular matrix") from exc
 
 
 def dyson_born(g0, sigma, terms: int = DEFAULT_BORN_TERMS) -> np.ndarray:
@@ -107,7 +102,7 @@ def dyson_born(g0, sigma, terms: int = DEFAULT_BORN_TERMS) -> np.ndarray:
     """
     sigma = np.asarray(sigma, dtype=complex)
     if sigma.shape != np.shape(g0):
-        raise ShapeError("self-energy shape does not match the resolvent")
+        raise ParameterError("self-energy shape does not match the resolvent")
     if terms < 1:
         raise ParameterError("Born series needs at least one term")
     acc = np.array(g0, dtype=complex)

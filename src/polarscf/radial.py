@@ -20,7 +20,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import CapacityError, ParameterError, ShapeError
+from .errors import ParameterError
 
 MIN_SOLVER_POINTS = 16
 
@@ -101,7 +101,7 @@ def integrate(f, g: RadialGrid) -> float:
     """h*Σ r*f: the mesh quadrature of f, which is z·z' for f = u*u'."""
     f = np.asarray(f)
     if f.shape != g.points.shape:
-        raise ShapeError(f"sample length {f.shape} does not match grid {g.points.shape}")
+        raise ParameterError(f"sample length {f.shape} does not match grid {g.points.shape}")
     return float(np.dot(f, g.weights))
 
 
@@ -168,7 +168,7 @@ def kinetic_tridiagonal(g: RadialGrid, l: int):
     Local potentials add to the diagonal as plain V(r_i).
     """
     if g.N < MIN_SOLVER_POINTS:
-        raise CapacityError(f"solver grid needs N >= {MIN_SOLVER_POINTS}, got {g.N}")
+        raise ParameterError(f"solver grid needs N >= {MIN_SOLVER_POINTS}, got {g.N}")
     r = g.points
     h = g.log_step
     diag = (1.0 / h**2 + 0.5 * (l + 0.5) ** 2) / r**2

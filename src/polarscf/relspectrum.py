@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from numbers import Integral
 
-from .errors import DomainError
+from .errors import ParameterError
 
 FINE_STRUCTURE_ALPHA = 7.2973525693e-3
 
@@ -33,13 +33,13 @@ class SpectrumParams:
 
     def __post_init__(self):
         if self.m <= 0:
-            raise DomainError(f"mass scale must be positive, got {self.m}")
+            raise ParameterError(f"mass scale must be positive, got {self.m}")
         if self.gamma < 0:
-            raise DomainError(f"coupling gamma must be non-negative, got {self.gamma}")
+            raise ParameterError(f"coupling gamma must be non-negative, got {self.gamma}")
         if not isinstance(self.n, Integral) or self.n < 1:
-            raise DomainError(f"principal number must be an integer >= 1, got {self.n}")
+            raise ParameterError(f"principal number must be an integer >= 1, got {self.n}")
         if not isinstance(self.k, Integral) or self.k == 0:
-            raise DomainError(f"angular label k must be a non-zero integer, got {self.k}")
+            raise ParameterError(f"angular label k must be a non-zero integer, got {self.k}")
 
 
 @dataclass(frozen=True)
@@ -57,9 +57,14 @@ def boson_energy(p: SpectrumParams) -> SpectrumBreakdown:
     """Level energy through order γ⁶ (in units where the rest term is m/2)."""
     m, g, n, k = p.m, p.gamma, p.n, abs(p.k)
     leading = m / 2.0
-    term2 = -m * g**2 / (2.0 * n**2)
-    term4 = -m * g**4 / (8.0 * n**3) * (4.0 / k - 3.0 / n)
-    term6 = -m * g**6 / (8.0 * n**4) * (3.0 / n**2 - 8.0 / (n * k) + 4.0 / p.k**2)
+    try:
+        term2 = -m * g**2 / (2.0 * n**2)
+        term4 = -m * g**4 / (8.0 * n**3) * (4.0 / k - 3.0 / n)
+        term6 = -m * g**6 / (8.0 * n**4) * (3.0 / n**2 - 8.0 / (n * k) + 4.0 / p.k**2)
+    except OverflowError:
+        raise ParameterError(
+            f"coupling gamma {g!r} is too large: its powers overflow a float"
+        ) from None
     total = leading + term2 + term4 + term6
     return SpectrumBreakdown(
         leading=leading, term2=term2, term4=term4, term6=term6, total=total
@@ -82,7 +87,7 @@ def k_values_for_l(l: int) -> KValues:
     the drop is recorded in the result rather than applied silently.
     """
     if not isinstance(l, Integral) or l < 0:
-        raise DomainError(f"orbital momentum must be an integer >= 0, got {l}")
+        raise ParameterError(f"orbital momentum must be an integer >= 0, got {l}")
     raw = (-l, l + 1)
     values = tuple(k for k in raw if k != 0)
     return KValues(l=int(l), values=values, filtered_zero=len(values) != len(raw))

@@ -9,7 +9,8 @@ which is what makes the "resolved config" block embedded in every output
 trustworthy: it reruns to the same result.
 
 Outputs are deterministic down to the byte: fixed field order, floats
-printed with 17 significant digits, no timestamps or environment echoes.
+printed with 17 significant digits (never inf or nan: a result that is not
+finite is bad input), no timestamps or environment echoes.
 JSON for the solver commands, CSV (with the resolved config in # comments)
 for the sweep commands.
 
@@ -39,7 +40,7 @@ import sys
 from dataclasses import dataclass, fields, replace
 
 from . import DEFAULT_MAX_ITER, DEFAULT_N_POINTS, DEFAULT_R_MAX, DEFAULT_TOL_ORBITAL
-from .errors import ConfigError, ConvergenceError, PolarSCFError
+from .errors import ConvergenceError, ParameterError, PolarSCFError
 from .relspectrum import (
     FINE_STRUCTURE_ALPHA,
     SpectrumParams,
@@ -119,9 +120,9 @@ def _number(key: str, raw: str, where: str, kind=float):
     try:
         value = kind(raw)
     except ValueError:
-        raise ConfigError(f"{where}: cannot parse {key}={raw!r}") from None
+        raise ParameterError(f"{where}: cannot parse {key}={raw!r}") from None
     if not math.isfinite(value):
-        raise ConfigError(f"{where}: {key}={raw!r} is not a finite number")
+        raise ParameterError(f"{where}: {key}={raw!r} is not a finite number")
     return value
 
 
@@ -153,28 +154,26 @@ def parse_config(text: str, command: str | None = None, overrides=()) -> RunConf
         if not stripped or stripped.startswith("#"):
             continue
         if "=" not in stripped:
-            raise ConfigError(
-                f"line {lineno}: expected key=value, got {stripped!r}", line=lineno
-            )
+            raise ParameterError(f"line {lineno}: expected key=value, got {stripped!r}")
         key, raw = stripped.split("=", 1)
         key, raw = key.strip(), raw.strip()
         if key not in _DEFAULTS:
-            raise ConfigError(f"line {lineno}: unknown key {key!r}", line=lineno, key=key)
+            raise ParameterError(f"line {lineno}: unknown key {key!r}")
         values[key] = _coerce(key, raw, f"line {lineno}")
     for i, item in enumerate(overrides, start=1):
         if "=" not in item:
-            raise ConfigError(f"override {i}: expected key=value, got {item!r}")
+            raise ParameterError(f"override {i}: expected key=value, got {item!r}")
         key, raw = item.split("=", 1)
         if key not in _DEFAULTS:
-            raise ConfigError(f"override {i}: unknown key {key!r}", key=key)
+            raise ParameterError(f"override {i}: unknown key {key!r}")
         values[key] = _coerce(key, raw, f"override {i}")
     if command:
         values["command"] = command
     if not values.get("command"):
-        raise ConfigError("missing command: give one on the CLI or a command= line")
+        raise ParameterError("missing command: give one on the CLI or a command= line")
     cfg = RunConfig(**values)
     if cfg.command not in COMMANDS:
-        raise ConfigError(f"unknown command {cfg.command!r}; expected one of {COMMANDS}")
+        raise ParameterError(f"unknown command {cfg.command!r}; expected one of {COMMANDS}")
     return cfg
 
 
@@ -194,7 +193,7 @@ def parse_shells(spec: str):
         token = token.strip()
         m = re.fullmatch(r"(\d+)([a-z]):(\d+)", token)
         if not m or m.group(2) not in L_LETTERS:
-            raise ConfigError(f"bad shell token {token!r}; expected like '2p:3'")
+            raise ParameterError(f"bad shell token {token!r}; expected like '2p:3'")
         out.append((int(m.group(1)), L_LETTERS.index(m.group(2)), int(m.group(3))))
     return tuple(out)
 
@@ -204,7 +203,7 @@ def _parse_level(label: str):
 
     m = re.fullmatch(r"(\d+)([a-z])", label.strip())
     if not m or m.group(2) not in L_LETTERS:
-        raise ConfigError(f"bad level label {label!r}; expected like '2s'")
+        raise ParameterError(f"bad level label {label!r}; expected like '2s'")
     return int(m.group(1)), L_LETTERS.index(m.group(2))
 
 
@@ -213,7 +212,10 @@ def _parse_level(label: str):
 
 
 def _fmt(x) -> str:
-    return format(float(x), ".17g")
+    x = float(x)
+    if not math.isfinite(x):
+        raise ParameterError("result is not finite; an input is out of range")
+    return format(x, ".17g")
 
 
 def canonical_json(obj) -> str:
@@ -274,7 +276,7 @@ def _run_pseudo(cfg: RunConfig, trace) -> str:
     from .pseudopot import pk_solve, pseudo_summary
 
     if not cfg.valence:
-        raise ConfigError("pseudo needs a valence level, e.g. valence=2s")
+        raise ParameterError("pseudo needs a valence level, e.g. valence=2s")
     state = _solve(cfg, trace)
     pseudo = pk_solve(state, _parse_level(cfg.valence))
     doc = {"config": config_block(cfg), "result": pseudo_summary(pseudo)}
@@ -288,9 +290,13 @@ def _run_qp(cfg: RunConfig) -> str:
 
     levels = _numbers(cfg, "qp_levels")
     if not levels:
-        raise ConfigError("qp_levels is empty")
+        raise ParameterError("qp_levels is empty")
     if cfg.qp_e_points < 1:
-        raise ConfigError(f"qp_e_points must be >= 1, got {cfg.qp_e_points}")
+        raise ParameterError(f"qp_e_points must be >= 1, got {cfg.qp_e_points}")
+    if not math.isfinite(cfg.qp_e_max - cfg.qp_e_min):
+        raise ParameterError(
+            f"qp_e_max - qp_e_min overflows for ({cfg.qp_e_min!r}, {cfg.qp_e_max!r})"
+        )
     h = np.diag(levels)
     model = SelfEnergyModel(
         kind=cfg.sigma_kind,
@@ -323,9 +329,9 @@ def _run_qp(cfg: RunConfig) -> str:
 
 def _run_spectrum(cfg: RunConfig) -> str:
     if cfg.n_max < 1:
-        raise ConfigError(f"n_max must be >= 1, got {cfg.n_max}")
+        raise ParameterError(f"n_max must be >= 1, got {cfg.n_max}")
     if cfg.l_max < 0:
-        raise ConfigError(f"l_max must be >= 0, got {cfg.l_max}")
+        raise ParameterError(f"l_max must be >= 0, got {cfg.l_max}")
     lines = [_config_comments(cfg)]
     filtered_any = False
     rows = []
@@ -348,7 +354,7 @@ def _run_spectrum(cfg: RunConfig) -> str:
 
 def _run_verify(cfg: RunConfig, target: str) -> str:
     if target != "fock":
-        raise ConfigError(f"unknown verify target {target!r}; only 'fock' exists")
+        raise ParameterError(f"unknown verify target {target!r}; only 'fock' exists")
     tables = _shell.anticommutator_table(cfg.modes)
     dev = tables.max_deviation()
     if dev != 0.0:
@@ -375,7 +381,7 @@ def run_command(cfg: RunConfig, target: str = "fock", trace=None) -> str:
 
 class _ArgumentParser(argparse.ArgumentParser):
     def error(self, message):  # usage errors are bad input (exit 3), not exit 2
-        raise ConfigError(f"{message}\n{self.format_usage().rstrip()}")
+        raise ParameterError(f"{message}\n{self.format_usage().rstrip()}")
 
 
 def _write(path: str, text: str) -> bool:
@@ -421,21 +427,21 @@ def main(argv=None) -> int:
             elif ns.command == "verify":
                 target = token
             else:
-                raise ConfigError(f"unexpected argument {token!r}")
+                raise ParameterError(f"unexpected argument {token!r}")
         text = ""
         if ns.config:
             try:
                 with open(ns.config, "r", encoding="utf-8") as fh:
                     text = fh.read()
             except (OSError, UnicodeDecodeError) as exc:
-                raise ConfigError(f"cannot read config file: {exc}") from None
+                raise ParameterError(f"cannot read config file: {exc}") from None
         cfg = parse_config(text, command=ns.command, overrides=overrides)
         if ns.modes is not None:
             if cfg.command != "verify":
-                raise ConfigError(f"--modes applies to verify, not {cfg.command}")
+                raise ParameterError(f"--modes applies to verify, not {cfg.command}")
             cfg = replace(cfg, modes=ns.modes)
         if ns.trace is not None and cfg.command not in ("scf", "pseudo"):
-            raise ConfigError(f"--trace applies to scf and pseudo, not {cfg.command}")
+            raise ParameterError(f"--trace applies to scf and pseudo, not {cfg.command}")
         trace = []
         payload = run_command(cfg, target, trace)
     except ConvergenceError as exc:

@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from polarscf.errors import ParameterError, PreconditionError
+from polarscf.errors import ParameterError
 from polarscf.hfcore import AtomConfig, GridParams, scf_solve
 from polarscf.pseudopot import pk_solve, pseudo_summary
 from polarscf.radial import kinetic_tridiagonal, node_count, tridiag_apply, u_to_z, z_to_u
@@ -87,7 +87,7 @@ def test_pk_unknown_valence(li_run):
 def test_pk_requires_convergence(li_run):
     state, _ = li_run
     broken = replace(state, converged=False)
-    with pytest.raises(PreconditionError):
+    with pytest.raises(ParameterError, match="pk_solve needs a converged SCF state"):
         pk_solve(broken, (2, 0))
 
 

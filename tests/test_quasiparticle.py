@@ -3,12 +3,7 @@
 import numpy as np
 import pytest
 
-from polarscf.errors import (
-    ParameterError,
-    ShapeError,
-    SingularityError,
-    SymmetryViolationError,
-)
+from polarscf.errors import ParameterError
 from polarscf.quasiparticle import (
     SelfEnergyModel,
     dyson_born,
@@ -53,7 +48,7 @@ def test_projector_offdiagonal_composition():
 def test_projector_rejects_zero_state():
     with pytest.raises(ParameterError):
         projector(np.zeros(4))
-    with pytest.raises(ShapeError):
+    with pytest.raises(ParameterError, match="projector states must be vectors of equal length"):
         projector(np.ones(3), np.ones(4))
 
 
@@ -68,14 +63,14 @@ def test_green0_scalar_value():
 
 
 def test_green0_pole_detection():
-    with pytest.raises(SingularityError):
+    with pytest.raises(ParameterError, match="resolvent pole: E=0.5 lies on the spectrum"):
         green0(np.array([[0.5]]), 0.5, eta=0.0)
 
 
 def test_green0_eta_domain():
     with pytest.raises(ParameterError):
         green0(np.eye(2), 0.0, eta=-1e-3)
-    with pytest.raises(SymmetryViolationError):
+    with pytest.raises(ParameterError, match="hamiltonian is not hermitian"):
         green0(np.array([[0.0, 1.0], [0.0, 0.0]]), 0.3)
 
 
@@ -131,7 +126,7 @@ def test_dyson_constant_shift_moves_poles():
 
 def test_dyson_shape_check():
     g0 = green0(np.eye(3), 2.0)
-    with pytest.raises(ShapeError):
+    with pytest.raises(ParameterError, match="self-energy shape does not match the resolvent"):
         dyson_solve(g0, np.eye(4))
     with pytest.raises(ParameterError):
         dyson_born(g0, np.zeros((3, 3)), terms=0)

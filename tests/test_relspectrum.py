@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from polarscf.errors import DomainError
+from polarscf.errors import ParameterError
 from polarscf.relspectrum import (
     FINE_STRUCTURE_ALPHA,
     SpectrumParams,
@@ -132,20 +132,23 @@ def test_k_labels():
     assert kv1.values == (-1, 2)
     assert not kv1.filtered_zero
     assert k_values_for_l(3).values == (-3, 4)
-    with pytest.raises(DomainError):
+    with pytest.raises(ParameterError, match="orbital momentum must be an integer >= 0"):
         k_values_for_l(-1)
 
 
 @pytest.mark.parametrize(
-    "kwargs",
+    "kwargs, message",
     [
-        dict(m=1.0, gamma=0.1, n=1, k=0),
-        dict(m=1.0, gamma=0.1, n=0, k=1),
-        dict(m=0.0, gamma=0.1, n=1, k=1),
-        dict(m=-2.0, gamma=0.1, n=1, k=1),
-        dict(m=1.0, gamma=-0.1, n=1, k=1),
+        (dict(m=1.0, gamma=0.1, n=1, k=0), "angular label k must be a non-zero integer"),
+        (dict(m=1.0, gamma=0.1, n=0, k=1), "principal number must be an integer >= 1"),
+        (dict(m=0.0, gamma=0.1, n=1, k=1), "mass scale must be positive"),
+        (dict(m=-2.0, gamma=0.1, n=1, k=1), "mass scale must be positive"),
+        (dict(m=1.0, gamma=-0.1, n=1, k=1), "coupling gamma must be non-negative"),
+        # finite, but Python's float ** overflows on gamma**2
+        (dict(m=1.0, gamma=1e200, n=1, k=1), r"gamma 1e\+200 is too large"),
     ],
+    ids=[f"kwargs{i}" for i in range(6)],
 )
-def test_domain_errors(kwargs):
-    with pytest.raises(DomainError):
-        SpectrumParams(**kwargs)
+def test_domain_errors(kwargs, message):
+    with pytest.raises(ParameterError, match=message):
+        boson_energy(SpectrumParams(**kwargs))

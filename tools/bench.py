@@ -22,10 +22,10 @@ each field; nothing is gated.  Cases:
   energy change against that fixture (the fixture is not written);
 * the wall time of the Tier-1 suite, in a child process;
 * `anticommutator_table(8)` as the layer outside the mean-field solve;
-* the `cli` workload's `verify`, `qp` and `spectrum` commands and a bare
-  `import polarscf.shell`, each in a fresh process (`ungated`, the `cli_`
-  cases): the CPU seconds of the child and the `numpy`, `scipy` and
-  `polarscf` modules it loaded.
+* the `cli` workload's `verify`, `qp` and `spectrum` commands, an `scf` He
+  solve at the default mesh and a bare `import polarscf.shell`, each in a
+  fresh process (`ungated`, the `cli_` cases): the CPU seconds of the child
+  and the `numpy`, `scipy` and `polarscf` modules it loaded.
 
 The metadata gives `nproc`, the BLAS builds of NumPy and SciPy, the BLAS
 thread setting (one thread unless the environment sets another), whether
@@ -76,12 +76,15 @@ ATOMS = {
     "k": (19.0, ((1, 0, 2), (2, 0, 2), (2, 1, 6), (3, 0, 2), (3, 1, 6), (4, 0, 1))),
     "ca": (20.0, ((1, 0, 2), (2, 0, 2), (2, 1, 6), (3, 0, 2), (3, 1, 6), (4, 0, 2))),
 }
-# The commands of perfbench's `cli` workload, with its random qp levels fixed.
+# Fresh-process commands: perfbench's `cli` workload (its random qp levels
+# fixed), a bare import, and an `scf` He solve, whose start-up (NumPy and
+# SciPy imports) outweighs the solve.
 CLI_COMMANDS = {
     "import": [],
     "verify": ["verify", "fock", "--modes", "8"],
     "qp": ["qp", "qp_levels=-0.5,0.25,0.75", "sigma_kind=constant_shift", "sigma_shift=-0.25"],
     "spectrum": ["spectrum", "n_max=50", "l_max=3", "gamma=0.1"],
+    "scf_he": ["scf", "z=2", "shells=1s:2"],
 }
 CLI_PROBE = """
 import sys
