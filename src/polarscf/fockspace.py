@@ -1,10 +1,11 @@
 """Exact enumeration-based fermionic algebra on small Fock spaces.
 
 Everything here is brute force on purpose: tensors are dense rank-n arrays,
-basis states are integer bit masks (slot s is bit s), and identities are
+basis states are int64 bit masks (slot s is bit s), and identities are
 checked by exhausting the full 2^M basis.  Every fermionic sign comes from
-one rule, `_ladder`, applied to whole arrays of masks at once.  That makes
-this module the trusted oracle the rest of the package is tested against.
+one rule, `ladder_apply`, applied to whole arrays of masks at once.  That
+makes this module the trusted oracle the rest of the package is tested
+against.
 
 Slots are numbered 0..M-1, and all fermionic signs follow from this
 order: a ladder operator on slot s picks up one factor -1 per occupied
@@ -87,54 +88,10 @@ def cycle_sum_residual(t: np.ndarray) -> float:
 
 
 # ---------------------------------------------------------------------------
-# occupation-number states and ladder operators
+# ladder operators
 
 
-@dataclass(frozen=True)
-class OccupationVector:
-    """Ordered bit pattern over M <= MODE_CAP spin-orbital slots."""
-
-    bits: tuple
-
-    def __post_init__(self):
-        bits = tuple(int(b) for b in self.bits)
-        if any(b not in (0, 1) for b in bits):
-            raise ParameterError("bits must be 0 or 1")
-        if len(bits) > MODE_CAP:
-            raise ParameterError(f"M={len(bits)} exceeds mode cap {MODE_CAP}")
-        object.__setattr__(self, "bits", bits)
-
-    @property
-    def M(self):
-        return len(self.bits)
-
-
-class FockVector:
-    """Sparse linear combination of OccupationVector basis states."""
-
-    def __init__(self, terms=None):
-        self.terms = dict(terms) if terms else {}
-
-    def pruned(self, tol=0.0):
-        """Drop terms with |amplitude| <= tol (exact zeros by default)."""
-        return FockVector({o: a for o, a in self.terms.items() if abs(a) > tol})
-
-
-@dataclass(frozen=True)
-class LadderOperator:
-    """A single fermionic creation or annihilation operator on one slot."""
-
-    kind: str
-    slot: int
-
-    def __post_init__(self):
-        if self.kind not in ("create", "annihilate"):
-            raise ParameterError(f"kind must be create/annihilate, got {self.kind!r}")
-        if self.slot < 0:
-            raise ParameterError("slot must be nonnegative")
-
-
-def _ladder(kind, slot, masks):
+def ladder_apply(kind, slot, masks):
     """a†_slot ("create") or a_slot ("annihilate") on an array of basis masks.
 
     Slot s is bit s of a mask.  Returns (new_masks, amplitudes): the
@@ -142,31 +99,16 @@ def _ladder(kind, slot, masks):
     creating on an occupied slot or annihilating an empty one kills the term.
     This is the only place a fermionic sign is formed.
     """
+    if kind not in ("create", "annihilate"):
+        raise ParameterError(f"kind must be create/annihilate, got {kind!r}")
+    if not 0 <= slot < MODE_CAP:
+        raise ParameterError(f"slot {slot} is outside 0..{MODE_CAP - 1}")
     masks = np.asarray(masks, dtype=np.int64)
     bit = 1 << slot
     alive = ((masks & bit) == 0) == (kind == "create")
     # bitwise_count returns uint8, where 1 - 2*1 would wrap to 255
     below = np.bitwise_count(masks & (bit - 1)).astype(np.int64)
     return masks ^ bit, np.where(alive, 1 - 2 * (below & 1), 0)
-
-
-def ladder_apply(op: LadderOperator, v: FockVector) -> FockVector:
-    """Signed fermionic action of a ladder operator on a Fock vector.
-
-    The sign is (-1)^(number of occupied slots preceding op.slot in the
-    canonical order).  Creating on an occupied slot or annihilating an empty
-    one kills the term.
-    """
-    out = {}
-    for occ, amp in v.terms.items():
-        if op.slot >= occ.M:
-            raise ParameterError(f"slot {op.slot} out of range for M={occ.M}")
-        mask = sum(b << s for s, b in enumerate(occ.bits))
-        (new_mask,), (sign,) = _ladder(op.kind, op.slot, [mask])
-        if sign:
-            key = OccupationVector(tuple(int(new_mask) >> s & 1 for s in range(occ.M)))
-            out[key] = out.get(key, 0.0) + int(sign) * amp
-    return FockVector(out).pruned()
 
 
 # ---------------------------------------------------------------------------
@@ -201,8 +143,8 @@ def anticommutator_table(M: int) -> AnticommutatorTables:
     basis = np.arange(1 << M, dtype=np.int64)
 
     def product(first, second):
-        masks, inner = _ladder(*second, basis)
-        masks, outer = _ladder(*first, masks)
+        masks, inner = ladder_apply(*second, basis)
+        masks, outer = ladder_apply(*first, masks)
         return masks, inner * outer
 
     def worst(x, y, identity):

@@ -241,30 +241,36 @@ def _multipoles(l_target: int, l_source: int):
 # Slater potentials (radial Poisson-like transforms)
 
 
+def _check_kernel(L, g: RadialGrid, what: str):
+    """Raise ParameterError when an order-L kernel's c = r^{2L+1} overflows at r_max."""
+    if (2 * L + 1) * math.log(g.r_max) > math.log(sys.float_info.max):
+        raise ParameterError(f"r_max {g.r_max!r} is too large: {what} r^{2 * L + 1} overflows")
+
+
+def _kernel(c, y):
+    """Σ_j c_min(i,j)·y_j in O(N): two cumulative sums."""
+    cy = np.cumsum(c * y)  # Σ_{j<=i} c_j·y_j
+    cy[:-1] += c[:-1] * np.cumsum(y[::-1])[-2::-1]  # c_i·Σ_{j>i} y_j
+    return cy
+
+
 def slater_potential(f, L: int, g: RadialGrid):
     """Potential of the radial source f for multipole order L.
 
-    Returns V(r) = r^{-(L+1)} ∫_0^r f s^L ds + r^L ∫_r^∞ f s^{-(L+1)} ds,
-    in hartree for a density-like f (integral of f = enclosed charge).
-    Running integrals use the trapezoid rule in the log variable; the inner
-    tail below r_min is closed with the leading r² power of physical radial
-    densities.
+    Returns V(r_i) = Σ_j h·r_j·f_j·r_<^L / r_>^{L+1}, the mesh's one
+    quadrature h·Σ r·f applied to the Coulomb multipole kernel (the diagonal
+    counted once), in hartree for a density-like f (integral of f = enclosed
+    charge).  The kernel is r^{-(L+1)}·C·r^{-(L+1)} with C_ij = c_min(i,j)
+    and c = r^{2L+1}, the form every exchange block uses, so direct and
+    exchange terms share one kernel and one quadrature.
     """
     f = np.asarray(f, dtype=float)
     if f.shape != g.points.shape:
         raise ParameterError(f"source has shape {f.shape}, grid has {g.points.shape}")
+    _check_kernel(L, g, f"the L={L} Slater potential's kernel")
     r = g.points
-    h = g.log_step
-    # ds = s dx on the log mesh
-    inner = f * r ** (L + 1)
-    outer = f * r ** (-L) if L else f.copy()
-    A = np.empty_like(f)
-    A[0] = f[0] * r[0] ** (L + 1) / (L + 3)
-    np.cumsum(0.5 * h * (inner[1:] + inner[:-1]), out=A[1:])
-    A[1:] += A[0]
-    Q = np.concatenate(([0.0], np.cumsum(0.5 * h * (outer[1:] + outer[:-1]))))
-    B = Q[-1] - Q
-    return A * r ** (-(L + 1)) + B * r**L
+    w = r ** -(L + 1)
+    return w * _kernel(r ** (2 * L + 1), w * g.weights * f)
 
 
 # ---------------------------------------------------------------------------
@@ -318,11 +324,7 @@ def _exchange_terms(channel_l, orbitals, g: RadialGrid):
     if channel_l < 0:
         raise ParameterError(f"angular momentum must be nonnegative, got l={channel_l}")
     L_max = channel_l + max((o.l for o in orbitals), default=0)
-    if (2 * L_max + 1) * math.log(g.r_max) > math.log(sys.float_info.max):
-        raise ParameterError(
-            f"r_max {g.r_max!r} is too large: the l={channel_l} exchange kernel "
-            f"r^{2 * L_max + 1} overflows"
-        )
+    _check_kernel(L_max, g, f"the l={channel_l} exchange kernel")
     r = g.points
     blocks, pins = [], []
     for o in orbitals:
@@ -356,13 +358,10 @@ def _exchange_terms(channel_l, orbitals, g: RadialGrid):
 
 
 def _exchange_action(blocks, pins, x):
-    """X·x in O(N): two cumulative sums per kernel block, two dot products per pin."""
+    """X·x in O(N): one `_kernel` per block, two dot products per pin."""
     out = np.zeros_like(x)
     for gamma, gv, c in blocks:
-        y = gv * x
-        cy = np.cumsum(c * y)  # Σ_{j<=i} c_j·y_j
-        cy[:-1] += c[:-1] * np.cumsum(y[::-1])[-2::-1]  # c_i·Σ_{j>i} y_j
-        out += gamma * gv * cy
+        out += gamma * gv * _kernel(c, gv * x)
     for rho, zh in pins:
         out += rho * float(zh @ x) + zh * float(rho @ x)
     return out

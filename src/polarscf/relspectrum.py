@@ -71,23 +71,12 @@ def boson_energy(p: SpectrumParams) -> SpectrumBreakdown:
     )
 
 
-@dataclass(frozen=True)
-class KValues:
-    """Physical k labels for one orbital momentum, with the k=0 cut noted."""
-
-    l: int
-    values: tuple
-    filtered_zero: bool
-
-
-def k_values_for_l(l: int) -> KValues:
+def k_values_for_l(l: int) -> tuple:
     """Allowed angular labels {−l, l+1} for orbital momentum l.
 
-    For l = 0 the −l entry would be the forbidden k = 0; it is dropped and
-    the drop is recorded in the result rather than applied silently.
+    For l = 0 the −l entry would be the forbidden k = 0, and it is dropped:
+    k_values_for_l(0) == (1,).
     """
     if not isinstance(l, Integral) or l < 0:
         raise ParameterError(f"orbital momentum must be an integer >= 0, got {l}")
-    raw = (-l, l + 1)
-    values = tuple(k for k in raw if k != 0)
-    return KValues(l=int(l), values=values, filtered_zero=len(values) != len(raw))
+    return tuple(k for k in (-l, l + 1) if k != 0)

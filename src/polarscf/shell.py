@@ -50,6 +50,10 @@ from .relspectrum import (
 
 COMMANDS = ("scf", "pseudo", "qp", "spectrum", "verify")
 
+# The most rows a CSV sweep (`qp`, `spectrum`) may write; checked before
+# any row is computed.
+MAX_CSV_ROWS = 10**6
+
 # Names bound here on first access (PEP 562), each from its module.  The
 # commands call them as attributes of this module, so a wrapper set on it
 # (a tracer's, a test's spy) is the one that runs.
@@ -291,8 +295,10 @@ def _run_qp(cfg: RunConfig) -> str:
     levels = _numbers(cfg, "qp_levels")
     if not levels:
         raise ParameterError("qp_levels is empty")
-    if cfg.qp_e_points < 1:
-        raise ParameterError(f"qp_e_points must be >= 1, got {cfg.qp_e_points}")
+    if not 1 <= cfg.qp_e_points <= MAX_CSV_ROWS:
+        raise ParameterError(
+            f"qp_e_points must lie in 1..{MAX_CSV_ROWS}, got {cfg.qp_e_points}"
+        )
     if not math.isfinite(cfg.qp_e_max - cfg.qp_e_min):
         raise ParameterError(
             f"qp_e_max - qp_e_min overflows for ({cfg.qp_e_min!r}, {cfg.qp_e_max!r})"
@@ -332,23 +338,25 @@ def _run_spectrum(cfg: RunConfig) -> str:
         raise ParameterError(f"n_max must be >= 1, got {cfg.n_max}")
     if cfg.l_max < 0:
         raise ParameterError(f"l_max must be >= 0, got {cfg.l_max}")
-    lines = [_config_comments(cfg)]
-    filtered_any = False
-    rows = []
+    # n <= m gives 2n − 1 labels, each further n gives 2·l_max + 1
+    m = min(cfg.n_max, cfg.l_max + 1)
+    n_rows = m * m + (cfg.n_max - m) * (2 * cfg.l_max + 1)
+    if n_rows > MAX_CSV_ROWS:
+        raise ParameterError(
+            f"n_max={cfg.n_max}, l_max={cfg.l_max} give {n_rows} rows; "
+            f"a sweep writes at most {MAX_CSV_ROWS}"
+        )
+    # n = 1 always gives the row l = 0, whose k = 0 label is dropped
+    note = "# note: k=0 label filtered for l=0 (non-physical)\n"
+    lines = [_config_comments(cfg), note, "n,k,gamma,term2,term4,term6,total\n"]
     for n in range(1, cfg.n_max + 1):
         for l in range(0, min(cfg.l_max, n - 1) + 1):
-            kv = k_values_for_l(l)
-            filtered_any = filtered_any or kv.filtered_zero
-            for k in kv.values:
+            for k in k_values_for_l(l):
                 b = boson_energy(SpectrumParams(cfg.mass, cfg.gamma, n, k))
-                rows.append(
+                lines.append(
                     f"{n},{k},{_fmt(cfg.gamma)},{_fmt(b.term2)},"
                     f"{_fmt(b.term4)},{_fmt(b.term6)},{_fmt(b.total)}\n"
                 )
-    if filtered_any:
-        lines.append("# note: k=0 label filtered for l=0 (non-physical)\n")
-    lines.append("n,k,gamma,term2,term4,term6,total\n")
-    lines.extend(rows)
     return "".join(lines)
 
 
@@ -451,6 +459,9 @@ def main(argv=None) -> int:
         return 2
     except PolarSCFError as exc:
         print(f"polar-scf: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        print(f"polar-scf: out of memory: {exc}", file=sys.stderr)
         return 3
 
     if ns.trace is not None and not _write(ns.trace, _json_lines(trace)):

@@ -9,9 +9,6 @@ import pytest
 from polarscf import fockspace
 from polarscf.errors import ParameterError
 from polarscf.fockspace import (
-    FockVector,
-    LadderOperator,
-    OccupationVector,
     anticommutator_table,
     antisymmetrize,
     cycle_sum_residual,
@@ -20,16 +17,15 @@ from polarscf.fockspace import (
 )
 
 
-def create(slot):
-    return LadderOperator("create", slot)
+def mask(bits):
+    """The basis mask of an occupation pattern: slot s is bit s."""
+    return sum(b << s for s, b in enumerate(bits))
 
 
-def annihilate(slot):
-    return LadderOperator("annihilate", slot)
-
-
-def basis_state(bits):
-    return FockVector({OccupationVector(bits): 1.0})
+def act(kind, slot, m):
+    """(new mask, amplitude) of one ladder operator on one basis mask."""
+    (new,), (amp,) = ladder_apply(kind, slot, [m])
+    return int(new), int(amp)
 
 
 def transposition(n, i, j):
@@ -124,30 +120,36 @@ def test_cyclic_residual_vanishes(n, dim):
 
 def test_ladder_sign_convention():
     # |0110> : annihilating slot 2 crosses one occupied slot -> sign -1
-    v = basis_state((0, 1, 1, 0))
-    out = ladder_apply(annihilate(2), v)
-    assert out.terms == {OccupationVector((0, 1, 0, 0)): -1.0}
+    v = mask((0, 1, 1, 0))
+    assert act("annihilate", 2, v) == (mask((0, 1, 0, 0)), -1)
     # creating on slot 0 crosses nothing
-    out = ladder_apply(create(0), v)
-    assert out.terms == {OccupationVector((1, 1, 1, 0)): 1.0}
+    assert act("create", 0, v) == (mask((1, 1, 1, 0)), 1)
     # double creation on an occupied slot kills the term
-    assert ladder_apply(create(1), v).terms == {}
-    assert ladder_apply(annihilate(0), v).terms == {}
+    assert act("create", 1, v)[1] == 0
+    assert act("annihilate", 0, v)[1] == 0
 
 
 def test_nilpotency():
-    v = basis_state((0, 0, 1, 0))
-    assert ladder_apply(create(1), ladder_apply(create(1), v)).terms == {}
-    assert ladder_apply(annihilate(2), ladder_apply(annihilate(2), v)).terms == {}
+    v = mask((0, 0, 1, 0))
+    once, first = act("create", 1, v)
+    assert first == 1 and act("create", 1, once)[1] == 0
+    once, first = act("annihilate", 2, v)
+    assert first == 1 and act("annihilate", 2, once)[1] == 0
+    # on every basis state of M=4: a_s·a_s = a†_s·a†_s = 0
+    basis = np.arange(16)
+    for kind in ("create", "annihilate"):
+        for s in range(4):
+            masks, inner = ladder_apply(kind, s, basis)
+            assert not np.any(inner * ladder_apply(kind, s, masks)[1])
 
 
 def test_product_state_ordering():
     # a+_0 a+_2 |0> has positive amplitude; swapping the order flips the sign
-    vacuum = basis_state((0, 0, 0, 0))
-    v = ladder_apply(create(0), ladder_apply(create(2), vacuum))
-    assert v.terms == {OccupationVector((1, 0, 1, 0)): 1.0}
-    w = ladder_apply(create(2), ladder_apply(create(0), vacuum))
-    assert w.terms == {OccupationVector((1, 0, 1, 0)): -1.0}
+    vacuum = mask((0, 0, 0, 0))
+    m, inner = act("create", 2, vacuum)
+    assert act("create", 0, m) == (mask((1, 0, 1, 0)), 1) and inner == 1
+    m, inner = act("create", 0, vacuum)
+    assert act("create", 2, m) == (mask((1, 0, 1, 0)), -1) and inner == 1
 
 
 def test_ladder_matches_jordan_wigner():
@@ -164,12 +166,13 @@ def test_ladder_matches_jordan_wigner():
 
     for s in range(M):
         a = functools.reduce(np.kron, [z] * s + [lower] + [eye] * (M - s - 1))
-        for op, matrix in ((annihilate(s), a), (create(s), a.T)):
+        for kind, matrix in (("annihilate", a), ("create", a.T)):
             for bits in itertools.product((0, 1), repeat=M):
-                column = np.zeros(2**M, dtype=complex)
-                for occ, amp in ladder_apply(op, basis_state(bits)).terms.items():
-                    column[index(occ.bits)] += amp
-                assert np.array_equal(column, matrix[:, index(bits)]), (op, bits)
+                column = np.zeros(2**M)
+                new, amp = act(kind, s, mask(bits))
+                if amp:
+                    column[index([new >> t & 1 for t in range(M)])] += amp
+                assert np.array_equal(column, matrix[:, index(bits)]), (kind, s, bits)
 
 
 @pytest.mark.parametrize("M", [1, 2, 3, 4, 8, 16])
@@ -181,20 +184,24 @@ def test_anticommutators_exact(M):
 def test_anticommutator_table_detects_dropped_sign(monkeypatch):
     # with every sign forced to +1 the operators commute instead, and
     # {a_i, a†_j}|b> = 2|b'> on states with slot i filled and slot j empty
-    signed = fockspace._ladder
+    signed = fockspace.ladder_apply
 
     def unsigned(kind, slot, masks):
         new_masks, amplitudes = signed(kind, slot, masks)
         return new_masks, np.abs(amplitudes)
 
-    monkeypatch.setattr(fockspace, "_ladder", unsigned)
+    monkeypatch.setattr(fockspace, "ladder_apply", unsigned)
     assert anticommutator_table(4).max_deviation() == 2.0
 
 
 def test_anticommutator_capacity():
     with pytest.raises(ParameterError, match="M=17 exceeds mode cap 16"):
         anticommutator_table(17)
-    with pytest.raises(ParameterError, match="M=17 exceeds mode cap 16"):
-        OccupationVector((0,) * 17)
+    with pytest.raises(ParameterError, match="slot 16 is outside 0..15"):
+        ladder_apply("create", 16, [0])
+    with pytest.raises(ParameterError, match="slot -1 is outside 0..15"):
+        ladder_apply("annihilate", -1, [0])
+    with pytest.raises(ParameterError, match="kind must be create/annihilate, got 'destroy'"):
+        ladder_apply("destroy", 0, [0])
     with pytest.raises(ParameterError):
         anticommutator_table(0)

@@ -138,6 +138,17 @@ def test_hartree_charge_asymptote(fine_grid):
     assert abs(g.points[-1] * V[-1] - 2.0) < 1e-8
 
 
+@pytest.mark.parametrize("L", [0, 1, 2, 3])
+def test_slater_potential_matches_dense_quadrature(L):
+    """V_L[f]_i = Σ_j h·r_j·f_j·r_<^L / r_>^{L+1}, the kernel written out as an N×N matrix."""
+    g = make_grid(1e-5, 40.0, 300)
+    r = g.points
+    f = np.random.default_rng(L).uniform(0.5, 1.5, g.N) * r**2 * np.exp(-r)
+    K_L = np.minimum.outer(r, r) ** L / np.maximum.outer(r, r) ** (L + 1)
+    ref = K_L @ (g.log_step * r * f)
+    np.testing.assert_allclose(slater_potential(f, L, g), ref, rtol=1e-12, atol=0.0)
+
+
 def test_build_density_requires_normalization(fine_grid):
     g = fine_grid
     o = hydrogenic_orbital(1.0, 1, 0, g)
@@ -185,6 +196,21 @@ def test_exchange_cancels_direct_for_one_electron(h_run):
     z = u_to_z(direct - exch, g)
     resid = np.sqrt(float(z @ z))
     assert resid < 1e-12
+
+
+def test_exchange_block_is_slater_potential_of_pair_density():
+    """One block (γ, g, c) on z is γ·z_b·V_L[u_b·u]: direct and exchange share one kernel."""
+    Z = 7.0
+    g = make_grid(1e-6 / Z, 40.0, 400)
+    source = replace(hydrogenic_orbital(Z, 2, 1, g), occupation=6)
+    target = hydrogenic_orbital(0.8 * Z, 3, 1, g)
+    blocks, _ = _exchange_terms(1, [source], g)
+    z, z_b = u_to_z(target.u, g), u_to_z(source.u, g)
+    assert len(blocks) == len(_multipoles(1, 1)) == 2
+    for block, L in zip(blocks, _multipoles(1, 1)):
+        got = _exchange_action([block], (), z)
+        ref = block[0] * z_b * slater_potential(source.u * target.u, L, g)
+        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
 def test_exchange_source_on_other_grid_rejected():
@@ -707,6 +733,10 @@ def test_exchange_kernel_overflow_rejected():
         target = hydrogenic_orbital(2.0, 3, 2, state.grid)
         with pytest.raises(ParameterError, match="r_max"):
             fock_apply(state, target)
+        # the direct field shares the kernel: r^3 fits at L = 1, r^5 does not at L = 2
+        assert np.all(np.isfinite(slater_potential(target.u**2, 1, state.grid)))
+        with pytest.raises(ParameterError, match="the L=2 Slater potential's kernel r\\^5"):
+            slater_potential(target.u**2, 2, state.grid)
 
 
 def test_nonconvergence_reports_trace():

@@ -125,13 +125,10 @@ def test_leading_coefficient_table(n, k, coeff):
 
 
 def test_k_labels():
-    kv0 = k_values_for_l(0)
-    assert kv0.values == (1,)
-    assert kv0.filtered_zero
-    kv1 = k_values_for_l(1)
-    assert kv1.values == (-1, 2)
-    assert not kv1.filtered_zero
-    assert k_values_for_l(3).values == (-3, 4)
+    # l = 0 drops the forbidden k = 0; every l >= 1 keeps both labels
+    assert k_values_for_l(0) == (1,)
+    assert k_values_for_l(1) == (-1, 2)
+    assert k_values_for_l(3) == (-3, 4)
     with pytest.raises(ParameterError, match="orbital momentum must be an integer >= 0"):
         k_values_for_l(-1)
 

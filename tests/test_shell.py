@@ -220,6 +220,28 @@ def test_exit_code_domain_error():
     assert main(["bogus"]) == 3
 
 
+def test_memory_error_exits_3(monkeypatch, capsys):
+    """An allocation NumPy refuses is bad input: exit 3 with one `polar-scf:` line."""
+
+    def refuse(*args, **kwargs):
+        raise MemoryError("Unable to allocate 7.28 TiB for an array")
+
+    monkeypatch.setattr(shell, "_run_scf", refuse)
+    assert main(["scf", "z=2", "shells=1s:2", "n_points=1000000000000"]) == 3
+    err = capsys.readouterr().err
+    assert err == "polar-scf: out of memory: Unable to allocate 7.28 TiB for an array\n"
+
+
+def test_spectrum_row_count_matches_the_sweep():
+    """The closed-form row count the size check uses equals the rows written."""
+    for n_max, l_max in ((1, 0), (2, 5), (5, 1), (50, 3), (7, 7)):
+        cfg = parse_config("", command="spectrum", overrides=[f"n_max={n_max}", f"l_max={l_max}"])
+        lines = run_command(cfg).splitlines()
+        rows = len(lines) - lines.index("n,k,gamma,term2,term4,term6,total") - 1
+        m = min(n_max, l_max + 1)
+        assert rows == m * m + (n_max - m) * (2 * l_max + 1)
+
+
 def test_out_file_and_fresh_process_determinism(tmp_path):
     """Two separate interpreter runs must agree byte for byte."""
     paths = [tmp_path / "a.json", tmp_path / "b.json"]
@@ -387,6 +409,9 @@ def test_only_hfcore_imports_scipy():
         ["qp", "qp_eta=0", "qp_levels=0.5", "qp_e_min=0.5", "qp_e_max=0.5", "qp_e_points=1"],
         ["scf", "z=2", "shells=1s:2", "n_points=10"],
         ["pseudo", "z=3", "shells=1s:2,2s:1", "valence=3d"],
+        # sizes checked before any row is computed or allocated
+        ["spectrum", "n_max=100000000000000000000", "l_max=0", "gamma=0"],
+        ["qp", "qp_e_points=100000000000"],
     ],
     ids=[
         "no-args", "missing-config", "inf", "nan", "qp-points", "n-max", "l-max",
@@ -396,7 +421,7 @@ def test_only_hfcore_imports_scipy():
         "modes-without-verify", "exchange-kernel-overflow", "far-r-min",
         "gamma-power-overflow", "spectrum-not-finite", "qp-pair-not-finite",
         "qp-window-overflow", "qp-resolvent-pole", "solver-grid-too-small",
-        "pseudo-valence-not-occupied",
+        "pseudo-valence-not-occupied", "spectrum-too-many-rows", "qp-too-many-rows",
     ],
 )
 def test_bad_input_exits_3_without_traceback(argv):
