@@ -42,7 +42,8 @@ The moving parts are:
 Exchange kernels carry weight q/2 per source shell (exact for closed
 shells).  Shells holding an odd electron additionally get a symmetric
 rank-two correction pinning the kernel's action on its own orbital to the
-monopole self-potential, so a lone electron's direct and exchange terms
+shell's self-exchange (`_self_exchange`, also the energy's self term): for a
+lone electron the monopole self-potential, so its direct and exchange terms
 cancel at the operator level, not just in expectation values.
 """
 
@@ -200,41 +201,26 @@ class AtomConfig:
 
 
 @functools.lru_cache(maxsize=None)
-def _threej000_squared(l1: int, L: int, l2: int) -> float:
-    """Squared (l1 L l2; 0 0 0) coupling symbol, exact rational arithmetic."""
-    J = l1 + L + l2
-    if J % 2 == 1:
-        return 0.0
-    if not (abs(l1 - l2) <= L <= l1 + l2):
-        return 0.0
-    g = J // 2
-    pref = Fraction(
-        math.factorial(J - 2 * l1) * math.factorial(J - 2 * L) * math.factorial(J - 2 * l2),
-        math.factorial(J + 1),
-    )
-    binom = Fraction(
-        math.factorial(g),
-        math.factorial(g - l1) * math.factorial(g - L) * math.factorial(g - l2),
-    )
-    return float(pref * binom * binom)
+def _couplings(l_t: int, l_s: int) -> tuple:
+    """(L, λ_L) of each multipole with nonzero exchange weight from channel l_s onto l_t.
 
-
-def angular_weight(l_target: int, L: int, l_source: int) -> float:
-    """Multipole weight of the exchange coupling between two l-channels."""
-    if l_target < 0 or l_source < 0 or L < 0:
+    L runs over |l_t − l_s|, …, l_t + l_s in steps of two (the parity and
+    triangle rules); λ_L is the squared (l_t L l_s; 0 0 0) symbol, computed exactly.
+    """
+    if l_t < 0 or l_s < 0:
         raise ParameterError("angular momenta must be nonnegative")
-    if l_target > MAX_COUPLING_L or l_source > MAX_COUPLING_L:
+    if l_t > MAX_COUPLING_L or l_s > MAX_COUPLING_L:
         raise ParameterError(
-            f"angular coupling table covers l <= {MAX_COUPLING_L}, "
-            f"got ({l_target}, {l_source})"
+            f"angular coupling table covers l <= {MAX_COUPLING_L}, got ({l_t}, {l_s})"
         )
-    return _threej000_squared(l_target, L, l_source)
-
-
-def _multipoles(l_target: int, l_source: int):
-    """Multipole orders with nonzero weight (parity + triangle filtered)."""
-    lo, hi = abs(l_target - l_source), l_target + l_source
-    return [L for L in range(lo, hi + 1) if (l_target + L + l_source) % 2 == 0]
+    f, pairs = math.factorial, []
+    for L in range(abs(l_t - l_s), l_t + l_s + 1, 2):
+        J = l_t + L + l_s
+        g = J // 2
+        pref = Fraction(f(J - 2 * l_t) * f(J - 2 * L) * f(J - 2 * l_s), f(J + 1))
+        binom = Fraction(f(g), f(g - l_t) * f(g - L) * f(g - l_s))
+        pairs.append((L, float(pref * binom * binom)))
+    return tuple(pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -306,6 +292,29 @@ def _pair_weights(q_a: int, l_a: int, q_b: int, l_b: int) -> float:
     return w_a * w_b + (q_a - w_a) * (q_b - w_b)
 
 
+def _pair_blocks(l_target: int, z_b, l_b: int, r):
+    """Blocks (λ_L, z_b ⊙ r^{-(L+1)}, r^{2L+1}) of a source z_b on channel l_target, one per L.
+
+    A block (λ, g, c) is λ·G·C·G with G = diag(g) and C_ij = c_min(i,j):
+    λ_L times the kernel r_<^L / r_>^{L+1} between z_b on both sides.
+    """
+    return [(lam, z_b * r ** -(L + 1), r ** (2 * L + 1)) for L, lam in _couplings(l_target, l_b)]
+
+
+def _self_exchange(o, z, g: RadialGrid):
+    """Exchange of shell o on its own z = u_to_z(o.u): the pin's target and the energy's self term.
+
+    A lone electron (q = 1) gets the bare monopole V₀[u²]·z, so its direct
+    and exchange terms cancel; any other shell (s_bb/q)·M z, with s_bb its
+    same-spin pair count and M its own kernel of `_pair_blocks`.
+    """
+    q = o.occupation
+    if q == 1:
+        return slater_potential(o.u * o.u, 0, g) * z
+    Mz = _exchange_action(_pair_blocks(o.l, z, o.l, g.points), (), z)
+    return (_pair_weights(q, o.l, q, o.l) / q) * Mz
+
+
 def _exchange_terms(channel_l, orbitals, g: RadialGrid):
     """Generators of the z-space exchange operator of one angular channel.
 
@@ -314,10 +323,10 @@ def _exchange_terms(channel_l, orbitals, g: RadialGrid):
     measure is the identity, the multipole kernel r_<^L / r_>^{L+1} between
     the source orbital's z_b on both sides is γ·G·C·G with
     G = diag(z_b ⊙ r^{-(L+1)}), C_ij = c_min(i,j) and c = r^{2L+1}.  Each
-    source shell b and multipole L gives one block (γ, g, c) with
-    γ = (q_b/2)·λ_L; weight q/2 per source reproduces the closed-shell
+    source shell b and multipole L gives one `_pair_blocks` block (γ, g, c)
+    with γ = (q_b/2)·λ_L; weight q/2 per source reproduces the closed-shell
     operator.  Odd shells add one pin (ρ, ẑ), the symmetric rank-two term
-    ρẑᵀ + ẑρᵀ described in the module docstring.  Returns (blocks, pins).
+    ρẑᵀ + ẑρᵀ mapping the action on z_b to `_self_exchange`.  Returns (blocks, pins).
     Raises ParameterError when c = r^{2L+1} of the largest multipole
     L = channel_l + max l_b would overflow at r_max.
     """
@@ -332,24 +341,15 @@ def _exchange_terms(channel_l, orbitals, g: RadialGrid):
             raise ParameterError(
                 f"source orbital {shell_label(o.n, o.l)} is not sampled on the grid"
             )
-        u_b, l_b, q_b = o.u, o.l, o.occupation
-        z_b = u_to_z(u_b, g)
-        own = [
-            (angular_weight(channel_l, L, l_b), z_b * r ** -(L + 1), r ** (2 * L + 1))
-            for L in _multipoles(channel_l, l_b)
-        ]
+        l_b, q_b = o.l, o.occupation
+        z_b = u_to_z(o.u, g)
+        own = _pair_blocks(channel_l, z_b, l_b, r)
         blocks += [(0.5 * q_b * gamma, gv, c) for gamma, gv, c in own]
         if q_b % 2 == 1 and l_b == channel_l:
-            # Pin the kernel's action on its own orbital: for q=1 the target
-            # is the bare monopole self-potential (so direct and exchange
-            # cancel exactly); for odd q>=3 it is the energy-consistent
-            # diagonal weight.
-            Mz = _exchange_action(own, (), z_b)
-            if q_b == 1:
-                t = slater_potential(u_b * u_b, 0, g) * z_b
-            else:
-                t = (_pair_weights(q_b, l_b, q_b, l_b) / q_b) * Mz
-            d = t - (0.5 * q_b) * Mz
+            # Pin the kernel's action on its own orbital to the self-exchange
+            # the energy uses: the bare monopole for q=1 (so direct and
+            # exchange cancel exactly), the same-spin weight for odd q>=3.
+            d = _self_exchange(o, z_b, g) - (0.5 * q_b) * _exchange_action(own, (), z_b)
             znorm = float(np.linalg.norm(z_b))
             zh = z_b / znorm
             dh = d / znorm
@@ -379,43 +379,28 @@ def exchange_apply(orbitals, target: RadialOrbital, g: RadialGrid):
 # energy bookkeeping
 
 
-def _coulomb_integral(fa, fb, L, g):
-    return integrate(fa * slater_potential(fb, L, g), g)
-
-
 def _total_energy(z_nuc, orbitals, g: RadialGrid) -> float:
     """Mean-field total energy of the current orbital set.
 
     orbitals: normalized RadialOrbitals with integer occupations.  The
     one-electron part is z·((T − Z/r) z) on the tridiagonal the operator is
     built from.  The direct term is ½∫ρ·V₀[ρ] of the `build_density`
-    density, one Slater transform.  The exchange term weights each shell
-    pair by its same-spin count; the summand is symmetric in (a, b), so each
-    pair is taken once for a ≤ b and counted twice when a ≠ b.  A lone
-    electron's self term is the bare monopole, so one-electron systems
-    reduce exactly to the bare Hamiltonian.
+    density, one Slater transform.  A shell's self term is −½·q·z·`_self_exchange`,
+    the odd-shell pin's own rule, so one-electron systems reduce exactly to
+    the bare Hamiltonian.  Each pair a ≠ b, taken once, adds −s_ab·z_a·X_b·z_a,
+    with s_ab its same-spin count and X_b the `_pair_blocks` kernel of b.
     """
-    E = 0.0
-    for a in orbitals:
-        diag, off = kinetic_tridiagonal(g, a.l)
-        z = u_to_z(a.u, g)
-        E += a.occupation * float(z @ tridiag_apply(diag - z_nuc / g.points, off, z))
     rho = build_density(orbitals, g)
-    E += 0.5 * _coulomb_integral(rho, rho, 0, g)
-    for i, a in enumerate(orbitals):
-        for b in orbitals[i:]:
+    E = 0.5 * integrate(rho * slater_potential(rho, 0, g), g)
+    zs = [u_to_z(a.u, g) for a in orbitals]
+    for i, (a, z_a) in enumerate(zip(orbitals, zs)):
+        diag, off = kinetic_tridiagonal(g, a.l)
+        h_a = tridiag_apply(diag - z_nuc / g.points, off, z_a) - 0.5 * _self_exchange(a, z_a, g)
+        E += a.occupation * float(z_a @ h_a)
+        for b, z_b in zip(orbitals[i + 1 :], zs[i + 1 :]):
             s_ab = _pair_weights(a.occupation, a.l, b.occupation, b.l)
-            if s_ab == 0:
-                continue
-            if a is b and a.occupation == 1:
-                E -= 0.5 * _coulomb_integral(a.u**2, a.u**2, 0, g)
-                continue
-            acc = 0.0
-            for L in _multipoles(a.l, b.l):
-                lam = angular_weight(a.l, L, b.l)
-                cross = a.u * b.u
-                acc += lam * _coulomb_integral(cross, cross, L, g)
-            E -= (0.5 if a is b else 1.0) * s_ab * acc
+            blocks = _pair_blocks(a.l, z_b, b.l, g.points)
+            E -= s_ab * float(z_a @ _exchange_action(blocks, (), z_a))
     return E
 
 

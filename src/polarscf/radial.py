@@ -87,6 +87,10 @@ def make_grid(r_min: float, r_max: float, N: int) -> RadialGrid:
         raise ParameterError(f"need 0 < r_min < r_max, got ({r_min}, {r_max})")
     if N < 2:
         raise ParameterError(f"need N >= 2 grid points, got {N}")
+    # NumPy refuses float64 arrays within 64 bytes of intp.max // 8 elements;
+    # half that bound rejects them all before np.arange runs
+    if N > np.iinfo(np.intp).max // 16:
+        raise ParameterError(f"N = {N} grid points is more than a float64 mesh can hold")
     ratio = r_max / r_min
     if not math.isfinite(ratio):
         raise ParameterError(f"r_max/r_min overflows for ({r_min}, {r_max})")

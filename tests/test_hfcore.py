@@ -19,15 +19,15 @@ from polarscf.hfcore import (
     SCFParams,
     SCFState,
     ShellSpec,
+    _couplings,
     _exchange_action,
     _exchange_terms,
     _fock_operator,
-    _multipoles,
     _pair_weights,
+    _self_exchange,
     _slater_charges,
     _solve_channel,
     _total_energy,
-    angular_weight,
     build_density,
     exchange_apply,
     fock_apply,
@@ -72,15 +72,21 @@ from polarscf.radial import (
 )
 def test_angular_weight_table(l, L, lp, expected):
     # reference values are squared (l L l'; 0 0 0) couplings from the
-    # standard closed form, entered as exact fractions
-    assert abs(angular_weight(l, L, lp) - float(expected)) < 1e-15
+    # standard closed form, entered as exact fractions; the orders that
+    # violate parity or the triangle rule are absent from the table
+    weights = dict(_couplings(l, lp))
+    if expected == 0:
+        assert L not in weights
+    else:
+        assert abs(weights[L] - float(expected)) < 1e-15
+    assert all(lam > 0.0 for lam in weights.values())
 
 
 def test_angular_weight_capacity():
     with pytest.raises(ParameterError, match="angular coupling table covers l <= 3"):
-        angular_weight(4, 0, 4)
-    with pytest.raises(ParameterError):
-        angular_weight(-1, 0, 1)
+        _couplings(4, 4)
+    with pytest.raises(ParameterError, match="angular momenta must be nonnegative"):
+        _couplings(-1, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -206,8 +212,8 @@ def test_exchange_block_is_slater_potential_of_pair_density():
     target = hydrogenic_orbital(0.8 * Z, 3, 1, g)
     blocks, _ = _exchange_terms(1, [source], g)
     z, z_b = u_to_z(target.u, g), u_to_z(source.u, g)
-    assert len(blocks) == len(_multipoles(1, 1)) == 2
-    for block, L in zip(blocks, _multipoles(1, 1)):
+    assert len(blocks) == len(_couplings(1, 1)) == 2
+    for block, (L, _) in zip(blocks, _couplings(1, 1)):
         got = _exchange_action([block], (), z)
         ref = block[0] * z_b * slater_potential(source.u * target.u, L, g)
         assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
@@ -239,8 +245,7 @@ def _dense_exchange(channel_l, sources, g):
         z_b = np.sqrt(h * r) * o.u
         q = int(o.occupation)
         M = np.zeros((g.N, g.N))
-        for L in range(abs(channel_l - o.l), channel_l + o.l + 1):
-            lam = angular_weight(channel_l, L, o.l)
+        for L, lam in _couplings(channel_l, o.l):
             K_L = r_lo**L / r_hi ** (L + 1)
             M += lam * (np.outer(z_b, z_b) * K_L)
         X += (0.5 * q) * M
@@ -531,12 +536,27 @@ def test_converged_orbitals_agree_in_both_metrics(li_run, n_run):
                 assert abs(integrate(u * v, g) - float(u_to_z(u, g) @ u_to_z(v, g))) <= 1e-12
 
 
+def _pair_exchange(a, b, g):
+    """Exchange energy of the ordered shell pair (a, b) in the pairwise oracle.
+
+    −½·s_ab·Σ_L λ_L·∫(u_a u_b)·V_L[u_a u_b]; a lone electron's self term is
+    the bare monopole −½·∫u²·V₀[u²].
+    """
+    s_ab = _pair_weights(a.occupation, a.l, b.occupation, b.l)
+    if a is b and a.occupation == 1:
+        return -0.5 * integrate(a.u**2 * slater_potential(a.u**2, 0, g), g)
+    cross = a.u * b.u
+    acc = sum(lam * integrate(cross * slater_potential(cross, L, g), g)
+              for L, lam in _couplings(a.l, b.l))
+    return -0.5 * s_ab * acc
+
+
 def _pairwise_total_energy(z_nuc, orbitals, g):
     """Total energy summed over ordered shell pairs: the reference kept in the tests.
 
     The direct term is ½·Σ_a Σ_b q_a·q_b·F0(a, b), one Slater transform per
-    ordered pair, and the exchange term runs over every ordered pair (a, b);
-    a lone electron's self term is the bare monopole.
+    ordered pair, and the exchange term runs over every ordered pair (a, b)
+    of `_pair_exchange`.
     """
     E = 0.0
     for a in orbitals:
@@ -549,19 +569,7 @@ def _pairwise_total_energy(z_nuc, orbitals, g):
             E += 0.5 * a.occupation * b.occupation * F0
     for a in orbitals:
         for b in orbitals:
-            s_ab = _pair_weights(a.occupation, a.l, b.occupation, b.l)
-            if s_ab == 0:
-                continue
-            if a is b and a.occupation == 1:
-                E -= 0.5 * integrate(a.u**2 * slater_potential(a.u**2, 0, g), g)
-                continue
-            acc = 0.0
-            for L in _multipoles(a.l, b.l):
-                cross = a.u * b.u
-                acc += angular_weight(a.l, L, b.l) * integrate(
-                    cross * slater_potential(cross, L, g), g
-                )
-            E -= 0.5 * s_ab * acc
+            E += _pair_exchange(a, b, g)
     return E
 
 
@@ -582,6 +590,30 @@ def test_total_energy_matches_pairwise_oracle(z, shells, n_points):
     ref = _pairwise_total_energy(state.config.z, state.orbitals, state.grid)
     assert _total_energy(state.config.z, state.orbitals, state.grid) == state.total_energy
     assert abs(state.total_energy - ref) <= 1e-12 * abs(ref)
+
+
+@pytest.mark.parametrize(
+    "Z, n, l, q",
+    [(3.0, 2, 0, 1), (5.0, 2, 1, 1), (7.0, 2, 1, 3), (10.0, 2, 1, 6)],
+    ids=["li-2s1", "b-2p1", "n-2p3", "ne-2p6"],
+)
+def test_operator_and_energy_share_self_exchange(Z, n, l, q):
+    """The pinned operator's action on a shell's own orbital is `_self_exchange`,
+    and −½·q·z·`_self_exchange` is the oracle's self-exchange energy.
+
+    B 2p¹ is the case where the bare monopole differs from the kernel's own
+    M z; Ne 2p⁶ is full, so no pin enters and (q/2)·M z must agree unaided.
+    """
+    g = make_grid(1e-6 / Z, 40.0, 400)
+    b = replace(hydrogenic_orbital(Z, n, l, g), occupation=q)
+    z_b = u_to_z(b.u, g)
+    blocks, pins = _exchange_terms(l, [b], g)
+    assert len(pins) == q % 2
+    t = _self_exchange(b, z_b, g)
+    got = _exchange_action(blocks, pins, z_b)
+    assert np.max(np.abs(got - t)) <= 1e-13 * np.max(np.abs(t))
+    energy, ref = -0.5 * q * float(z_b @ t), _pair_exchange(b, b, g)
+    assert abs(energy - ref) <= 1e-13 * abs(ref)
 
 
 def test_total_energy_one_electron(h_run):

@@ -412,6 +412,12 @@ def test_only_hfcore_imports_scipy():
         # sizes checked before any row is computed or allocated
         ["spectrum", "n_max=100000000000000000000", "l_max=0", "gamma=0"],
         ["qp", "qp_e_points=100000000000"],
+        # meshes NumPy cannot describe, rejected before np.arange: 2**61, 2**63,
+        # 10**30 and intp.max // 8, which NumPy refuses within 64 bytes of its limit
+        ["scf", "z=2", "shells=1s:2", "n_points=2305843009213693952"],
+        ["scf", "z=2", "shells=1s:2", "n_points=9223372036854775808"],
+        ["scf", "z=2", "shells=1s:2", "n_points=1000000000000000000000000000000"],
+        ["scf", "z=2", "shells=1s:2", "n_points=1152921504606846975"],
     ],
     ids=[
         "no-args", "missing-config", "inf", "nan", "qp-points", "n-max", "l-max",
@@ -422,6 +428,7 @@ def test_only_hfcore_imports_scipy():
         "gamma-power-overflow", "spectrum-not-finite", "qp-pair-not-finite",
         "qp-window-overflow", "qp-resolvent-pole", "solver-grid-too-small",
         "pseudo-valence-not-occupied", "spectrum-too-many-rows", "qp-too-many-rows",
+        "n-points-2pow61", "n-points-2pow63", "n-points-10pow30", "n-points-intp-max-8",
     ],
 )
 def test_bad_input_exits_3_without_traceback(argv):
