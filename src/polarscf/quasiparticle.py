@@ -1,11 +1,17 @@
 """Finite-basis quasiparticle layer: projectors, resolvents, pair gaps.
 
-Everything here works on small dense matrices (basis dimension a few
-hundred at most), and projectors and resolvents are returned as plain
-NumPy matrices.  The pieces chain together: a hermitian single-particle
-matrix yields a free resolvent, a self-energy model dresses it through the
-Dyson equation, and the model's shift at k = 0 feeds the two-level pair
-quantities whose half-splitting is the pairing gap.
+The matrix functions work on small dense matrices (basis dimension a few
+hundred at most) and return plain NumPy matrices; each loads NumPy on
+first use, not on import, so the sweep below runs without it.  The pieces
+chain together: a hermitian single-particle matrix yields a free
+resolvent, a self-energy model dresses it through the Dyson equation, and
+the model's shift at k = 0 feeds the two-level pair quantities whose
+half-splitting is the pairing gap.
+
+The `qp` sweep needs no matrix: its levels are the eigenvalues of a
+diagonal h and its self-energy is Σ = f(0)·I, which commutes with h, so
+the Dyson resolvent (G₀⁻¹ − Σ)⁻¹ = ((E + iη − f(0))I − h)⁻¹ is diagonal
+and its trace is a sum of scalar resolvents, one per level.
 
 Sign bookkeeping for the mass operator: the self-energy eigenvalue f(k)
 carries the shift with a minus sign, f(k) = −(ΔM(0) + ΔM(k)) with ΔM(0)
@@ -13,9 +19,8 @@ the k-independent part, so the shift the pair quantities take is
 ΔM(0) = −f(0).
 """
 
+import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import ParameterError
 
@@ -28,12 +33,14 @@ GAP_TOLERANCE = 1e-12
 SELF_ENERGY_KINDS = ("zero", "constant_shift", "diagonal_polynomial")
 
 
-def projector(m_state, n_state=None) -> np.ndarray:
+def projector(m_state, n_state=None):
     """Rank-one density matrix |m⟩⟨n| (or |m⟩⟨m| when n is omitted).
 
     States are expected normalized; a numerically zero vector has no
     direction to project onto and is rejected.
     """
+    import numpy as np
+
     m = np.asarray(m_state, dtype=complex)
     n = m if n_state is None else np.asarray(n_state, dtype=complex)
     if m.ndim != 1 or n.ndim != 1 or m.shape != n.shape:
@@ -49,6 +56,8 @@ def projector(m_state, n_state=None) -> np.ndarray:
 
 
 def _check_hermitian(h, what: str):
+    import numpy as np
+
     h = np.asarray(h)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise ParameterError(f"{what} must be a square matrix")
@@ -59,12 +68,14 @@ def _check_hermitian(h, what: str):
     return h
 
 
-def green0(h, energy: float, eta: float = DEFAULT_ETA) -> np.ndarray:
+def green0(h, energy: float, eta: float = DEFAULT_ETA):
     """Free resolvent matrix ((E + iη)I − h)⁻¹.
 
     η < 0 is rejected outright.  η = 0 is allowed on the real axis as long
     as E is not an eigenvalue; hitting one there is a genuine pole.
     """
+    import numpy as np
+
     h = _check_hermitian(h, "hamiltonian")
     if eta < 0.0:
         raise ParameterError(f"broadening eta must be non-negative, got {eta}")
@@ -83,8 +94,10 @@ def green0(h, energy: float, eta: float = DEFAULT_ETA) -> np.ndarray:
         raise ParameterError(f"resolvent solve failed at E={energy}") from exc
 
 
-def dyson_solve(g0, sigma) -> np.ndarray:
+def dyson_solve(g0, sigma):
     """Dressed resolvent matrix from the closed Dyson form (G₀⁻¹ − Σ)⁻¹."""
+    import numpy as np
+
     sigma = np.asarray(sigma, dtype=complex)
     if sigma.shape != np.shape(g0):
         raise ParameterError("self-energy shape does not match the resolvent")
@@ -94,12 +107,14 @@ def dyson_solve(g0, sigma) -> np.ndarray:
         raise ParameterError("Dyson inversion hit a singular matrix") from exc
 
 
-def dyson_born(g0, sigma, terms: int = DEFAULT_BORN_TERMS) -> np.ndarray:
+def dyson_born(g0, sigma, terms: int = DEFAULT_BORN_TERMS):
     """Born-series resolvent Σ_j (G₀Σ)ʲ G₀, the independent route to Dyson.
 
     Converges only for spectral radius ρ(G₀Σ) < 1; the caller owns that
     judgement, this routine just sums the requested number of terms.
     """
+    import numpy as np
+
     sigma = np.asarray(sigma, dtype=complex)
     if sigma.shape != np.shape(g0):
         raise ParameterError("self-energy shape does not match the resolvent")
@@ -158,10 +173,6 @@ class SelfEnergyModel:
         for c in reversed(self.coefficients):
             total = total * k + c
         return total
-
-    def matrix_at(self, dim: int, k: float = 0.0) -> np.ndarray:
-        """Dense Σ for a basis of the given dimension."""
-        return self.eigenvalue_at(k) * np.eye(dim, dtype=complex)
 
 
 # ---------------------------------------------------------------------------
@@ -223,22 +234,51 @@ def pair_quantities(
 # spectral sweep (feeds the CSV report)
 
 
-def resolvent_sweep(h, energies, eta: float = DEFAULT_ETA, sigma=None):
+def resolvent_sweep(levels, energies, eta: float = DEFAULT_ETA, shift: float = 0.0):
     """Im Tr G along an energy grid, with pole estimates at the dips.
+
+    G is the Dyson resolvent of h = diag(levels) dressed by Σ = shift·I,
+    the constant part f(0) of the mass operator.  Σ commutes with h, so G
+    is diagonal with entries 1/(E + iη − d_i) on the dressed levels
+    d_i = ε_i + shift, and Im Tr G(E) = Σ_i Im 1/(E + iη − d_i) exactly.
+    Each term is one complex division, which Python does by Smith's scaled
+    method (Commun. ACM 5, 435, 1962): (E − d_i)² + η² is never formed, so
+    neither a far level nor a huge η overflows.  The terms are added in
+    level order by plain float addition (not `sum`, which compensates from
+    Python 3.12 on), so an artifact keeps its bytes across versions.
 
     Returns (trace_imag, pole_estimates): the imaginary trace per energy,
     and the energies of its strict local minima — with broadening η the
-    trace dips to −(something)/η at each spectral point.
+    trace dips to about −1/η at each dressed level.  The checks are those
+    of `green0` on the dressed levels: η < 0 is rejected, and with η = 0
+    an energy on a dressed level is a pole.  A dressed level that is not
+    finite is rejected before the sweep starts.
     """
-    energies = np.asarray(energies, dtype=float)
-    trace_imag = np.empty(energies.size)
-    for i, E in enumerate(energies):
-        G = green0(h, float(E), eta)
-        if sigma is not None:
-            G = dyson_solve(G, sigma)
-        trace_imag[i] = float(np.trace(G).imag)
-    poles = []
-    for i in range(1, energies.size - 1):
-        if trace_imag[i] < trace_imag[i - 1] and trace_imag[i] < trace_imag[i + 1]:
-            poles.append(float(energies[i]))
+    if eta < 0.0:
+        raise ParameterError(f"broadening eta must be non-negative, got {eta}")
+    dressed = []
+    for e in levels:
+        d = float(e) + shift
+        if not math.isfinite(d):
+            raise ParameterError(f"dressed level {e!r} + {shift!r} is not finite")
+        dressed.append(d)
+    energies = [float(E) for E in energies]
+    if eta == 0.0:
+        tol = 1e-12 * max([1.0] + [abs(d) for d in dressed])
+        for E in energies:
+            if any(abs(E - d) < tol for d in dressed):
+                raise ParameterError(
+                    f"resolvent pole: E={E} lies on the spectrum with eta=0"
+                )
+    trace_imag = []
+    for E in energies:
+        total = 0.0
+        for d in dressed:
+            total += (1.0 / complex(E - d, eta)).imag
+        trace_imag.append(total)
+    poles = [
+        energies[i]
+        for i in range(1, len(energies) - 1)
+        if trace_imag[i] < trace_imag[i - 1] and trace_imag[i] < trace_imag[i + 1]
+    ]
     return trace_imag, poles

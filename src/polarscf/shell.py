@@ -24,8 +24,8 @@ Exit codes: 0 success, 2 non-convergence, 3 bad input (usage, config, domain).
 Each command imports only the modules it runs, because a fresh process
 pays for every import (most of a `verify`, `qp` or `spectrum` run): the
 module itself loads only `errors` and the pure-Python `relspectrum`, so
-`spectrum` starts without NumPy, and neither `verify` nor `qp` loads the
-SCF stack.
+`spectrum` starts without NumPy, `qp` adds only `quasiparticle` (its sweep
+is pure Python), and `verify` does not load the SCF stack.
 """
 
 from __future__ import annotations
@@ -287,9 +287,21 @@ def _run_pseudo(cfg: RunConfig, trace) -> str:
     return canonical_json(doc) + "\n"
 
 
-def _run_qp(cfg: RunConfig) -> str:
-    import numpy as np
+def _linspace(start: float, stop: float, num: int) -> list:
+    """`np.linspace(start, stop, num)` to the bit: i·step + start, stop last."""
+    div, delta = num - 1, stop - start
+    if div == 0:
+        return [0.0 * delta + start]
+    step = delta / div
+    if step == 0.0:  # delta/div underflowed: NumPy scales i/div by delta instead
+        points = [float(i) / div * delta + start for i in range(num)]
+    else:
+        points = [float(i) * step + start for i in range(num)]
+    points[-1] = stop
+    return points
 
+
+def _run_qp(cfg: RunConfig) -> str:
     from .quasiparticle import SelfEnergyModel, pair_quantities
 
     levels = _numbers(cfg, "qp_levels")
@@ -303,20 +315,16 @@ def _run_qp(cfg: RunConfig) -> str:
         raise ParameterError(
             f"qp_e_max - qp_e_min overflows for ({cfg.qp_e_min!r}, {cfg.qp_e_max!r})"
         )
-    h = np.diag(levels)
     model = SelfEnergyModel(
         kind=cfg.sigma_kind,
         shift=cfg.sigma_shift,
         coefficients=tuple(_numbers(cfg, "sigma_coefficients")),
     )
-    sigma = None
-    if model.kind != "zero":
-        sigma = model.matrix_at(h.shape[0], k=0.0)
-    energies = np.linspace(cfg.qp_e_min, cfg.qp_e_max, cfg.qp_e_points)
-    trace_imag, poles = _shell.resolvent_sweep(h, energies, eta=cfg.qp_eta, sigma=sigma)
+    f0 = model.eigenvalue_at(0.0)
+    energies = _linspace(cfg.qp_e_min, cfg.qp_e_max, cfg.qp_e_points)
+    trace_imag, poles = _shell.resolvent_sweep(levels, energies, eta=cfg.qp_eta, shift=f0)
     # the self-energy branch is f(k) = −(ΔM(0) + ΔM(k)), so ΔM(0) = −f(0)
-    delta_m0 = -model.eigenvalue_at(0.0)
-    pq = pair_quantities(delta_m0, cfg.pair_epsilon0, cfg.n_quanta, cfg.pair_constant)
+    pq = pair_quantities(-f0, cfg.pair_epsilon0, cfg.n_quanta, cfg.pair_constant)
 
     lines = [_config_comments(cfg)]
     lines.append(f"# delta_m0={_fmt(pq.delta_m0)}\n")
@@ -328,7 +336,7 @@ def _run_qp(cfg: RunConfig) -> str:
     lines.append("E,trace_imag_G,pole_estimates\n")
     pole_set = set(poles)
     for E, t in zip(energies, trace_imag):
-        pole_field = _fmt(E) if float(E) in pole_set else ""
+        pole_field = _fmt(E) if E in pole_set else ""
         lines.append(f"{_fmt(E)},{_fmt(t)},{pole_field}\n")
     return "".join(lines)
 

@@ -1,5 +1,7 @@
 """Projectors, resolvents, self-energy models, and pair quantities."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -161,11 +163,6 @@ def test_self_energy_kinds():
         SelfEnergyModel("user_matrix")
 
 
-def test_self_energy_matrix_rendering():
-    m = SelfEnergyModel("constant_shift", shift=0.25).matrix_at(3)
-    assert np.array_equal(m, 0.25 * np.eye(3))
-
-
 def test_mass_operator_worked_example():
     """f(k) = -(0.3 + 0.01 k^2): ΔM(0) = -f(0) and ΔM(k) separate exactly."""
     model = SelfEnergyModel("diagonal_polynomial", coefficients=(-0.3, 0.0, -0.01))
@@ -225,17 +222,77 @@ def test_pair_quantum_number_domain():
 
 
 def test_resolvent_sweep_locates_levels():
-    h = np.diag([-1.0, 0.0, 0.5])
     energies = np.linspace(-1.5, 1.0, 251)
-    trace_imag, poles = resolvent_sweep(h, energies, eta=1e-2)
+    trace_imag, poles = resolvent_sweep([-1.0, 0.0, 0.5], energies, eta=1e-2)
     assert len(poles) == 3
     assert np.allclose(poles, [-1.0, 0.0, 0.5], atol=1e-9)
-    assert np.all(trace_imag < 0.0)  # retarded side
+    assert np.all(np.asarray(trace_imag) < 0.0)  # retarded side
 
 
 def test_resolvent_sweep_with_self_energy():
-    h = np.diag([0.0, 1.0])
     energies = np.linspace(-1.0, 2.0, 301)
-    _, poles = resolvent_sweep(h, energies, eta=1e-2, sigma=0.5 * np.eye(2))
+    _, poles = resolvent_sweep([0.0, 1.0], energies, eta=1e-2, shift=0.5)
     assert len(poles) == 2
     assert np.allclose(poles, [0.5, 1.5], atol=1e-9)
+
+
+def _matrix_trace_imag(levels, energies, eta, shift):
+    """Im Tr of the Dyson resolvent by the matrix route, energy by energy."""
+    h = np.diag(levels)
+    sigma = shift * np.eye(len(levels))
+    return [
+        float(np.trace(dyson_solve(green0(h, float(E), eta), sigma)).imag)
+        for E in energies
+    ]
+
+
+SWEEP_MODELS = (
+    SelfEnergyModel("zero"),
+    SelfEnergyModel("constant_shift", shift=-0.25),
+    SelfEnergyModel("diagonal_polynomial", coefficients=(0.3, 0.0, -0.01)),
+)
+
+
+@pytest.mark.parametrize("model", SWEEP_MODELS, ids=lambda m: m.kind)
+@pytest.mark.parametrize("eta", [1e-3, 1e-2, 0.5])
+def test_resolvent_sweep_matches_dyson_matrix_route(model, eta):
+    """Σ = f(0)·I commutes with diag(levels): the closed form is the Dyson chain."""
+    rng = np.random.default_rng(24)
+    shift = model.eigenvalue_at(0.0)
+    energies = np.linspace(-2.0, 2.0, 41)
+    for _ in range(8):
+        levels = rng.uniform(-1.5, 1.5, size=int(rng.integers(1, 7))).tolist()
+        trace_imag, _ = resolvent_sweep(levels, energies, eta=eta, shift=shift)
+        ref = _matrix_trace_imag(levels, energies, eta, shift)
+        assert np.allclose(trace_imag, ref, rtol=1e-12, atol=0.0)
+
+
+def test_resolvent_sweep_real_axis():
+    """η = 0: exactly +0.0 off the dressed spectrum, a pole on it."""
+    trace_imag, poles = resolvent_sweep([-1.0, 0.5], [-2.0, 0.0, 0.1, 2.0], eta=0.0, shift=0.25)
+    assert all(t == 0.0 and math.copysign(1.0, t) == 1.0 for t in trace_imag)
+    assert poles == []
+    with pytest.raises(ParameterError, match="resolvent pole"):
+        resolvent_sweep([-1.0, 0.5], [0.0, 0.75], eta=0.0, shift=0.25)
+    with pytest.raises(ParameterError):
+        resolvent_sweep([0.0], [0.0], eta=-1e-3)
+
+
+@pytest.mark.parametrize(
+    "levels, eta",
+    [([-0.5, 1e300, 0.25], 1e-2), ([-0.5, 0.25], 1e200)],
+    ids=["far-level", "huge-eta"],
+)
+def test_resolvent_sweep_does_not_overflow(levels, eta):
+    """Far levels and huge broadenings stay finite: (E − d)² + η² is never formed."""
+    energies = np.linspace(-1.0, 1.0, 21)
+    trace_imag, _ = resolvent_sweep(levels, energies, eta=eta, shift=0.1)
+    assert all(math.isfinite(t) and t < 0.0 for t in trace_imag)
+    ref = _matrix_trace_imag(levels, energies, eta, 0.1)
+    assert np.allclose(trace_imag, ref, rtol=1e-12, atol=0.0)
+
+
+def test_resolvent_sweep_rejects_non_finite_dressed_level():
+    for level, shift in ((1e308, 1e308), (-1e308, -1e308)):
+        with pytest.raises(ParameterError, match="not finite"):
+            resolvent_sweep([0.0, level], [0.0], eta=1e-2, shift=shift)

@@ -20,6 +20,7 @@ from polarscf.shell import (
     main,
     parse_config,
     parse_shells,
+    _linspace,
     render_config,
     run_command,
 )
@@ -242,14 +243,37 @@ def test_spectrum_row_count_matches_the_sweep():
         assert rows == m * m + (n_max - m) * (2 * l_max + 1)
 
 
-def test_out_file_and_fresh_process_determinism(tmp_path):
+@pytest.mark.parametrize(
+    "start, stop, num",
+    [
+        (-2.0, 2.0, 201), (2.0, -3.0, 333), (-0.7, 0.3, 2), (-0.0, 3.0, 1),
+        (0.5, 0.5, 1), (-0.0, 0.0, 7), (1e-310, 2e-310, 5), (0.0, 5e-324, 4),
+        (-5e307, 8e307, 1000), (0.1, 0.3, 999_999),
+    ],
+)
+def test_energy_grid_is_numpy_linspace_to_the_bit(start, stop, num):
+    """The qp E column keeps the bytes NumPy's grid gave it."""
+    ours = _linspace(start, stop, num)
+    ref = np.linspace(start, stop, num)
+    assert np.array_equal(np.array(ours).view(np.int64), ref.view(np.int64))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["scf", *FAST_SCF],
+        ["qp", "qp_levels=-0.75,0.75", "sigma_kind=constant_shift", "sigma_shift=-0.25"],
+        ["spectrum", "n_max=50", "l_max=3", "gamma=0.1"],
+        ["verify", "fock", "--modes", "8"],
+    ],
+    ids=["scf", "qp", "spectrum", "verify"],
+)
+def test_out_file_and_fresh_process_determinism(tmp_path, argv):
     """Two separate interpreter runs must agree byte for byte."""
-    paths = [tmp_path / "a.json", tmp_path / "b.json"]
+    paths = [tmp_path / "a.out", tmp_path / "b.out"]
     for p in paths:
         r = subprocess.run(
-            [sys.executable, "-m", "polarscf.shell", "scf"]
-            + FAST_SCF
-            + ["--out", str(p)],
+            [sys.executable, "-m", "polarscf.shell", *argv, "--out", str(p)],
             capture_output=True,
             text=True,
         )
@@ -311,14 +335,14 @@ def _modules_after(*runs):
 
 
 def test_each_command_loads_only_its_modules():
-    """spectrum runs without NumPy, verify and qp without the SCF stack, and
+    """spectrum and qp run without NumPy, verify without the SCF stack, and
     SciPy loads only with a solve."""
     base = {"polarscf.errors", "polarscf.relspectrum", "polarscf.shell"}
     assert _modules_after() == ([], base)
     assert _modules_after(["spectrum", "n_max=4", "gamma=0.1"]) == ([0], base)
     verify = {"numpy", "polarscf.fockspace"}
     assert _modules_after(["verify", "fock", "--modes", "8"]) == ([0], base | verify)
-    qp = {"numpy", "polarscf.quasiparticle"}
+    qp = {"polarscf.quasiparticle"}
     assert _modules_after(["qp", "qp_levels=-0.75,0.75", "qp_e_points=101"]) == ([0], base | qp)
     codes, loaded = _modules_after(["scf", "z=1.0", "shells=1s:1", "n_points=300"])
     assert codes == [0] and {"scipy.linalg", "polarscf.hfcore"} <= loaded
@@ -418,6 +442,9 @@ def test_only_hfcore_imports_scipy():
         ["scf", "z=2", "shells=1s:2", "n_points=9223372036854775808"],
         ["scf", "z=2", "shells=1s:2", "n_points=1000000000000000000000000000000"],
         ["scf", "z=2", "shells=1s:2", "n_points=1152921504606846975"],
+        # finite inputs whose dressed level ε + f(0) overflows
+        ["qp", "qp_levels=1e308", "sigma_kind=constant_shift", "sigma_shift=1e308"],
+        ["qp", "qp_levels=-1e308", "sigma_kind=constant_shift", "sigma_shift=-1e308"],
     ],
     ids=[
         "no-args", "missing-config", "inf", "nan", "qp-points", "n-max", "l-max",
@@ -429,6 +456,7 @@ def test_only_hfcore_imports_scipy():
         "qp-window-overflow", "qp-resolvent-pole", "solver-grid-too-small",
         "pseudo-valence-not-occupied", "spectrum-too-many-rows", "qp-too-many-rows",
         "n-points-2pow61", "n-points-2pow63", "n-points-10pow30", "n-points-intp-max-8",
+        "qp-dressed-level-overflow", "qp-dressed-level-overflow-negative",
     ],
 )
 def test_bad_input_exits_3_without_traceback(argv):
