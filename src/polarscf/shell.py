@@ -25,7 +25,8 @@ Each command imports only the modules it runs, because a fresh process
 pays for every import (most of a `verify`, `qp` or `spectrum` run): the
 module itself loads only `errors` and the pure-Python `relspectrum`, so
 `spectrum` starts without NumPy, `qp` adds only `quasiparticle` (its sweep
-is pure Python), and `verify` does not load the SCF stack.
+is pure Python), and `verify` adds only `fockspace` (its ladder operators
+act on Python ints), so both also start without NumPy.
 """
 
 from __future__ import annotations

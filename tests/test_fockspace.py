@@ -22,10 +22,32 @@ def mask(bits):
     return sum(b << s for s, b in enumerate(bits))
 
 
-def act(kind, slot, m):
-    """(new mask, amplitude) of one ladder operator on one basis mask."""
-    (new,), (amp,) = ladder_apply(kind, slot, [m])
-    return int(new), int(amp)
+def act(kind, slot, m, modes=5):
+    """(new mask, amplitude) of one ladder operator on one basis mask; (None, 0) if killed."""
+    plus, minus = ladder_apply(kind, slot, (1 << m, 0), modes)
+    assert not plus & minus and (plus | minus).bit_count() <= 1
+    if not plus | minus:
+        return None, 0
+    return (plus | minus).bit_length() - 1, 1 if plus else -1
+
+
+def signed_set(amplitudes):
+    """The (plus, minus) pair of a {mask: amplitude in {-1, 0, +1}} mapping."""
+    plus = sum(1 << m for m, a in amplitudes.items() if a == 1)
+    minus = sum(1 << m for m, a in amplitudes.items() if a == -1)
+    return plus, minus
+
+
+def jordan_wigner(M, signed=True):
+    """Dense a_s for s < M: Z x ... x Z x |0><1| x I x ... x I, slot 0 leftmost.
+
+    With signed=False the Z strings become identities: hard-core bosons.
+    A basis state's index is then its bits read as binary, slot 0 first.
+    """
+    z = np.diag([1.0, -1.0]) if signed else np.eye(2)
+    lower, eye = np.array([[0.0, 1.0], [0.0, 0.0]]), np.eye(2)
+    return [functools.reduce(np.kron, [z] * s + [lower] + [eye] * (M - s - 1))
+            for s in range(M)]
 
 
 def transposition(n, i, j):
@@ -136,11 +158,10 @@ def test_nilpotency():
     once, first = act("annihilate", 2, v)
     assert first == 1 and act("annihilate", 2, once)[1] == 0
     # on every basis state of M=4: a_s·a_s = a†_s·a†_s = 0
-    basis = np.arange(16)
+    basis = ((1 << 16) - 1, 0)
     for kind in ("create", "annihilate"):
         for s in range(4):
-            masks, inner = ladder_apply(kind, s, basis)
-            assert not np.any(inner * ladder_apply(kind, s, masks)[1])
+            assert ladder_apply(kind, s, ladder_apply(kind, s, basis, 4), 4) == (0, 0)
 
 
 def test_product_state_ordering():
@@ -153,26 +174,36 @@ def test_product_state_ordering():
 
 
 def test_ladder_matches_jordan_wigner():
-    """Every ladder action on M=5 equals the Jordan-Wigner matrix column.
-
-    a_s = Z x ... x Z x |0><1| x I x ... x I with slot 0 the leftmost
-    Kronecker factor, so a basis state's index is its bits read as binary.
-    """
+    """Every ladder action on M=5 equals the Jordan-Wigner matrix column."""
     M = 5
-    z, lower, eye = np.diag([1.0, -1.0]), np.array([[0.0, 1.0], [0.0, 0.0]]), np.eye(2)
 
     def index(bits):
         return int("".join(map(str, bits)), 2)
 
-    for s in range(M):
-        a = functools.reduce(np.kron, [z] * s + [lower] + [eye] * (M - s - 1))
+    for s, a in enumerate(jordan_wigner(M)):
         for kind, matrix in (("annihilate", a), ("create", a.T)):
             for bits in itertools.product((0, 1), repeat=M):
                 column = np.zeros(2**M)
-                new, amp = act(kind, s, mask(bits))
+                new, amp = act(kind, s, mask(bits), M)
                 if amp:
                     column[index([new >> t & 1 for t in range(M)])] += amp
                 assert np.array_equal(column, matrix[:, index(bits)]), (kind, s, bits)
+
+
+def test_ladder_is_linear_on_signed_sets():
+    """On a signed set with both signs, each mask moves as it would alone."""
+    rng = np.random.default_rng(26)
+    M = 6
+    for trial in range(20):
+        amplitudes = dict(enumerate(rng.integers(-1, 2, 2**M).tolist()))
+        for kind, s in itertools.product(("create", "annihilate"), range(M)):
+            expected = {}
+            for m, a in amplitudes.items():
+                new, amp = act(kind, s, m, M)
+                if a and amp:
+                    expected[new] = a * amp
+            got = ladder_apply(kind, s, signed_set(amplitudes), M)
+            assert got == signed_set(expected), (trial, kind, s)
 
 
 @pytest.mark.parametrize("M", [1, 2, 3, 4, 8, 16])
@@ -181,27 +212,75 @@ def test_anticommutators_exact(M):
     assert tables.max_deviation() == 0.0
 
 
+def dropped_sign(kind, slot, state, modes):
+    """`ladder_apply` with every sign forced to +1."""
+    plus, minus = ladder_apply(kind, slot, state, modes)
+    return plus | minus, 0
+
+
 def test_anticommutator_table_detects_dropped_sign(monkeypatch):
     # with every sign forced to +1 the operators commute instead, and
     # {a_i, a†_j}|b> = 2|b'> on states with slot i filled and slot j empty
-    signed = fockspace.ladder_apply
-
-    def unsigned(kind, slot, masks):
-        new_masks, amplitudes = signed(kind, slot, masks)
-        return new_masks, np.abs(amplitudes)
-
-    monkeypatch.setattr(fockspace, "ladder_apply", unsigned)
+    monkeypatch.setattr(fockspace, "ladder_apply", dropped_sign)
     assert anticommutator_table(4).max_deviation() == 2.0
+
+
+@pytest.mark.parametrize("M", [2, 3, 4, 5, 6])
+def test_dropped_sign_gives_hard_core_bosons(monkeypatch, M):
+    """Unsigned ladders are hard-core bosons: every i != j entry reads 2, i = j reads 0."""
+    monkeypatch.setattr(fockspace, "ladder_apply", dropped_sign)
+    tables = anticommutator_table(M)
+    expected = tuple(tuple(2.0 * (i != j) for j in range(M)) for i in range(M))
+    assert tables.create_annihilate == expected
+    assert tables.annihilate_annihilate == expected
+
+
+def dense_tables(M, signed):
+    """The worst column norms of {a_i, a†_j} - δ_ij I and {a_i, a_j} from dense matrices."""
+    a = jordan_wigner(M, signed)
+    eye = np.eye(2**M)
+
+    def worst(x):
+        return float(np.sqrt(np.max(np.sum(x * x, axis=0))))
+
+    mixed = tuple(tuple(worst(a[i] @ a[j].T + a[j].T @ a[i] - (i == j) * eye)
+                        for j in range(M)) for i in range(M))
+    same = tuple(tuple(worst(a[i] @ a[j] + a[j] @ a[i]) for j in range(M))
+                 for i in range(M))
+    return mixed, same
+
+
+@pytest.mark.parametrize("M", [1, 2, 3, 4, 5])
+def test_anticommutator_table_matches_dense_jordan_wigner(monkeypatch, M):
+    """Both tables equal a dense Kronecker-product reference, signed and unsigned."""
+    tables = anticommutator_table(M)
+    assert (tables.create_annihilate, tables.annihilate_annihilate) == dense_tables(M, True)
+    monkeypatch.setattr(fockspace, "ladder_apply", dropped_sign)
+    tables = anticommutator_table(M)
+    assert (tables.create_annihilate, tables.annihilate_annihilate) == dense_tables(M, False)
+
+
+def test_anticommutator_table_entries_are_floats():
+    tables = anticommutator_table(3)
+    for table in (tables.create_annihilate, tables.annihilate_annihilate):
+        assert type(table) is tuple and len(table) == 3
+        assert all(type(row) is tuple and len(row) == 3 for row in table)
+        assert all(type(x) is float for row in table for x in row)
+    assert type(tables.max_deviation()) is float
 
 
 def test_anticommutator_capacity():
     with pytest.raises(ParameterError, match="M=17 exceeds mode cap 16"):
         anticommutator_table(17)
     with pytest.raises(ParameterError, match="slot 16 is outside 0..15"):
-        ladder_apply("create", 16, [0])
+        ladder_apply("create", 16, (1, 0), 16)
     with pytest.raises(ParameterError, match="slot -1 is outside 0..15"):
-        ladder_apply("annihilate", -1, [0])
+        ladder_apply("annihilate", -1, (1, 0), 16)
     with pytest.raises(ParameterError, match="kind must be create/annihilate, got 'destroy'"):
-        ladder_apply("destroy", 0, [0])
+        ladder_apply("destroy", 0, (1, 0), 16)
     with pytest.raises(ParameterError):
         anticommutator_table(0)
+    with pytest.raises(ParameterError, match="slot 4 is outside 0..3"):
+        ladder_apply("create", 4, (1, 0), 4)
+    with pytest.raises(ParameterError, match=r"modes=17 is outside 1..16"):
+        ladder_apply("create", 0, (1, 0), 17)

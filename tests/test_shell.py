@@ -335,12 +335,11 @@ def _modules_after(*runs):
 
 
 def test_each_command_loads_only_its_modules():
-    """spectrum and qp run without NumPy, verify without the SCF stack, and
-    SciPy loads only with a solve."""
+    """spectrum, qp and verify run without NumPy, and SciPy loads only with a solve."""
     base = {"polarscf.errors", "polarscf.relspectrum", "polarscf.shell"}
     assert _modules_after() == ([], base)
     assert _modules_after(["spectrum", "n_max=4", "gamma=0.1"]) == ([0], base)
-    verify = {"numpy", "polarscf.fockspace"}
+    verify = {"polarscf.fockspace"}
     assert _modules_after(["verify", "fock", "--modes", "8"]) == ([0], base | verify)
     qp = {"polarscf.quasiparticle"}
     assert _modules_after(["qp", "qp_levels=-0.75,0.75", "qp_e_points=101"]) == ([0], base | qp)

@@ -21,11 +21,15 @@ each field; nothing is gated.  Cases:
 * the N=8000 He solve behind `tests/fixtures/he_reference.json`, with its
   energy change against that fixture (the fixture is not written);
 * the wall time of the Tier-1 suite, in a child process;
-* `anticommutator_table(8)` as the layer outside the mean-field solve;
+* `anticommutator_table` at M=8 (as `verify fock --modes 8` runs it) and
+  at M=16 (the mode cap) as the layer outside the mean-field solve;
 * the `cli` workload's `verify`, `qp` and `spectrum` commands, an `scf` He
   solve at the default mesh and a bare `import polarscf.shell`, each in a
   fresh process (`ungated`, the `cli_` cases): the CPU seconds of the child
-  and the `numpy`, `scipy` and `polarscf` modules it loaded.
+  and the `numpy`, `scipy` and `polarscf` modules it loaded;
+* a fixed NumPy calibration loop (`calibration`), timed before the first
+  case and after the last: its time changes with the host's load, never
+  with the code, so it tells a busy host from a slower change.
 
 The metadata gives `nproc`, the BLAS builds of NumPy and SciPy, the BLAS
 thread setting (one thread unless the environment sets another), whether
@@ -174,9 +178,26 @@ def tier1_case():
     return _median(records)
 
 
-def anticommutator_case(modes=8):
+def anticommutator_case(modes):
     records = [{"wall_s": _timed(lambda: anticommutator_table(modes))[1]} for _ in range(RUNS)]
     return {"modes": modes, **_median(records)}
+
+
+def calibration_case():
+    """A fixed NumPy loop (dense solves and a sort, one BLAS thread) that no code change moves."""
+    rng = np.random.default_rng(0)
+    a, x = rng.standard_normal((300, 300)), rng.standard_normal(10**6)
+
+    def loop():
+        for _ in range(10):
+            np.linalg.solve(a, a)
+            np.sort(x)
+
+    records = []
+    for _ in range(RUNS):
+        _, wall, cpu = _timed(loop)
+        records.append({"wall_s": wall, "cpu_s": cpu})
+    return _median(records)
 
 
 def _children_cpu():
@@ -234,8 +255,9 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("out", help="JSON file to write, e.g. BENCH_<N>.json")
     out = Path(parser.parse_args().out)
-    doc = {"meta": metadata(), "end_to_end": {}, "ungated": {}, "layers": {}}
+    doc = {"meta": metadata(), "calibration": {}, "end_to_end": {}, "ungated": {}, "layers": {}}
     cases = [
+        ("calibration", "before", calibration_case),
         ("end_to_end", "scf_he", lambda: scf_case("he")),
         ("end_to_end", "scf_li", lambda: scf_case("li")),
         ("end_to_end", "pseudo_li_2s", pseudo_case),
@@ -249,8 +271,10 @@ def main():
         ("ungated", "scf_ar_tight", lambda: scf_case("ar", tol_orbital=TIGHT_TOL_ORBITAL)),
         ("ungated", "scf_k_tight", lambda: scf_case("k", tol_orbital=TIGHT_TOL_ORBITAL)),
         ("ungated", "scf_ca_tight", lambda: scf_case("ca", tol_orbital=TIGHT_TOL_ORBITAL)),
-        ("layers", "anticommutator_table", anticommutator_case),
+        ("layers", "anticommutator_table", lambda: anticommutator_case(8)),
+        ("layers", "anticommutator_table_m16", lambda: anticommutator_case(16)),
         *(("ungated", f"cli_{kind}", functools.partial(cli_case, kind)) for kind in CLI_COMMANDS),
+        ("calibration", "after", calibration_case),
     ]
     for group, name, case in cases:
         rec = doc[group][name] = case()
