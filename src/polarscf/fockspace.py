@@ -19,7 +19,7 @@ slot below s.
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import ParameterError
 
@@ -153,12 +153,12 @@ def _tally(full, sets):
     return counts
 
 
-@dataclass(frozen=True)
-class AnticommutatorTables:
+class AnticommutatorTables(namedtuple(
+    "AnticommutatorTables", "create_annihilate annihilate_annihilate"
+)):
     """Operator norms of {a_i, a†_j} - δ_ij I and {a_i, a_j}: row i, column j, as floats."""
 
-    create_annihilate: tuple
-    annihilate_annihilate: tuple
+    __slots__ = ()
 
     def max_deviation(self):
         return max(max(row) for row in self.create_annihilate + self.annihilate_annihilate)

@@ -20,7 +20,7 @@ the k-independent part, so the shift the pair quantities take is
 """
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import ParameterError
 
@@ -133,8 +133,7 @@ def dyson_born(g0, sigma, terms: int = DEFAULT_BORN_TERMS):
 # self-energy models
 
 
-@dataclass(frozen=True)
-class SelfEnergyModel:
+class SelfEnergyModel(namedtuple("SelfEnergyModel", "kind shift coefficients")):
     """Self-energy Σ = f(k)·I in one of three shapes.
 
     kind:
@@ -145,23 +144,26 @@ class SelfEnergyModel:
                            mass operator must be even in k
     """
 
-    kind: str
-    shift: float = 0.0
-    coefficients: tuple = ()
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.kind not in SELF_ENERGY_KINDS:
+    def __new__(cls, kind, shift=0.0, coefficients=()):
+        if kind not in SELF_ENERGY_KINDS:
             raise ParameterError(
-                f"unknown self-energy kind {self.kind!r}; expected one of "
+                f"unknown self-energy kind {kind!r}; expected one of "
                 f"{SELF_ENERGY_KINDS}"
             )
-        object.__setattr__(self, "coefficients", tuple(float(c) for c in self.coefficients))
-        if self.kind == "diagonal_polynomial":
-            for p, c in enumerate(self.coefficients):
+        coefficients = tuple(float(c) for c in coefficients)
+        if kind == "diagonal_polynomial":
+            for p, c in enumerate(coefficients):
                 if p % 2 == 1 and c != 0.0:
                     raise ParameterError(
                         f"odd power k^{p} breaks mass-operator evenness"
                     )
+        return super().__new__(cls, kind, shift, coefficients)
+
+    @classmethod
+    def _make(cls, iterable):  # `_replace` builds through this: keep the checks
+        return cls(*iterable)
 
     def eigenvalue_at(self, k: float) -> float:
         """Scalar eigenvalue branch f(k) of the model."""
@@ -179,18 +181,13 @@ class SelfEnergyModel:
 # pair quantities
 
 
-@dataclass(frozen=True)
-class PairQuantities:
+class PairQuantities(namedtuple(
+    "PairQuantities",
+    "delta_m0 extremum extremum_tilde eps_plus eps_minus gap regime schrodinger_limit",
+)):
     """Two-branch pair levels and their half-splitting gap."""
 
-    delta_m0: float
-    extremum: float
-    extremum_tilde: float
-    eps_plus: float
-    eps_minus: float
-    gap: float
-    regime: str
-    schrodinger_limit: bool
+    __slots__ = ()
 
 
 def pair_quantities(

@@ -12,9 +12,7 @@ it, and the physical label set for orbital momentum l is {−l, l+1}, whose
 l = 0 case sheds the zero entry).
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
+from collections import namedtuple
 from numbers import Integral
 
 from .errors import ParameterError
@@ -22,35 +20,31 @@ from .errors import ParameterError
 FINE_STRUCTURE_ALPHA = 7.2973525693e-3
 
 
-@dataclass(frozen=True)
-class SpectrumParams:
+class SpectrumParams(namedtuple("SpectrumParams", "m gamma n k")):
     """Inputs of one level: mass scale m, coupling γ, labels (n, k)."""
 
-    m: float
-    gamma: float
-    n: int
-    k: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.m <= 0:
-            raise ParameterError(f"mass scale must be positive, got {self.m}")
-        if self.gamma < 0:
-            raise ParameterError(f"coupling gamma must be non-negative, got {self.gamma}")
-        if not isinstance(self.n, Integral) or self.n < 1:
-            raise ParameterError(f"principal number must be an integer >= 1, got {self.n}")
-        if not isinstance(self.k, Integral) or self.k == 0:
-            raise ParameterError(f"angular label k must be a non-zero integer, got {self.k}")
+    def __new__(cls, m, gamma, n, k):
+        if m <= 0:
+            raise ParameterError(f"mass scale must be positive, got {m}")
+        if gamma < 0:
+            raise ParameterError(f"coupling gamma must be non-negative, got {gamma}")
+        if not isinstance(n, Integral) or n < 1:
+            raise ParameterError(f"principal number must be an integer >= 1, got {n}")
+        if not isinstance(k, Integral) or k == 0:
+            raise ParameterError(f"angular label k must be a non-zero integer, got {k}")
+        return super().__new__(cls, m, gamma, n, k)
+
+    @classmethod
+    def _make(cls, iterable):  # `_replace` builds through this: keep the checks
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class SpectrumBreakdown:
+class SpectrumBreakdown(namedtuple("SpectrumBreakdown", "leading term2 term4 term6 total")):
     """One level split by order in γ; total is the plain sum of the parts."""
 
-    leading: float
-    term2: float
-    term4: float
-    term6: float
-    total: float
+    __slots__ = ()
 
 
 def boson_energy(p: SpectrumParams) -> SpectrumBreakdown:

@@ -26,19 +26,20 @@ pays for every import (most of a `verify`, `qp` or `spectrum` run): the
 module itself loads only `errors` and the pure-Python `relspectrum`, so
 `spectrum` starts without NumPy, `qp` adds only `quasiparticle` (its sweep
 is pure Python), and `verify` adds only `fockspace` (its ladder operators
-act on Python ints), so both also start without NumPy.
+act on Python ints), so both also start without NumPy.  The three also
+start without `dataclasses` and `json`: their records are named tuples
+(`._replace` changes a field and keeps the checks), and only the JSON
+writers import `json`.  The rest is the interpreter, argparse and compiling
+this module (with PYTHONDONTWRITEBYTECODE set, every import compiles).
 """
-
-from __future__ import annotations
 
 import argparse
 import importlib
-import json
 import math
 import numbers
 import re
 import sys
-from dataclasses import dataclass, fields, replace
+from collections import namedtuple
 
 from . import DEFAULT_MAX_ITER, DEFAULT_N_POINTS, DEFAULT_R_MAX, DEFAULT_TOL_ORBITAL
 from .errors import ConvergenceError, ParameterError, PolarSCFError
@@ -73,43 +74,46 @@ def __getattr__(name: str):
     return globals()[name]
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    command: str = ""
+# Every config key in output order, with its default.  Each key's type is
+# the type of its default; a None default is a float that may also be "auto".
+_DEFAULTS = {
+    "command": "",
     # atom and mean field
-    z: float = 1.0
-    shells: str = "1s:1"
-    r_min: float | None = None
-    r_max: float = DEFAULT_R_MAX
-    n_points: int = DEFAULT_N_POINTS
-    max_iter: int = DEFAULT_MAX_ITER
-    tol_orbital: float = DEFAULT_TOL_ORBITAL
+    "z": 1.0,
+    "shells": "1s:1",
+    "r_min": None,
+    "r_max": DEFAULT_R_MAX,
+    "n_points": DEFAULT_N_POINTS,
+    "max_iter": DEFAULT_MAX_ITER,
+    "tol_orbital": DEFAULT_TOL_ORBITAL,
     # frozen-core pseudo-orbital
-    valence: str = ""
+    "valence": "",
     # quasiparticle sweep
-    qp_levels: str = "-1.0,-0.5,0.5"
-    qp_eta: float = 0.01
-    qp_e_min: float = -2.0
-    qp_e_max: float = 2.0
-    qp_e_points: int = 201
-    sigma_kind: str = "zero"
-    sigma_shift: float = 0.0
-    sigma_coefficients: str = ""
-    n_quanta: int = 1
-    pair_epsilon0: float = 0.0
-    pair_constant: float = 0.0
+    "qp_levels": "-1.0,-0.5,0.5",
+    "qp_eta": 0.01,
+    "qp_e_min": -2.0,
+    "qp_e_max": 2.0,
+    "qp_e_points": 201,
+    "sigma_kind": "zero",
+    "sigma_shift": 0.0,
+    "sigma_coefficients": "",
+    "n_quanta": 1,
+    "pair_epsilon0": 0.0,
+    "pair_constant": 0.0,
     # boson level series
-    mass: float = 1.0
-    gamma: float = FINE_STRUCTURE_ALPHA
-    n_max: int = 5
-    l_max: int = 1
+    "mass": 1.0,
+    "gamma": FINE_STRUCTURE_ALPHA,
+    "n_max": 5,
+    "l_max": 1,
     # algebra check
-    modes: int = 4
+    "modes": 4,
+}
 
 
-# Each key's type is the type of its default; a None default is a float
-# that may also be "auto".
-_DEFAULTS = {f.name: f.default for f in fields(RunConfig)}
+class RunConfig(namedtuple("RunConfig", _DEFAULTS, defaults=_DEFAULTS.values())):
+    """One run's settings, a field per config key; `_replace` changes some."""
+
+    __slots__ = ()
 
 
 def _coerce(key: str, raw: str, where: str):
@@ -184,9 +188,7 @@ def parse_config(text: str, command: str | None = None, overrides=()) -> RunConf
 
 def render_config(cfg: RunConfig) -> str:
     """Canonical key=value text; parse_config(render_config(cfg)) == cfg."""
-    return "".join(
-        f"{f.name}={_format_value(getattr(cfg, f.name))}\n" for f in fields(cfg)
-    )
+    return "".join(f"{key}={_format_value(value)}\n" for key, value in zip(cfg._fields, cfg))
 
 
 def parse_shells(spec: str):
@@ -225,6 +227,8 @@ def _fmt(x) -> str:
 
 def canonical_json(obj) -> str:
     """Deterministic JSON: insertion order, 17-significant-digit floats."""
+    import json
+
     if isinstance(obj, dict):
         items = ", ".join(f"{json.dumps(k)}: {canonical_json(v)}" for k, v in obj.items())
         return "{" + items + "}"
@@ -243,8 +247,8 @@ def canonical_json(obj) -> str:
 
 def config_block(cfg: RunConfig) -> dict:
     """Resolved config as plain data, in declaration order."""
-    return {f.name: _format_value(getattr(cfg, f.name)) if getattr(cfg, f.name) is None
-            else getattr(cfg, f.name) for f in fields(cfg)}
+    return {key: _format_value(value) if value is None else value
+            for key, value in zip(cfg._fields, cfg)}
 
 
 def _config_comments(cfg: RunConfig) -> str:
@@ -413,6 +417,8 @@ def _write(path: str, text: str) -> bool:
 
 
 def _json_lines(rows) -> str:
+    import json
+
     return "".join(json.dumps(row) + "\n" for row in rows)
 
 
@@ -456,7 +462,7 @@ def main(argv=None) -> int:
         if ns.modes is not None:
             if cfg.command != "verify":
                 raise ParameterError(f"--modes applies to verify, not {cfg.command}")
-            cfg = replace(cfg, modes=ns.modes)
+            cfg = cfg._replace(modes=ns.modes)
         if ns.trace is not None and cfg.command not in ("scf", "pseudo"):
             raise ParameterError(f"--trace applies to scf and pseudo, not {cfg.command}")
         trace = []

@@ -161,6 +161,16 @@ def test_self_energy_kinds():
         SelfEnergyModel("diagonal_polynomial", coefficients=(0.0, 1.0))  # odd power
     with pytest.raises(ParameterError):
         SelfEnergyModel("user_matrix")
+    # `_replace` builds through the constructor: the checks hold, coefficients become floats
+    replaced = poly._replace(coefficients=[1, 0, 2])
+    assert replaced.coefficients == (1.0, 0.0, 2.0)
+    assert all(type(c) is float for c in replaced.coefficients)
+    with pytest.raises(ParameterError, match="unknown self-energy kind 'bogus'"):
+        poly._replace(kind="bogus")
+    with pytest.raises(ParameterError, match=r"odd power k\^1"):
+        poly._replace(coefficients=(0.0, 1.0))
+    with pytest.raises(ParameterError, match=r"odd power k\^3"):  # checked against the new kind
+        SelfEnergyModel("zero", coefficients=(0, 0, 0, 2))._replace(kind="diagonal_polynomial")
 
 
 def test_mass_operator_worked_example():

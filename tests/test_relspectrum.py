@@ -143,9 +143,14 @@ def test_k_labels():
         (dict(m=1.0, gamma=-0.1, n=1, k=1), "coupling gamma must be non-negative"),
         # finite, but Python's float ** overflows on gamma**2
         (dict(m=1.0, gamma=1e200, n=1, k=1), r"gamma 1e\+200 is too large"),
+        (dict(m=1.0, gamma=0.1, n=1, k=1.5), "angular label k must be a non-zero integer"),
+        (dict(m=1.0, gamma=0.1, n=2.0, k=1), "principal number must be an integer >= 1"),
     ],
-    ids=[f"kwargs{i}" for i in range(6)],
+    ids=[f"kwargs{i}" for i in range(8)],
 )
 def test_domain_errors(kwargs, message):
     with pytest.raises(ParameterError, match=message):
         boson_energy(SpectrumParams(**kwargs))
+    # `_replace` builds through the constructor, so it cannot skip a check
+    with pytest.raises(ParameterError, match=message):
+        boson_energy(SpectrumParams(1.0, 0.1, 1, 1)._replace(**kwargs))

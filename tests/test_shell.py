@@ -4,7 +4,6 @@ import ast
 import json
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -61,6 +60,19 @@ def test_config_round_trip_loaded():
         modes=6,
     )
     assert parse_config(render_config(cfg)) == cfg
+
+
+def test_config_key_order():
+    """`render_config` and the `config_block` of every scf/pseudo artifact list the keys so."""
+    keys = [
+        "command", "z", "shells", "r_min", "r_max", "n_points", "max_iter", "tol_orbital",
+        "valence", "qp_levels", "qp_eta", "qp_e_min", "qp_e_max", "qp_e_points",
+        "sigma_kind", "sigma_shift", "sigma_coefficients", "n_quanta", "pair_epsilon0",
+        "pair_constant", "mass", "gamma", "n_max", "l_max", "modes",
+    ]
+    rendered = render_config(RunConfig()).splitlines()
+    assert [line.split("=", 1)[0] for line in rendered] == keys
+    assert list(shell.config_block(RunConfig())) == keys
 
 
 def test_parse_config_locates_errors():
@@ -169,8 +181,8 @@ def test_qp_csv_shape():
     assert np.allclose([float(p) for p in poles], [-1.0, 0.5], atol=1e-9)
     # a polynomial branch f(k) = c0 + c2 k^2 + c4 k^4 gives delta_m0 = -f(0) = -c0,
     # here 0.3 printed to 17 significant digits
-    poly = replace(
-        cfg, sigma_kind="diagonal_polynomial", sigma_coefficients="-0.3,0,-0.01,0,0.002"
+    poly = cfg._replace(
+        sigma_kind="diagonal_polynomial", sigma_coefficients="-0.3,0,-0.01,0,0.002"
     )
     assert "# delta_m0=0.29999999999999999" in run_command(poly).splitlines()
 
@@ -312,13 +324,15 @@ def test_trace_side_channel_pseudo_and_nonconvergence(tmp_path, capsys):
     assert ne.read_text() == ""
 
 
+# The snapshot of sys.modules is taken before the probe imports json itself.
 MODULE_PROBE = """
-import contextlib, io, json, sys
+import contextlib, io, sys
 from polarscf.shell import main
 with contextlib.redirect_stdout(io.StringIO()):
     codes = [main(argv) for argv in {runs!r}]
-roots = ("numpy", "scipy", "scipy.linalg")
+roots = ("numpy", "scipy", "scipy.linalg", "dataclasses", "inspect", "json")
 loaded = [m for m in sys.modules if m in roots or m.startswith("polarscf.")]
+import json
 print(json.dumps([codes, sorted(loaded)]))
 """
 
@@ -335,7 +349,7 @@ def _modules_after(*runs):
 
 
 def test_each_command_loads_only_its_modules():
-    """spectrum, qp and verify run without NumPy, and SciPy loads only with a solve."""
+    """spectrum, qp and verify load no NumPy, dataclasses or json; SciPy only with a solve."""
     base = {"polarscf.errors", "polarscf.relspectrum", "polarscf.shell"}
     assert _modules_after() == ([], base)
     assert _modules_after(["spectrum", "n_max=4", "gamma=0.1"]) == ([0], base)
@@ -344,7 +358,7 @@ def test_each_command_loads_only_its_modules():
     qp = {"polarscf.quasiparticle"}
     assert _modules_after(["qp", "qp_levels=-0.75,0.75", "qp_e_points=101"]) == ([0], base | qp)
     codes, loaded = _modules_after(["scf", "z=1.0", "shells=1s:1", "n_points=300"])
-    assert codes == [0] and {"scipy.linalg", "polarscf.hfcore"} <= loaded
+    assert codes == [0] and {"scipy.linalg", "polarscf.hfcore", "dataclasses", "json"} <= loaded
 
 
 @pytest.mark.parametrize(

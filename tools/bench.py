@@ -24,9 +24,11 @@ each field; nothing is gated.  Cases:
 * `anticommutator_table` at M=8 (as `verify fock --modes 8` runs it) and
   at M=16 (the mode cap) as the layer outside the mean-field solve;
 * the `cli` workload's `verify`, `qp` and `spectrum` commands, an `scf` He
-  solve at the default mesh and a bare `import polarscf.shell`, each in a
-  fresh process (`ungated`, the `cli_` cases): the CPU seconds of the child
-  and the `numpy`, `scipy` and `polarscf` modules it loaded;
+  solve at the default mesh, a bare `import polarscf.shell` and `python -c
+  pass` (`cli_bare`, the interpreter floor the other cases are read
+  against), each in a fresh process (`ungated`, the `cli_` cases): the CPU
+  seconds of the child and which of `numpy`, `scipy`, `dataclasses`,
+  `inspect`, `json`, `argparse` and the `polarscf` modules it loaded;
 * a fixed NumPy calibration loop (`calibration`), timed before the first
   case and after the last: its time changes with the host's load, never
   with the code, so it tells a busy host from a slower change.
@@ -80,10 +82,11 @@ ATOMS = {
     "k": (19.0, ((1, 0, 2), (2, 0, 2), (2, 1, 6), (3, 0, 2), (3, 1, 6), (4, 0, 1))),
     "ca": (20.0, ((1, 0, 2), (2, 0, 2), (2, 1, 6), (3, 0, 2), (3, 1, 6), (4, 0, 2))),
 }
-# Fresh-process commands: perfbench's `cli` workload (its random qp levels
-# fixed), a bare import, and an `scf` He solve, whose start-up (NumPy and
-# SciPy imports) outweighs the solve.
+# Fresh-process commands: the bare interpreter (None), perfbench's `cli`
+# workload (its random qp levels fixed), a bare import, and an `scf` He
+# solve, whose start-up (NumPy and SciPy imports) outweighs the solve.
 CLI_COMMANDS = {
+    "bare": None,
     "import": [],
     "verify": ["verify", "fock", "--modes", "8"],
     "qp": ["qp", "qp_levels=-0.5,0.25,0.75", "sigma_kind=constant_shift", "sigma_shift=-0.25"],
@@ -94,7 +97,8 @@ CLI_PROBE = """
 import sys
 from polarscf.shell import main
 code = main(sys.argv[1:]) if len(sys.argv) > 1 else 0
-loaded = (m for m in sys.modules if m in ("numpy", "scipy") or m.startswith("polarscf."))
+roots = ("numpy", "scipy", "dataclasses", "inspect", "json", "argparse")
+loaded = (m for m in sys.modules if m in roots or m.startswith("polarscf."))
 print(code, *sorted(loaded))
 """
 
@@ -206,19 +210,22 @@ def _children_cpu():
 
 
 def cli_case(kind):
-    argv = [*CLI_COMMANDS[kind], "--out", os.devnull] if CLI_COMMANDS[kind] else []
+    argv = CLI_COMMANDS[kind]
+    if argv is None:
+        script = ["pass"]
+    else:
+        script = [CLI_PROBE, *argv, "--out", os.devnull] if argv else [CLI_PROBE]
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     records = []
     for _ in range(RUNS):
         cpu = _children_cpu()
         done, wall, _ = _timed(lambda: subprocess.run(
-            [sys.executable, "-c", CLI_PROBE, *argv], env=env, capture_output=True,
+            [sys.executable, "-c", *script], env=env, capture_output=True,
             text=True, check=True,
         ))
         records.append({"wall_s": wall, "cpu_s": _children_cpu() - cpu})
-    code, *modules = done.stdout.split()
-    return {"argv": CLI_COMMANDS[kind], "exit_code": int(code), **_median(records),
-            "modules": modules}
+    code, *modules = done.stdout.split() or ["0"]  # `pass` prints nothing, exits 0
+    return {"argv": argv, "exit_code": int(code), **_median(records), "modules": modules}
 
 
 def _git(*args):
