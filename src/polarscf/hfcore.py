@@ -6,11 +6,12 @@ The moving parts are:
 * the radial density Σ q·u² and the direct (Hartree) potential it sources,
 * nonlocal exchange per angular channel, kept as the generators of each
   multipole kernel r_<^L / r_>^{L+1} = G·C·G with C_ij = c_min(i,j) and
-  parity-filtered angular weights, never as an N×N matrix,
+  parity-filtered angular weights, the sources of one multipole stacked
+  against the c they share, never as an N×N matrix,
 * one Fock operator per l-channel (`FockOperator`) in z = sqrt(h·r)·u, where
   the mesh measure is the identity, so that every norm, overlap and
   expectation value of the solve is a plain dot product: it applies in O(N)
-  with two cumulative sums per kernel block, and it solves shifted systems in O(N)
+  with two cumulative sums per multipole, and it solves shifted systems in O(N)
   because F − σ is the Schur complement of a banded matrix whose Cholesky
   factor, with an inertia check of a small capacitance matrix for the
   odd-shell pins, certifies that σ lies below the whole spectrum,
@@ -234,9 +235,9 @@ def _check_kernel(L, g: RadialGrid, what: str):
 
 
 def _kernel(c, y):
-    """Σ_j c_min(i,j)·y_j in O(N): two cumulative sums."""
-    cy = np.cumsum(c * y)  # Σ_{j<=i} c_j·y_j
-    cy[:-1] += c[:-1] * np.cumsum(y[::-1])[-2::-1]  # c_i·Σ_{j>i} y_j
+    """Σ_j c_min(i,j)·y_j along the last axis of y in O(N): two cumulative sums."""
+    cy = (c * y).cumsum(axis=-1)  # Σ_{j<=i} c_j·y_j
+    cy[..., :-1] += c[:-1] * y[..., ::-1].cumsum(axis=-1)[..., -2::-1]  # c_i·Σ_{j>i} y_j
     return cy
 
 
@@ -254,9 +255,8 @@ def slater_potential(f, L: int, g: RadialGrid):
     if f.shape != g.points.shape:
         raise ParameterError(f"source has shape {f.shape}, grid has {g.points.shape}")
     _check_kernel(L, g, f"the L={L} Slater potential's kernel")
-    r = g.points
-    w = r ** -(L + 1)
-    return w * _kernel(r ** (2 * L + 1), w * g.weights * f)
+    w, c = g.multipole_powers(L)
+    return w * _kernel(c, w * g.weights * f)
 
 
 # ---------------------------------------------------------------------------
@@ -292,13 +292,24 @@ def _pair_weights(q_a: int, l_a: int, q_b: int, l_b: int) -> float:
     return w_a * w_b + (q_a - w_a) * (q_b - w_b)
 
 
-def _pair_blocks(l_target: int, z_b, l_b: int, r):
-    """Blocks (λ_L, z_b ⊙ r^{-(L+1)}, r^{2L+1}) of a source z_b on channel l_target, one per L.
+def _pair_blocks(l_target: int, sources, g: RadialGrid):
+    """Exchange blocks of weighted sources on channel l_target, one per multipole L.
 
-    A block (λ, g, c) is λ·G·C·G with G = diag(g) and C_ij = c_min(i,j):
-    λ_L times the kernel r_<^L / r_>^{L+1} between z_b on both sides.
+    sources: (w_b, z_b, l_b) triples.  Source b and multipole L give the
+    generator (w_b·λ_L, z_b ⊙ r^{-(L+1)}, r^{2L+1}): w_b·λ_L times the kernel
+    r_<^L / r_>^{L+1} between z_b on both sides is γ·G·C·G with G = diag(g)
+    and C_ij = c_min(i,j).  The sources of one L share c, so its block
+    (γ, G, c) stacks their γ into a vector and their g into the rows of G, in
+    source order; the blocks come in increasing L.
     """
-    return [(lam, z_b * r ** -(L + 1), r ** (2 * L + 1)) for L, lam in _couplings(l_target, l_b)]
+    stacks = {}
+    for w_b, z_b, l_b in sources:
+        for L, lam in _couplings(l_target, l_b):
+            r_inv, c = g.multipole_powers(L)
+            gammas, rows, _ = stacks.setdefault(L, ([], [], c))
+            gammas.append(w_b * lam)
+            rows.append(z_b * r_inv)
+    return [(np.array(gm), np.array(rows), c) for _, (gm, rows, c) in sorted(stacks.items())]
 
 
 def _self_exchange(o, z, g: RadialGrid):
@@ -311,7 +322,7 @@ def _self_exchange(o, z, g: RadialGrid):
     q = o.occupation
     if q == 1:
         return slater_potential(o.u * o.u, 0, g) * z
-    Mz = _exchange_action(_pair_blocks(o.l, z, o.l, g.points), (), z)
+    Mz = _exchange_action(_pair_blocks(o.l, [(1.0, z, o.l)], g), (), z)
     return (_pair_weights(q, o.l, q, o.l) / q) * Mz
 
 
@@ -322,11 +333,12 @@ def _exchange_terms(channel_l, orbitals, g: RadialGrid):
     an integer number q of electrons.  In z = √(h·r)·u, where the mesh
     measure is the identity, the multipole kernel r_<^L / r_>^{L+1} between
     the source orbital's z_b on both sides is γ·G·C·G with
-    G = diag(z_b ⊙ r^{-(L+1)}), C_ij = c_min(i,j) and c = r^{2L+1}.  Each
-    source shell b and multipole L gives one `_pair_blocks` block (γ, g, c)
-    with γ = (q_b/2)·λ_L; weight q/2 per source reproduces the closed-shell
-    operator.  Odd shells add one pin (ρ, ẑ), the symmetric rank-two term
-    ρẑᵀ + ẑρᵀ mapping the action on z_b to `_self_exchange`.  Returns (blocks, pins).
+    G = diag(z_b ⊙ r^{-(L+1)}), C_ij = c_min(i,j) and c = r^{2L+1}, with
+    γ = (q_b/2)·λ_L; weight q/2 per source reproduces the closed-shell
+    operator.  The blocks are those of `_pair_blocks`, one per multipole L,
+    each stacking the sources that couple through L.  Odd shells add one pin
+    (ρ, ẑ), the symmetric rank-two term ρẑᵀ + ẑρᵀ mapping the action on z_b
+    to `_self_exchange`.  Returns (blocks, pins).
     Raises ParameterError when c = r^{2L+1} of the largest multipole
     L = channel_l + max l_b would overflow at r_max.
     """
@@ -334,21 +346,22 @@ def _exchange_terms(channel_l, orbitals, g: RadialGrid):
         raise ParameterError(f"angular momentum must be nonnegative, got l={channel_l}")
     L_max = channel_l + max((o.l for o in orbitals), default=0)
     _check_kernel(L_max, g, f"the l={channel_l} exchange kernel")
-    r = g.points
-    blocks, pins = [], []
+    zs = []
     for o in orbitals:
         if np.asarray(o.u).shape != g.points.shape:
             raise ParameterError(
                 f"source orbital {shell_label(o.n, o.l)} is not sampled on the grid"
             )
-        l_b, q_b = o.l, o.occupation
-        z_b = u_to_z(o.u, g)
-        own = _pair_blocks(channel_l, z_b, l_b, r)
-        blocks += [(0.5 * q_b * gamma, gv, c) for gamma, gv, c in own]
-        if q_b % 2 == 1 and l_b == channel_l:
+        zs.append(u_to_z(o.u, g))
+    sources = [(0.5 * o.occupation, z_b, o.l) for o, z_b in zip(orbitals, zs)]
+    blocks, pins = _pair_blocks(channel_l, sources, g), []
+    for o, z_b in zip(orbitals, zs):
+        q_b = o.occupation
+        if q_b % 2 == 1 and o.l == channel_l:
             # Pin the kernel's action on its own orbital to the self-exchange
             # the energy uses: the bare monopole for q=1 (so direct and
             # exchange cancel exactly), the same-spin weight for odd q>=3.
+            own = _pair_blocks(channel_l, [(1.0, z_b, o.l)], g)
             d = _self_exchange(o, z_b, g) - (0.5 * q_b) * _exchange_action(own, (), z_b)
             znorm = float(np.linalg.norm(z_b))
             zh = z_b / znorm
@@ -358,10 +371,15 @@ def _exchange_terms(channel_l, orbitals, g: RadialGrid):
 
 
 def _exchange_action(blocks, pins, x):
-    """X·x in O(N): one `_kernel` per block, two dot products per pin."""
-    out = np.zeros_like(x)
-    for gamma, gv, c in blocks:
-        out += gamma * gv * _kernel(c, gv * x)
+    """X·x in O(N): one `_kernel` per multipole block, two dot products per pin.
+
+    A block's rows are summed in source order before the block is added, so
+    where each source couples through one multipole the action is bit for
+    bit that of the generators taken one at a time.
+    """
+    out = np.zeros(len(x))
+    for gamma, G, c in blocks:
+        out += np.add.reduce(gamma[:, None] * G * _kernel(c, G * x))
     for rho, zh in pins:
         out += rho * float(zh @ x) + zh * float(rho @ x)
     return out
@@ -399,7 +417,7 @@ def _total_energy(z_nuc, orbitals, g: RadialGrid) -> float:
         E += a.occupation * float(z_a @ h_a)
         for b, z_b in zip(orbitals[i + 1 :], zs[i + 1 :]):
             s_ab = _pair_weights(a.occupation, a.l, b.occupation, b.l)
-            blocks = _pair_blocks(a.l, z_b, b.l, g.points)
+            blocks = _pair_blocks(a.l, [(1.0, z_b, b.l)], g)
             E -= s_ab * float(z_a @ _exchange_action(blocks, (), z_a))
     return E
 
@@ -413,9 +431,11 @@ class FockOperator:
     """One channel's z-space Fock operator, applied and solved in O(N).
 
     F = tridiag(diag, off) − Σ_k γ_k·G_k·C_k·G_k − Σ_p (ρ_p ẑ_pᵀ + ẑ_p ρ_pᵀ)
-    is the kinetic stencil plus the local potential, one exchange block
-    (γ, g, c) per source shell and multipole, and one pin (ρ, ẑ) per odd
-    shell (see `_exchange_terms`).
+    is the kinetic stencil plus the local potential, one exchange generator
+    k per source shell and multipole, and one pin (ρ, ẑ) per odd shell (see
+    `_exchange_terms`).  `blocks` holds the generators one multipole at a
+    time, (γ, G, c) with the γ_k of that multipole in a vector and its g_k
+    in the rows of G, against the c they share.
     """
 
     diag: np.ndarray
@@ -435,8 +455,10 @@ class FockOperator:
         F = np.diag(self.diag) + np.diag(self.off, 1) + np.diag(self.off, -1)
         idx = np.arange(self.diag.size)
         lower = np.minimum.outer(idx, idx)
-        for gamma, gv, c in self.blocks:
-            F -= gamma * np.outer(gv, gv) * c[lower]
+        for gamma, G, c in self.blocks:
+            C = c[lower]
+            for gam, gv in zip(gamma, G):
+                F -= gam * np.outer(gv, gv) * C
         for rho, zh in self.pins:
             P = np.outer(rho, zh)
             F -= P + P.T
@@ -466,18 +488,21 @@ class FockOperator:
         """
         import scipy.linalg as sla  # loaded on first solve, not on import
 
-        N, m = self.diag.size, len(self.blocks)
+        N, m = self.diag.size, sum(len(gamma) for gamma, _, _ in self.blocks)
         s = m + 1  # stride of one mesh point in the interleaved unknowns
         ab = np.zeros((s + 1, s * N))  # lower band storage: ab[k, j] = M[j + k, j]
         ab[0, m::s] = self.diag - sigma
         ab[s, m:-1:s] = self.off
+        k = 0  # the unknown y_k of the next generator
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            for k, (gamma, gv, c) in enumerate(self.blocks):
-                inv_d = 1.0 / np.diff(c, prepend=0.0)
-                ab[0, k::s] = inv_d / gamma
-                ab[0, k:-s:s] += inv_d[1:] / gamma
-                ab[s, k:-s:s] = -inv_d[1:] / gamma
-                ab[m - k, k::s] = gv
+            for gamma, G, c in self.blocks:
+                inv_d = 1.0 / np.diff(c, prepend=0.0)  # once per multipole
+                for gam, gv in zip(gamma, G):
+                    ab[0, k::s] = inv_d / gam
+                    ab[0, k:-s:s] += inv_d[1:] / gam
+                    ab[s, k:-s:s] = -inv_d[1:] / gam
+                    ab[m - k, k::s] = gv
+                    k += 1
         if not np.isfinite(ab).all():
             raise np.linalg.LinAlgError("the banded matrix M has non-finite entries")
         factor = sla.cholesky_banded(ab, overwrite_ab=True, lower=True, check_finite=False)
@@ -519,7 +544,7 @@ def _fock_operator(l, z_nuc, orbitals, field, g: RadialGrid) -> FockOperator:
     diag, off = kinetic_tridiagonal(g, l)
     diag = diag + (-z_nuc / g.points + field)
     # read-only, so an operator cached on a state cannot drift from its orbitals
-    for arr in (diag, off, *(v for b in blocks for v in b[1:]), *(v for pin in pins for v in pin)):
+    for arr in (diag, off, *(v for b in blocks for v in b), *(v for pin in pins for v in pin)):
         arr.flags.writeable = False
     return FockOperator(diag, off, tuple(blocks), tuple(pins))
 
@@ -543,7 +568,8 @@ class SCFState:
     those operators always belong to its orbitals: no field can be
     reassigned, `orbitals` and `eigenvalues` are tuples, every array it holds
     (the orbitals' and the snapshot orbitals' `u`, the snapshot field, the
-    mesh points of `make_grid` and the cached operators' arrays) refuses
+    grid's points and the mesh arrays it builds from them, and the cached
+    operators' arrays, each exchange block's γ, G and c included) refuses
     writes, and a deep copy is the state itself.  `dataclasses.replace`
     gives a new state with an empty cache.  `trace` has one row per
     iteration, the same rows a ConvergenceError carries: energy, changes,

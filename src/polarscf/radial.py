@@ -11,11 +11,15 @@ The solvers work in z = sqrt(h*r)*u, where that measure is the identity:
 `integrate(u*v, g)` = h*Σ r*u*v is exactly the plain dot product z·z', the
 one metric of the kinetic stencil, the Fock operator and every norm and
 overlap of the mean-field solve.
+
+A grid holds a read-only copy of its points, and builds each array that
+depends only on the mesh (the weights, √(h·r), the kinetic stencil of each l,
+the multipole powers of each L) once, on first use, read-only.
 """
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -29,9 +33,18 @@ MIN_SOLVER_POINTS = 16
 class RadialGrid:
     points: np.ndarray
     log_step: float  # h, the step of x = ln r: r_{i+1}/r_i = exp(h)
+    _constants: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         r, h = self.points, self.log_step
+        # the mesh arrays are built from the points once, so the points must
+        # not change after: keep a read-only copy unless they already are a
+        # read-only float array that owns its data (make_grid's)
+        if not (isinstance(r, np.ndarray) and r.dtype == np.float64
+                and not r.flags.writeable and r.base is None):
+            r = np.array(r, dtype=float)
+            r.flags.writeable = False
+            object.__setattr__(self, "points", r)
         if r.ndim != 1 or len(r) < 2:
             raise ParameterError("grid needs at least 2 increasing points")
         if r[0] <= 0.0 or np.any(np.diff(r) <= 0.0):
@@ -64,12 +77,32 @@ class RadialGrid:
     def r_max(self):
         return float(self.points[-1])
 
+    def _constant(self, key, build):
+        """The array, or tuple of arrays, `build()` makes from the mesh: built once, read-only."""
+        if key not in self._constants:
+            arrays = build()
+            for a in arrays if isinstance(arrays, tuple) else (arrays,):
+                a.flags.writeable = False
+            self._constants[key] = arrays
+        return self._constants[key]
+
     @cached_property
     def weights(self):
-        """Quadrature weights h*r_i, derived from the mesh once and read-only."""
-        w = self.log_step * self.points
-        w.flags.writeable = False
-        return w
+        """Quadrature weights h*r_i."""
+        return self._constant("weights", lambda: self.log_step * self.points)
+
+    @cached_property
+    def z_scale(self):
+        """sqrt(h*r_i), the factor from u to the solvers' z."""
+        return self._constant("z_scale", lambda: np.sqrt(self.log_step * self.points))
+
+    def multipole_powers(self, L: int):
+        """(r^-(L+1), r^(2L+1)) of multipole order L: r_<^L / r_>^(L+1) = w_i·c_min(i,j)·w_j.
+
+        The caller checks that r^(2L+1) fits a float at r_max.
+        """
+        r = self.points
+        return self._constant(("multipole", L), lambda: (r ** -(L + 1), r ** (2 * L + 1)))
 
 
 def make_grid(r_min: float, r_max: float, N: int) -> RadialGrid:
@@ -169,10 +202,15 @@ def kinetic_tridiagonal(g: RadialGrid, l: int):
     A = -1/2 D2 + (l+1/2)^2/2, symmetric tridiagonal.  Near the origin
     y ~ r^(l+1/2), so the ghost value below the mesh is
     y_{-1} = exp(-(l+1/2) h) y_0, which folds into the first diagonal entry.
-    Local potentials add to the diagonal as plain V(r_i).
+    Local potentials add to the diagonal as plain V(r_i).  The pair is built
+    once per grid and l, read-only.
     """
     if g.N < MIN_SOLVER_POINTS:
         raise ParameterError(f"solver grid needs N >= {MIN_SOLVER_POINTS}, got {g.N}")
+    return g._constant(("kinetic", l), lambda: _kinetic_stencil(g, l))
+
+
+def _kinetic_stencil(g: RadialGrid, l: int):
     r = g.points
     h = g.log_step
     diag = (1.0 / h**2 + 0.5 * (l + 0.5) ** 2) / r**2
@@ -191,11 +229,11 @@ def tridiag_apply(diag, off, z):
 
 def u_to_z(u, g: RadialGrid):
     """Orthonormal mesh coordinate z = sqrt(h*r)*u: h*Σ r*u*v is z·z'."""
-    return np.asarray(u) * np.sqrt(g.log_step * g.points)
+    return np.asarray(u) * g.z_scale
 
 
 def z_to_u(z, g: RadialGrid):
-    return np.asarray(z) / np.sqrt(g.log_step * g.points)
+    return np.asarray(z) / g.z_scale
 
 
 def node_count(u) -> int:

@@ -282,6 +282,81 @@ def test_exchange_matrix_matches_dense_kernel(channel_l):
     assert np.array_equal(X, X.T)
 
 
+STACKED_ATOMS = {
+    "he": (2.0, ((1, 0, 2),)),
+    "li": (3.0, ((1, 0, 2), (2, 0, 1))),
+    "ne": (10.0, ((1, 0, 2), (2, 0, 2), (2, 1, 6))),
+    "k": (19.0, ((1, 0, 2), (2, 0, 2), (2, 1, 6), (3, 0, 2), (3, 1, 6), (4, 0, 1))),
+    "ca": (20.0, ((1, 0, 2), (2, 0, 2), (2, 1, 6), (3, 0, 2), (3, 1, 6), (4, 0, 2))),
+}
+
+
+def _per_block_exchange(channel_l, sources, g, x):
+    """Σ_k γ_k·g_k ⊙ K(c_k, g_k ⊙ x), one (source, multipole) generator at a time.
+
+    The reference kept in the tests for the stacked blocks: sources in the
+    order given, each with its multipoles in increasing L, γ = (q/2)·λ_L,
+    g = z_b ⊙ r^{-(L+1)}, c = r^{2L+1} and K the two cumulative sums.
+    """
+    r, h = g.points, g.log_step
+    out = np.zeros_like(x)
+    for o in sources:
+        z_b = o.u * np.sqrt(h * r)
+        for L, lam in _couplings(channel_l, o.l):
+            gamma, gv, c = 0.5 * o.occupation * lam, z_b * r ** -(L + 1), r ** (2 * L + 1)
+            y = gv * x
+            k = np.cumsum(c * y)
+            k[:-1] += c[:-1] * np.cumsum(y[::-1])[-2::-1]
+            out += gamma * gv * k
+    return out
+
+
+@pytest.mark.parametrize("channel_l", [0, 1, 2])
+@pytest.mark.parametrize("atom", list(STACKED_ATOMS))
+def test_stacked_exchange_matches_per_block_rule(atom, channel_l):
+    """One block per multipole, stacking its sources against their shared c, acts as
+    the generators one at a time: bit for bit where every source couples through one
+    multipole (He, Li), to 1e-14 where two sources carry several (Ne, K and Ca 2p, 3p).
+    """
+    Z, shells = STACKED_ATOMS[atom]
+    g = make_grid(1e-6 / Z, 40.0, 400)
+    orbs = [replace(hydrogenic_orbital(Z, n, l, g), occupation=q) for n, l, q in shells]
+    blocks, _ = _exchange_terms(channel_l, orbs, g)
+    Ls = sorted({L for o in orbs for L, _ in _couplings(channel_l, o.l)})
+    assert [len(gamma) for gamma, _, _ in blocks] == [
+        sum(L in dict(_couplings(channel_l, o.l)) for o in orbs) for L in Ls
+    ]
+    for (gamma, G, c), L in zip(blocks, Ls):
+        assert c is g.multipole_powers(L)[1]
+        assert G.shape == (len(gamma), g.N)
+    rng = np.random.default_rng(5)
+    for x in (rng.standard_normal(g.N), u_to_z(orbs[-1].u, g)):
+        ref = _per_block_exchange(channel_l, orbs, g, x)
+        got = _exchange_action(blocks, (), x)
+        if atom in ("he", "li"):
+            np.testing.assert_array_equal(got, ref)
+        else:
+            assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("channel_l", [0, 1])
+def test_shifted_solve_of_stacked_blocks_matches_dense(channel_l):
+    """K's channels hold blocks of two to four sources per multipole (and the 4s pin in
+    the s channel): the banded solve, generators interleaved, against a dense LU solve.
+    """
+    Z, shells = STACKED_ATOMS["k"]
+    g = make_grid(1e-6 / Z, 40.0, 300)
+    orbs = [replace(hydrogenic_orbital(Z, n, l, g), occupation=q) for n, l, q in shells]
+    op = _fock_operator(channel_l, Z, orbs, slater_potential(build_density(orbs, g), 0, g), g)
+    assert len(op.blocks) == 2 + channel_l and max(len(gamma) for gamma, _, _ in op.blocks) >= 2
+    C = op.to_dense()
+    sigma = -(0.5 * Z**2 + 2.0)
+    b = np.random.default_rng(29).standard_normal(g.N)
+    x = op.shifted_solver(sigma)(b)
+    x_ref = np.linalg.solve(C - sigma * np.eye(g.N), b)
+    assert np.linalg.norm(x - x_ref) <= 1e-10 * np.linalg.norm(x_ref)
+
+
 @pytest.mark.parametrize(
     "Z, shells, channel_l",
     [
@@ -736,13 +811,13 @@ def test_state_refuses_every_edit(li_run):
 
 
 def test_cached_operator_refuses_edits(li_run):
-    """The cached operator's diagonal, off-diagonal, block and pin arrays are read-only."""
+    """The cached operator's diagonal, off-diagonal, (γ, G, c) blocks and pins are read-only."""
     state, _ = li_run
     before = trace_energy(state)
     op = state.channel_operator(0)
     assert op.blocks and op.pins
     arrays = [op.diag, op.off]
-    arrays += [a for _, gv, c in op.blocks for a in (gv, c)]
+    arrays += [a for gamma, G, c in op.blocks for a in (gamma, G, c)]
     arrays += [a for pin in op.pins for a in pin]
     for array in arrays:
         with pytest.raises(ValueError, match="read-only"):
@@ -913,10 +988,10 @@ def test_solve_channel_refuses_non_finite_block(li_channel):
     diagonal, and the banded Cholesky would pass the NaN pivots it makes.
     """
     op, _, v0, ref_vals, _ = li_channel
-    gamma, gv, c = op.blocks[0]
+    gamma, G, c = op.blocks[0]
     flat = c.copy()
     flat[1] = flat[0]
-    broken = replace(op, blocks=((gamma, gv, flat),) + op.blocks[1:])
+    broken = replace(op, blocks=((gamma, G, flat),) + op.blocks[1:])
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # no NumPy warning on the way
         with pytest.raises(np.linalg.LinAlgError, match="non-finite"):

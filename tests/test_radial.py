@@ -1,5 +1,7 @@
 """Log-radial grid, quadrature, and the shifted kinetic stencil."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -32,6 +34,56 @@ def test_grid_is_geometric(grid):
     assert np.all(grid.weights > 0)
     with pytest.raises(ValueError, match="read-only"):
         grid.points[0] = 2e-6
+
+
+def test_grid_keeps_a_read_only_copy_of_writable_points():
+    """Editing the array a grid was built from moves neither its points nor the arrays of them."""
+    ref = make_grid(1e-6, 50.0, 400)
+    r = np.array(ref.points)  # writable
+    g = RadialGrid(r, log_step=ref.log_step)
+    weights = g.weights
+    r *= 2.0
+    h = g.log_step
+    np.testing.assert_array_equal(g.points, ref.points)
+    np.testing.assert_array_equal(g.weights, h * g.points)
+    np.testing.assert_array_equal(g.z_scale, np.sqrt(h * g.points))
+    assert g.weights is weights
+    with pytest.raises(ValueError, match="read-only"):
+        g.points[0] = 1.0
+    assert RadialGrid(ref.points, log_step=h).points is ref.points  # make_grid's is not copied
+
+
+def _assert_built_once(first, second, closed_form):
+    for a, b, ref in zip(first, second, closed_form):
+        assert a is b
+        np.testing.assert_array_equal(a, ref)
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 1.0
+
+
+@pytest.mark.parametrize("l", [0, 1, 3])
+def test_kinetic_stencil_built_once_per_l(l):
+    g = make_grid(1e-6, 50.0, 400)
+    r, h = g.points, g.log_step
+    diag = (1.0 / h**2 + 0.5 * (l + 0.5) ** 2) / r**2
+    diag[0] -= 0.5 / h**2 * math.exp(-(l + 0.5) * h) / r[0] ** 2
+    off = (-0.5 / h**2) / (r[:-1] * r[1:])
+    _assert_built_once(kinetic_tridiagonal(g, l), kinetic_tridiagonal(g, l), (diag, off))
+
+
+def test_z_scale_built_once():
+    g = make_grid(1e-6, 50.0, 400)
+    _assert_built_once((g.z_scale,), (g.z_scale,), (np.sqrt(g.log_step * g.points),))
+    u = g.points * np.exp(-g.points)
+    np.testing.assert_array_equal(u_to_z(u, g), u * np.sqrt(g.log_step * g.points))
+
+
+@pytest.mark.parametrize("L", range(7))
+def test_multipole_powers_built_once_per_L(L):
+    g = make_grid(1e-6, 50.0, 400)
+    r = g.points
+    powers = (r ** -(L + 1), r ** (2 * L + 1))
+    _assert_built_once(g.multipole_powers(L), g.multipole_powers(L), powers)
 
 
 def test_make_grid_validation():

@@ -6,8 +6,9 @@ Run from the repository root, naming the file after the change it measures
 
     python3 tools/bench.py BENCH_<N>.json
 
-Every case runs RUNS times in this process and is reported as the median of
-each field; nothing is gated.  Cases:
+Every case runs RUNS times in this process (the fresh-process `cli_` cases
+CLI_RUNS times) and is reported as the median of each field; nothing is
+gated.  Cases:
 
 * `scf` for He and Li at the default N=2000 (`end_to_end`), and for Ne, Na,
   Ar, K and Ca (`ungated`; with He and Li their channels hold one to four
@@ -23,12 +24,20 @@ each field; nothing is gated.  Cases:
 * the wall time of the Tier-1 suite, in a child process;
 * `anticommutator_table` at M=8 (as `verify fock --modes 8` runs it) and
   at M=16 (the mode cap) as the layer outside the mean-field solve;
+* the layers of the read side of a converged state, on the Li state of
+  perfbench's `analysis` workload (N=500): `slater_potential` of the
+  density, `FockOperator.apply` and `shifted_solver` (one build below the
+  1s level plus one solve) of the s channel, `_total_energy`, and the four
+  `analysis` requests (`pk_solve` of 2s, `trace_energy`, a `fock_apply`
+  sweep over 1s, 2s and a hydrogenic 2p, `exchange_apply` on 2s); each run
+  times LAYER_CALLS calls after one untimed call and reports seconds per call;
 * the `cli` workload's `verify`, `qp` and `spectrum` commands, an `scf` He
   solve at the default mesh, a bare `import polarscf.shell` and `python -c
   pass` (`cli_bare`, the interpreter floor the other cases are read
-  against), each in a fresh process (`ungated`, the `cli_` cases): the CPU
-  seconds of the child and which of `numpy`, `scipy`, `dataclasses`,
-  `inspect`, `json`, `argparse` and the `polarscf` modules it loaded;
+  against), each in CLI_RUNS fresh processes (`ungated`, the `cli_` cases):
+  the median and quartiles of the child's CPU and wall seconds, and which
+  of `numpy`, `scipy`, `dataclasses`, `inspect`, `json`, `argparse` and the
+  `polarscf` modules it loaded;
 * a fixed NumPy calibration loop (`calibration`), timed before the first
   case and after the last: its time changes with the host's load, never
   with the code, so it tells a busy host from a slower change.
@@ -67,10 +76,39 @@ import scipy.linalg  # the solves load these lazily; import them untimed
 import scipy.sparse.linalg
 
 from polarscf.fockspace import anticommutator_table
-from polarscf.hfcore import DEFAULT_TOL_ORBITAL, AtomConfig, GridParams, SCFParams, scf_solve
+from polarscf.hfcore import (
+    DEFAULT_TOL_ORBITAL,
+    SHIFT_MARGIN,
+    AtomConfig,
+    GridParams,
+    SCFParams,
+    _total_energy,
+    build_density,
+    exchange_apply,
+    fock_apply,
+    scf_solve,
+    slater_potential,
+    trace_energy,
+)
 from polarscf.pseudopot import pk_solve
+from polarscf.radial import hydrogenic_orbital, u_to_z
 
 RUNS = 3
+# Fresh processes per `cli_` case: cases a few ms apart need more than RUNS.
+CLI_RUNS = 11
+# Calls per timed run of a read-side layer case, each well under a millisecond.
+LAYER_CALLS = 200
+ANALYSIS_POINTS = 500  # perfbench's `analysis` mesh
+LAYER_CASES = (
+    "slater_potential",
+    "fock_operator_apply",
+    "shifted_solver",
+    "total_energy",
+    "analysis_pk_solve",
+    "analysis_trace_energy",
+    "analysis_fock_apply",
+    "analysis_exchange_apply",
+)
 TIGHT_TOL_ORBITAL = 1e-10
 PHASES = ("field_s", "operator_s", "eigensolve_s", "energy_s")
 ATOMS = {
@@ -187,6 +225,46 @@ def anticommutator_case(modes):
     return {"modes": modes, **_median(records)}
 
 
+@functools.cache
+def _analysis_state():
+    """perfbench's `analysis` state: Li solved at N=500, with its hydrogenic 2p target."""
+    state = scf_solve(_config("li", ANALYSIS_POINTS))
+    return state, list(state.orbitals) + [hydrogenic_orbital(3.0, 2, 1, state.grid)]
+
+
+def _layer_calls(state, targets):
+    """Each of LAYER_CASES as a call on the converged Li state."""
+    g, (_, valence) = state.grid, state.orbitals
+    op, z = state.channel_operator(0), u_to_z(valence.u, g)
+    rho = build_density(state.orbitals, g)
+    sigma = state.eigenvalues[0] - SHIFT_MARGIN
+    return {
+        "slater_potential": lambda: slater_potential(rho, 0, g),
+        "fock_operator_apply": lambda: op.apply(z),
+        "shifted_solver": lambda: op.shifted_solver(sigma)(z),
+        "total_energy": lambda: _total_energy(state.config.z, state.orbitals, g),
+        "analysis_pk_solve": lambda: pk_solve(state, (2, 0)),
+        "analysis_trace_energy": lambda: trace_energy(state),
+        "analysis_fock_apply": lambda: [fock_apply(state, t) for t in targets],
+        "analysis_exchange_apply": lambda: exchange_apply(state.orbitals, valence, g),
+    }
+
+
+def layer_case(name):
+    call = _layer_calls(*_analysis_state())[name]
+    call()  # builds what later calls reuse: the channel operators, the mesh arrays
+
+    def loop():
+        for _ in range(LAYER_CALLS):
+            call()
+
+    records = []
+    for _ in range(RUNS):
+        _, wall, cpu = _timed(loop)
+        records.append({"wall_s": wall / LAYER_CALLS, "cpu_s": cpu / LAYER_CALLS})
+    return {"n_points": ANALYSIS_POINTS, "calls_per_run": LAYER_CALLS, **_median(records)}
+
+
 def calibration_case():
     """A fixed NumPy loop (dense solves and a sort, one BLAS thread) that no code change moves."""
     rng = np.random.default_rng(0)
@@ -217,15 +295,20 @@ def cli_case(kind):
         script = [CLI_PROBE, *argv, "--out", os.devnull] if argv else [CLI_PROBE]
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     records = []
-    for _ in range(RUNS):
+    for _ in range(CLI_RUNS):
         cpu = _children_cpu()
         done, wall, _ = _timed(lambda: subprocess.run(
             [sys.executable, "-c", *script], env=env, capture_output=True,
             text=True, check=True,
         ))
         records.append({"wall_s": wall, "cpu_s": _children_cpu() - cpu})
+    quartiles = {
+        f"{key}_quartiles": statistics.quantiles([r[key] for r in records], n=4)[::2]
+        for key in records[0]
+    }
     code, *modules = done.stdout.split() or ["0"]  # `pass` prints nothing, exits 0
-    return {"argv": argv, "exit_code": int(code), **_median(records), "modules": modules}
+    return {"argv": argv, "exit_code": int(code), **_median(records), **quartiles,
+            "modules": modules}
 
 
 def _git(*args):
@@ -255,6 +338,7 @@ def metadata():
         "src_lines": sum(lines.values()),
         "src_lines_by_module": dict(sorted(lines.items(), key=lambda kv: (-kv[1], kv[0]))),
         "runs_per_case": RUNS,
+        "runs_per_cli_case": CLI_RUNS,
     }
 
 
@@ -280,6 +364,7 @@ def main():
         ("ungated", "scf_ca_tight", lambda: scf_case("ca", tol_orbital=TIGHT_TOL_ORBITAL)),
         ("layers", "anticommutator_table", lambda: anticommutator_case(8)),
         ("layers", "anticommutator_table_m16", lambda: anticommutator_case(16)),
+        *(("layers", name, functools.partial(layer_case, name)) for name in LAYER_CASES),
         *(("ungated", f"cli_{kind}", functools.partial(cli_case, kind)) for kind in CLI_COMMANDS),
         ("calibration", "after", calibration_case),
     ]
