@@ -363,23 +363,32 @@ def _exchange_terms(channel_l, orbitals, g: RadialGrid):
             # exchange cancel exactly), the same-spin weight for odd q>=3.
             own = _pair_blocks(channel_l, [(1.0, z_b, o.l)], g)
             d = _self_exchange(o, z_b, g) - (0.5 * q_b) * _exchange_action(own, (), z_b)
-            znorm = float(np.linalg.norm(z_b))
+            znorm = math.sqrt(z_b @ z_b)
             zh = z_b / znorm
             dh = d / znorm
             pins.append((dh - 0.5 * zh * float(zh @ dh), zh))
     return blocks, pins
 
 
-def _exchange_action(blocks, pins, x):
+def _scaled_rows(blocks):
+    """γ·G of each exchange block (γ, G, c): the rows of G, each times its γ."""
+    return tuple(gamma[:, None] * G for gamma, G, _ in blocks)
+
+
+def _exchange_action(blocks, pins, x, scaled_rows=None):
     """X·x in O(N): one `_kernel` per multipole block, two dot products per pin.
 
-    A block's rows are summed in source order before the block is added, so
-    where each source couples through one multipole the action is bit for
-    bit that of the generators taken one at a time.
+    scaled_rows: each block's γ·G (`_scaled_rows`), if the caller keeps them.
+    A block's rows are summed in source order, and the sum starts from the
+    first block's, so where each source couples through one multipole the
+    action is bit for bit that of the generators taken one at a time.
     """
-    out = np.zeros(len(x))
-    for gamma, G, c in blocks:
-        out += np.add.reduce(gamma[:, None] * G * _kernel(c, G * x))
+    if scaled_rows is None:
+        scaled_rows = _scaled_rows(blocks)
+    terms = [np.add.reduce(gG * _kernel(c, G * x)) for gG, (_, G, c) in zip(scaled_rows, blocks)]
+    out = terms[0] if terms else np.zeros(len(x))
+    for term in terms[1:]:
+        out += term
     for rho, zh in pins:
         out += rho * float(zh @ x) + zh * float(rho @ x)
     return out
@@ -435,16 +444,29 @@ class FockOperator:
     k per source shell and multipole, and one pin (ρ, ẑ) per odd shell (see
     `_exchange_terms`).  `blocks` holds the generators one multipole at a
     time, (γ, G, c) with the γ_k of that multipole in a vector and its g_k
-    in the rows of G, against the c they share.
+    in the rows of G, against the c they share.  `scaled_rows` holds each
+    block's γ·G (the rows of G, each times its γ_k), derived from `blocks`
+    once when the operator is built and read-only, so `apply` forms no
+    product of γ and G per call.
     """
 
     diag: np.ndarray
     off: np.ndarray
     blocks: tuple
     pins: tuple
+    scaled_rows: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        rows = _scaled_rows(self.blocks)
+        for gG in rows:
+            gG.flags.writeable = False
+        object.__setattr__(self, "scaled_rows", rows)
 
     def apply(self, x):
-        return tridiag_apply(self.diag, self.off, x) - _exchange_action(self.blocks, self.pins, x)
+        """F·x, bit for bit `tridiag_apply(diag, off, x) − _exchange_action(blocks, pins, x)`."""
+        out = tridiag_apply(self.diag, self.off, x)
+        out -= _exchange_action(self.blocks, self.pins, x, self.scaled_rows)
+        return out
 
     def to_dense(self):
         """The dense, read-only matrix of the operator, for tests and checks.
@@ -482,15 +504,16 @@ class FockOperator:
         np.linalg.LinAlgError when either test fails, and before them when M
         is not finite: once r^{2L+1} underflows near a tiny r_min, a zero
         step of c makes C⁻¹ infinite, and the NaN pivots that follow would
-        pass LAPACK's positivity test.  Each solve calls LAPACK's banded
-        triangular solve (pbtrs) on the factor directly, without SciPy's
-        per-call wrapper.
+        pass LAPACK's positivity test.  The factor (pbtrf) and each solve
+        (pbtrs) call LAPACK's banded Cholesky routines directly, without
+        SciPy's per-call wrappers.
         """
         import scipy.linalg as sla  # loaded on first solve, not on import
 
         N, m = self.diag.size, sum(len(gamma) for gamma, _, _ in self.blocks)
         s = m + 1  # stride of one mesh point in the interleaved unknowns
-        ab = np.zeros((s + 1, s * N))  # lower band storage: ab[k, j] = M[j + k, j]
+        # lower band storage, ab[k, j] = M[j + k, j], in LAPACK's column order
+        ab = np.zeros((s + 1, s * N), order="F")
         ab[0, m::s] = self.diag - sigma
         ab[s, m:-1:s] = self.off
         k = 0  # the unknown y_k of the next generator
@@ -505,8 +528,10 @@ class FockOperator:
                     k += 1
         if not np.isfinite(ab).all():
             raise np.linalg.LinAlgError("the banded matrix M has non-finite entries")
-        factor = sla.cholesky_banded(ab, overwrite_ab=True, lower=True, check_finite=False)
-        (pbtrs,) = sla.get_lapack_funcs(("pbtrs",), (factor,))
+        pbtrf, pbtrs = sla.get_lapack_funcs(("pbtrf", "pbtrs"), (ab,))
+        factor, info = pbtrf(ab, lower=1, overwrite_ab=1)
+        if info != 0:  # info > 0: that leading minor is not positive; < 0: a bad argument
+            raise np.linalg.LinAlgError(f"M is not positive definite (LAPACK pbtrf info={info})")
 
         def solve_s(b):
             rhs = np.zeros((s * N,) + b.shape[1:], order="F")
@@ -519,9 +544,11 @@ class FockOperator:
         if not self.pins:
             return solve_s
         U = np.column_stack([v for pin in self.pins for v in pin])
-        W_inv = np.kron(np.eye(len(self.pins)), [[0.0, 1.0], [1.0, 0.0]])
         SU = solve_s(U)
-        K = W_inv - U.T @ SU
+        K = -(U.T @ SU)
+        for i in range(0, K.shape[0], 2):  # K = W⁻¹ − Uᵀ·S⁻¹·U
+            K[i, i + 1] += 1.0
+            K[i + 1, i] += 1.0
         nu, V = np.linalg.eigh(0.5 * (K + K.T))
         inertia = (np.count_nonzero(nu > 0.0), np.count_nonzero(nu < 0.0))
         if inertia != (len(self.pins), len(self.pins)):
@@ -569,8 +596,8 @@ class SCFState:
     reassigned, `orbitals` and `eigenvalues` are tuples, every array it holds
     (the orbitals' and the snapshot orbitals' `u`, the snapshot field, the
     grid's points and the mesh arrays it builds from them, and the cached
-    operators' arrays, each exchange block's γ, G and c included) refuses
-    writes, and a deep copy is the state itself.  `dataclasses.replace`
+    operators' arrays, each exchange block's γ, G, c and γ·G rows included)
+    refuses writes, and a deep copy is the state itself.  `dataclasses.replace`
     gives a new state with an empty cache.  `trace` has one row per
     iteration, the same rows a ConvergenceError carries: energy, changes,
     ARPACK's tolerance, the shift per channel, the eigensolver's
@@ -736,18 +763,33 @@ def _anderson_step(xs, fs):
     return x + f
 
 
+def _orthonormal_columns(Z):
+    """Q of the QR factorization Z = QR of an (N, k) panel, R's diagonal made positive.
+
+    That is Gram–Schmidt of Z's columns in order.  LAPACK's geqrf and orgqr
+    are called directly: they are the two calls `np.linalg.qr` makes, so Q
+    comes out bit for bit the same, without NumPy's per-call wrapper.
+    """
+    import scipy.linalg as sla  # loaded on first use, not on import
+
+    geqrf, orgqr = sla.get_lapack_funcs(("geqrf", "orgqr"), (Z,))
+    qr, tau, _, _ = geqrf(Z)  # both flag only an illegal argument in info
+    signs = np.sign(np.diag(qr))  # of R's diagonal, before orgqr overwrites qr with Q
+    return orgqr(qr, tau, overwrite_a=1)[0] * signs
+
+
 def _orthonormal_orbitals(x, like, channels, g: RadialGrid):
     """Split x into one u-vector per shell of `like` and orthonormalize each channel.
 
-    A channel's z-vectors, in increasing n, go through one QR factorization
-    with R's diagonal made positive, which is Gram–Schmidt in that order:
-    each channel's orbitals come out orthonormal in z·z.
+    A channel's z-vectors, in increasing n, go through `_orthonormal_columns`,
+    which is Gram–Schmidt in that order: each channel's orbitals come out
+    orthonormal in z·z.
     """
     us = np.split(x, len(like))
     out = list(like)
     for members in channels.values():
-        Q, R = np.linalg.qr(np.column_stack([u_to_z(us[i], g) for i in members]))
-        for i, q in zip(members, (Q * np.sign(np.diag(R))).T):
+        Q = _orthonormal_columns(np.column_stack([u_to_z(us[i], g) for i in members]))
+        for i, q in zip(members, Q.T):
             out[i] = replace(like[i], u=z_to_u(q, g))
     return out
 

@@ -14,14 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
-from .hfcore import SCFState, shell_label
-from .radial import (
-    kinetic_tridiagonal,
-    node_count,
-    tridiag_apply,
-    u_to_z,
-    z_to_u,
-)
+from .hfcore import SCFState, _orthonormal_columns, shell_label
+from .radial import kinetic_tridiagonal, node_count, tridiag_apply, z_to_u
 
 
 @dataclass(frozen=True)
@@ -47,10 +41,13 @@ def pk_solve(state: SCFState, valence) -> PseudoOrbital:
     minimum-kinetic-energy member of that span: a Rayleigh–Ritz step in
     z = √(h·r)·u, where the plain dot product is the mesh measure and the
     metric in which F and the kinetic stencil are symmetric.  The span is
-    orthonormalized by QR, so the chosen member is a unit vector, and the
-    state's orbitals are unit vectors too: no norm is taken.  The returned
-    eigenvalue is the full-operator Rayleigh quotient of that member, and
-    the core coefficients are its overlaps with the core orbitals.
+    orthonormalized by `hfcore._orthonormal_columns` (QR through LAPACK,
+    R's diagonal positive), the kinetic stencil is applied to that block
+    at once, and the 2×2 or larger Ritz matrix is diagonalized densely; the
+    chosen member is a unit vector, and the state's orbitals are unit vectors
+    too: no norm is taken.  The returned eigenvalue is the full-operator
+    Rayleigh quotient of that member, and the core coefficients are its
+    overlaps with the core orbitals.
     """
     n_v, l_v = valence
     g = state.grid
@@ -87,11 +84,10 @@ def pk_solve(state: SCFState, valence) -> PseudoOrbital:
         )
 
     # minimum-kinetic member of span{valence, cores}: lowest Ritz vector of T
-    Z = np.column_stack([u_to_z(o.u, g) for o in [v_orb] + [o for o, _ in cores]])
-    Q = np.linalg.qr(Z)[0]
+    Z = np.column_stack([v_orb.u] + [o.u for o, _ in cores]) * g.z_scale[:, None]
+    Q = _orthonormal_columns(Z)
     diag, off = kinetic_tridiagonal(g, l_v)
-    TQ = np.column_stack([tridiag_apply(diag, off, q) for q in Q.T])
-    phi = Q @ np.linalg.eigh(Q.T @ TQ)[1][:, 0]
+    phi = Q @ np.linalg.eigh(Q.T @ tridiag_apply(diag, off, Q))[1][:, 0]
     if phi[np.argmax(np.abs(phi))] < 0:
         phi = -phi
 

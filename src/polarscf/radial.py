@@ -220,7 +220,13 @@ def _kinetic_stencil(g: RadialGrid, l: int):
 
 
 def tridiag_apply(diag, off, z):
-    """Symmetric tridiagonal matrix with diagonal diag and off-diagonal off, times z."""
+    """Symmetric tridiagonal matrix with diagonal diag and off-diagonal off, times z.
+
+    z is a vector or an (N, k) block, whose every column comes out bit for
+    bit as it would alone.
+    """
+    if z.ndim == 2:
+        diag, off = diag[:, None], off[:, None]
     out = diag * z
     out[:-1] += off * z[1:]
     out[1:] += off * z[:-1]
@@ -242,5 +248,6 @@ def node_count(u) -> int:
     Samples no larger than 1e-8 times the peak magnitude are skipped.
     """
     u = np.asarray(u)
-    s = np.sign(u[np.abs(u) > 1e-8 * np.max(np.abs(u))])
+    a = np.abs(u)
+    s = np.signbit(u[a > 1e-8 * a.max()])
     return int(np.count_nonzero(s[1:] != s[:-1]))

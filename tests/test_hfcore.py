@@ -23,6 +23,7 @@ from polarscf.hfcore import (
     _exchange_action,
     _exchange_terms,
     _fock_operator,
+    _orthonormal_columns,
     _pair_weights,
     _self_exchange,
     _slater_charges,
@@ -386,6 +387,33 @@ def test_operator_apply_matches_dense_oracle(Z, shells, channel_l):
             assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
+def _k_hydrogenic_operator(channel_l):
+    Z, shells = STACKED_ATOMS["k"]
+    g = make_grid(1e-6 / Z, 40.0, 400)
+    orbs = [replace(hydrogenic_orbital(Z, n, l, g), occupation=q) for n, l, q in shells]
+    op = _fock_operator(channel_l, Z, orbs, slater_potential(build_density(orbs, g), 0, g), g)
+    return op, u_to_z(orbs[-1].u, g)
+
+
+@pytest.mark.parametrize("atom", ["li", "k"])
+@pytest.mark.parametrize("channel_l", [0, 1])
+def test_operator_apply_is_tridiagonal_minus_exchange(atom, channel_l, li_run):
+    """`FockOperator.apply`, with its γ·G rows kept, is bit for bit the stencil minus
+    `_exchange_action`: on the converged Li state's s and p channels (the s with its
+    2s pin) and on K's hydrogenic s (4s pin, four sources per multipole) and p channels.
+    """
+    if atom == "li":
+        state = li_run[0]
+        op, z = state.channel_operator(channel_l), u_to_z(state.orbitals[1].u, state.grid)
+    else:
+        op, z = _k_hydrogenic_operator(channel_l)
+    assert len(op.pins) == (channel_l == 0)
+    assert [gG.shape for gG in op.scaled_rows] == [G.shape for _, G, _ in op.blocks]
+    for x in (np.random.default_rng(31).standard_normal(z.size), z):
+        ref = tridiag_apply(op.diag, op.off, x) - _exchange_action(op.blocks, op.pins, x)
+        np.testing.assert_array_equal(op.apply(x), ref)
+
+
 def test_negative_angular_momentum_rejected(h_run):
     state, _ = h_run
     g = state.grid
@@ -540,6 +568,36 @@ def test_lithium_orthonormal_channel(li_run):
     assert abs(integrate(u1 * u1, g) - 1.0) < 1e-12
     assert abs(integrate(u2 * u2, g) - 1.0) < 1e-12
     assert abs(integrate(u1 * u2, g)) < 1e-10
+
+
+def _orbital_panel(state):
+    """The z-columns of a state's s orbitals, in increasing n."""
+    return np.column_stack([u_to_z(o.u, state.grid) for o in state.orbitals if o.l == 0])
+
+
+def test_orthonormal_columns_against_numpy_qr(li_run):
+    """LAPACK's QR, R's diagonal made positive: orthonormal columns, QᵀZ with a positive
+    diagonal, and within 1e-14 of `np.linalg.qr` with the same sign fix, on random panels
+    of one to four columns and on the Li (1s, 2s) and Na (1s, 2s, 3s) orbital panels.
+    """
+    na = scf_solve(
+        AtomConfig(
+            z=11.0,
+            shells=((1, 0, 2), (2, 0, 2), (2, 1, 6), (3, 0, 1)),
+            grid=GridParams(n_points=400),
+        )
+    )
+    rng = np.random.default_rng(3)
+    panels = [rng.standard_normal((500, k)) for k in (1, 2, 3, 4)]
+    panels += [_orbital_panel(li_run[0]), _orbital_panel(na)]
+    for Z in panels:
+        Q = _orthonormal_columns(Z)
+        k = Z.shape[1]
+        assert Q.shape == Z.shape
+        assert np.max(np.abs(Q.T @ Q - np.eye(k))) <= 1e-15
+        assert np.all(np.diag(Q.T @ Z) > 0.0)
+        Q_ref, R_ref = np.linalg.qr(Z)
+        assert np.max(np.abs(Q - Q_ref * np.sign(np.diag(R_ref)))) <= 1e-14
 
 
 @pytest.mark.parametrize("fixture", ["h_run", "he_run", "li_run", "n_run"])
@@ -811,13 +869,14 @@ def test_state_refuses_every_edit(li_run):
 
 
 def test_cached_operator_refuses_edits(li_run):
-    """The cached operator's diagonal, off-diagonal, (γ, G, c) blocks and pins are read-only."""
+    """The cached operator's diagonal, off-diagonal, (γ, G, c) blocks, γ·G rows and pins are read-only."""
     state, _ = li_run
     before = trace_energy(state)
     op = state.channel_operator(0)
     assert op.blocks and op.pins
     arrays = [op.diag, op.off]
     arrays += [a for gamma, G, c in op.blocks for a in (gamma, G, c)]
+    arrays += list(op.scaled_rows)
     arrays += [a for pin in op.pins for a in pin]
     for array in arrays:
         with pytest.raises(ValueError, match="read-only"):

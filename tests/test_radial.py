@@ -176,6 +176,16 @@ def test_kinetic_hermitian(grid):
         assert abs(lhs - rhs) < 1e-10
 
 
+def test_tridiag_apply_block_matches_columns(grid):
+    """An (N, k) block gives, column by column, the bits of each column applied alone."""
+    diag, off = kinetic_tridiagonal(grid, 1)
+    rng = np.random.default_rng(11)
+    for k in (1, 2, 4):
+        Z = rng.standard_normal((grid.N, k))
+        ref = np.column_stack([tridiag_apply(diag, off, z) for z in Z.T])
+        np.testing.assert_array_equal(tridiag_apply(diag, off, Z), ref)
+
+
 def test_kinetic_tridiagonal_centrifugal(grid):
     d0, _ = kinetic_tridiagonal(grid, 0)
     d1, off1 = kinetic_tridiagonal(grid, 1)

@@ -29,8 +29,10 @@ gated.  Cases:
   density, `FockOperator.apply` and `shifted_solver` (one build below the
   1s level plus one solve) of the s channel, `_total_energy`, and the four
   `analysis` requests (`pk_solve` of 2s, `trace_energy`, a `fock_apply`
-  sweep over 1s, 2s and a hydrogenic 2p, `exchange_apply` on 2s); each run
-  times LAYER_CALLS calls after one untimed call and reports seconds per call;
+  sweep over 1s, 2s and a hydrogenic 2p, `exchange_apply` on 2s), and the
+  per-channel QR (`_orthonormal_columns`) of Li's s-channel panel, its 1s
+  and 2s in z, at the default N=2000; each run times LAYER_CALLS calls after
+  one untimed call and reports seconds per call;
 * the `cli` workload's `verify`, `qp` and `spectrum` commands, an `scf` He
   solve at the default mesh, a bare `import polarscf.shell` and `python -c
   pass` (`cli_bare`, the interpreter floor the other cases are read
@@ -82,6 +84,7 @@ from polarscf.hfcore import (
     AtomConfig,
     GridParams,
     SCFParams,
+    _orthonormal_columns,
     _total_energy,
     build_density,
     exchange_apply,
@@ -250,8 +253,8 @@ def _layer_calls(state, targets):
     }
 
 
-def layer_case(name):
-    call = _layer_calls(*_analysis_state())[name]
+def _per_call(call):
+    """Median seconds per call over RUNS runs of LAYER_CALLS calls."""
     call()  # builds what later calls reuse: the channel operators, the mesh arrays
 
     def loop():
@@ -262,7 +265,18 @@ def layer_case(name):
     for _ in range(RUNS):
         _, wall, cpu = _timed(loop)
         records.append({"wall_s": wall / LAYER_CALLS, "cpu_s": cpu / LAYER_CALLS})
-    return {"n_points": ANALYSIS_POINTS, "calls_per_run": LAYER_CALLS, **_median(records)}
+    return {"calls_per_run": LAYER_CALLS, **_median(records)}
+
+
+def layer_case(name):
+    return {"n_points": ANALYSIS_POINTS, **_per_call(_layer_calls(*_analysis_state())[name])}
+
+
+def qr_case():
+    """`_orthonormal_columns` of Li's s-channel panel (1s, 2s in z) at the default N=2000."""
+    state = scf_solve(_config("li", 2000))
+    panel = np.column_stack([u_to_z(o.u, state.grid) for o in state.orbitals])
+    return {"n_points": state.grid.N, **_per_call(lambda: _orthonormal_columns(panel))}
 
 
 def calibration_case():
@@ -365,6 +379,7 @@ def main():
         ("layers", "anticommutator_table", lambda: anticommutator_case(8)),
         ("layers", "anticommutator_table_m16", lambda: anticommutator_case(16)),
         *(("layers", name, functools.partial(layer_case, name)) for name in LAYER_CASES),
+        ("layers", "orthonormal_columns", qr_case),
         *(("ungated", f"cli_{kind}", functools.partial(cli_case, kind)) for kind in CLI_COMMANDS),
         ("calibration", "after", calibration_case),
     ]
