@@ -4,10 +4,12 @@ Everything runs on the logarithmic radial mesh from :mod:`polarscf.radial`.
 The moving parts are:
 
 * the radial density Σ q·u² and the direct (Hartree) potential it sources,
-* nonlocal exchange per angular channel, kept as the generators of each
-  multipole kernel r_<^L / r_>^{L+1} = G·C·G with C_ij = c_min(i,j) and
-  parity-filtered angular weights, the sources of one multipole stacked
-  against the c they share, never as an N×N matrix,
+* nonlocal exchange per angular channel, never as an N×N matrix but as one
+  block (H, c) per multipole L: a source's positive weight w (its q/2 times
+  the parity-filtered angular factor λ_L) times the kernel r_<^L / r_>^{L+1}
+  is diag(h)·C·diag(h) with C_ij = c_min(i,j), c = r^{2L+1} and the row
+  h = √w·z_b ⊙ r^{-(L+1)} of H, the sources of one multipole stacked against
+  the c they share,
 * one Fock operator per l-channel (`FockOperator`) in z = sqrt(h·r)·u, where
   the mesh measure is the identity, so that every norm, overlap and
   expectation value of the solve is a plain dot product: it applies in O(N)
@@ -296,20 +298,18 @@ def _pair_blocks(l_target: int, sources, g: RadialGrid):
     """Exchange blocks of weighted sources on channel l_target, one per multipole L.
 
     sources: (w_b, z_b, l_b) triples.  Source b and multipole L give the
-    generator (w_b·λ_L, z_b ⊙ r^{-(L+1)}, r^{2L+1}): w_b·λ_L times the kernel
-    r_<^L / r_>^{L+1} between z_b on both sides is γ·G·C·G with G = diag(g)
-    and C_ij = c_min(i,j).  The sources of one L share c, so its block
-    (γ, G, c) stacks their γ into a vector and their g into the rows of G, in
-    source order; the blocks come in increasing L.
+    row h = √(w_b·λ_L)·z_b ⊙ r^{-(L+1)}: w_b·λ_L, positive for w_b > 0,
+    times the kernel r_<^L / r_>^{L+1} between z_b on both sides is
+    diag(h)·C·diag(h) with C_ij = c_min(i,j) and c = r^{2L+1}.  The sources
+    of one L share c, so its block (H, c) stacks their h into the rows of H,
+    in source order; the blocks come in increasing L.
     """
     stacks = {}
     for w_b, z_b, l_b in sources:
         for L, lam in _couplings(l_target, l_b):
             r_inv, c = g.multipole_powers(L)
-            gammas, rows, _ = stacks.setdefault(L, ([], [], c))
-            gammas.append(w_b * lam)
-            rows.append(z_b * r_inv)
-    return [(np.array(gm), np.array(rows), c) for _, (gm, rows, c) in sorted(stacks.items())]
+            stacks.setdefault(L, ([], c))[0].append(math.sqrt(w_b * lam) * z_b * r_inv)
+    return [(np.array(rows), c) for _, (rows, c) in sorted(stacks.items())]
 
 
 def _self_exchange(o, z, g: RadialGrid):
@@ -331,14 +331,14 @@ def _exchange_terms(channel_l, orbitals, g: RadialGrid):
 
     orbitals: the occupied RadialOrbitals feeding the kernel, each holding
     an integer number q of electrons.  In z = √(h·r)·u, where the mesh
-    measure is the identity, the multipole kernel r_<^L / r_>^{L+1} between
-    the source orbital's z_b on both sides is γ·G·C·G with
-    G = diag(z_b ⊙ r^{-(L+1)}), C_ij = c_min(i,j) and c = r^{2L+1}, with
-    γ = (q_b/2)·λ_L; weight q/2 per source reproduces the closed-shell
-    operator.  The blocks are those of `_pair_blocks`, one per multipole L,
-    each stacking the sources that couple through L.  Odd shells add one pin
-    (ρ, ẑ), the symmetric rank-two term ρẑᵀ + ẑρᵀ mapping the action on z_b
-    to `_self_exchange`.  Returns (blocks, pins).
+    measure is the identity, (q_b/2)·λ_L times the multipole kernel
+    r_<^L / r_>^{L+1} between the source orbital's z_b on both sides is
+    diag(h)·C·diag(h) with h = √((q_b/2)·λ_L)·z_b ⊙ r^{-(L+1)},
+    C_ij = c_min(i,j) and c = r^{2L+1}; weight q/2 per source reproduces the
+    closed-shell operator.  The blocks (H, c) are those of `_pair_blocks`,
+    one per multipole L, the rows of H the sources that couple through L.
+    Odd shells add one pin (ρ, ẑ), the symmetric rank-two term ρẑᵀ + ẑρᵀ
+    mapping the action on z_b to `_self_exchange`.  Returns (blocks, pins).
     Raises ParameterError when c = r^{2L+1} of the largest multipole
     L = channel_l + max l_b would overflow at r_max.
     """
@@ -370,22 +370,14 @@ def _exchange_terms(channel_l, orbitals, g: RadialGrid):
     return blocks, pins
 
 
-def _scaled_rows(blocks):
-    """γ·G of each exchange block (γ, G, c): the rows of G, each times its γ."""
-    return tuple(gamma[:, None] * G for gamma, G, _ in blocks)
+def _exchange_action(blocks, pins, x):
+    """X·x in O(N): Σ h ⊙ `_kernel`(c, h ⊙ x) per block (H, c), two dot products per pin.
 
-
-def _exchange_action(blocks, pins, x, scaled_rows=None):
-    """X·x in O(N): one `_kernel` per multipole block, two dot products per pin.
-
-    scaled_rows: each block's γ·G (`_scaled_rows`), if the caller keeps them.
     A block's rows are summed in source order, and the sum starts from the
     first block's, so where each source couples through one multipole the
     action is bit for bit that of the generators taken one at a time.
     """
-    if scaled_rows is None:
-        scaled_rows = _scaled_rows(blocks)
-    terms = [np.add.reduce(gG * _kernel(c, G * x)) for gG, (_, G, c) in zip(scaled_rows, blocks)]
+    terms = [np.add.reduce(H * _kernel(c, H * x)) for H, c in blocks]
     out = terms[0] if terms else np.zeros(len(x))
     for term in terms[1:]:
         out += term
@@ -439,33 +431,23 @@ def _total_energy(z_nuc, orbitals, g: RadialGrid) -> float:
 class FockOperator:
     """One channel's z-space Fock operator, applied and solved in O(N).
 
-    F = tridiag(diag, off) − Σ_k γ_k·G_k·C_k·G_k − Σ_p (ρ_p ẑ_pᵀ + ẑ_p ρ_pᵀ)
+    F = tridiag(diag, off) − Σ_k diag(h_k)·C_k·diag(h_k) − Σ_p (ρ_p ẑ_pᵀ + ẑ_p ρ_pᵀ)
     is the kinetic stencil plus the local potential, one exchange generator
-    k per source shell and multipole, and one pin (ρ, ẑ) per odd shell (see
-    `_exchange_terms`).  `blocks` holds the generators one multipole at a
-    time, (γ, G, c) with the γ_k of that multipole in a vector and its g_k
-    in the rows of G, against the c they share.  `scaled_rows` holds each
-    block's γ·G (the rows of G, each times its γ_k), derived from `blocks`
-    once when the operator is built and read-only, so `apply` forms no
-    product of γ and G per call.
+    h_k per source shell and multipole, its angular weight folded in as a
+    square root, and one pin (ρ, ẑ) per odd shell (see `_exchange_terms`).
+    `blocks` holds the generators one multipole at a time, (H, c) with the
+    h_k of that multipole in the rows of H, against the c they share.
     """
 
     diag: np.ndarray
     off: np.ndarray
     blocks: tuple
     pins: tuple
-    scaled_rows: tuple = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        rows = _scaled_rows(self.blocks)
-        for gG in rows:
-            gG.flags.writeable = False
-        object.__setattr__(self, "scaled_rows", rows)
 
     def apply(self, x):
         """F·x, bit for bit `tridiag_apply(diag, off, x) − _exchange_action(blocks, pins, x)`."""
         out = tridiag_apply(self.diag, self.off, x)
-        out -= _exchange_action(self.blocks, self.pins, x, self.scaled_rows)
+        out -= _exchange_action(self.blocks, self.pins, x)
         return out
 
     def to_dense(self):
@@ -477,10 +459,8 @@ class FockOperator:
         F = np.diag(self.diag) + np.diag(self.off, 1) + np.diag(self.off, -1)
         idx = np.arange(self.diag.size)
         lower = np.minimum.outer(idx, idx)
-        for gamma, G, c in self.blocks:
-            C = c[lower]
-            for gam, gv in zip(gamma, G):
-                F -= gam * np.outer(gv, gv) * C
+        for H, c in self.blocks:
+            F -= (H.T @ H) * c[lower]
         for rho, zh in self.pins:
             P = np.outer(rho, zh)
             F -= P + P.T
@@ -490,12 +470,14 @@ class FockOperator:
     def shifted_solver(self, sigma):
         """x ↦ (F − σ)⁻¹x, once F − σ is certified positive definite.
 
-        Writing γ·C = (C⁻¹/γ)⁻¹, F − σ without its pins is the Schur complement
-        S of M = [[blockdiag(C_k⁻¹/γ_k), G], [Gᵀ, A − σ]] with A the tridiagonal
-        part.  Each C⁻¹ is tridiagonal with d_i = c_i − c_{i−1}, so with the
-        unknowns interleaved as (y_1[i] … y_m[i], x[i]) M is banded with
-        bandwidth m + 1, and since every C_k⁻¹/γ_k is positive definite, M is
-        exactly when S is: the banded Cholesky factor of M certifies S ≻ 0.
+        F − σ without its pins is the Schur complement S of
+        M = [[blockdiag(C⁻¹), H], [Hᵀ, A − σ]]: A is the tridiagonal part,
+        the block diagonal holds one C⁻¹ per generator h_k, and H stacks the
+        diag(h_k) that couple its unknown y_k to x.  Each C⁻¹ is tridiagonal
+        with d_i = c_i − c_{i−1}, so with the unknowns interleaved as
+        (y_1[i] … y_m[i], x[i]) M is banded with bandwidth m + 1, and since
+        every C⁻¹ is positive definite, M is exactly when S is: the banded
+        Cholesky factor of M certifies S ≻ 0.
         The pins are U·W·Uᵀ with U = [ρ_p, ẑ_p], W = blockdiag([[0, 1], [1, 0]]) = W⁻¹,
         handled by Woodbury through the capacitance K = W⁻¹ − Uᵀ·S⁻¹·U.  By
         Haynsworth inertia additivity, In(S) + In(K) = In(W⁻¹) + In(F − σ), so
@@ -510,7 +492,7 @@ class FockOperator:
         """
         import scipy.linalg as sla  # loaded on first solve, not on import
 
-        N, m = self.diag.size, sum(len(gamma) for gamma, _, _ in self.blocks)
+        N, m = self.diag.size, sum(len(H) for H, _ in self.blocks)
         s = m + 1  # stride of one mesh point in the interleaved unknowns
         # lower band storage, ab[k, j] = M[j + k, j], in LAPACK's column order
         ab = np.zeros((s + 1, s * N), order="F")
@@ -518,13 +500,13 @@ class FockOperator:
         ab[s, m:-1:s] = self.off
         k = 0  # the unknown y_k of the next generator
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            for gamma, G, c in self.blocks:
+            for H, c in self.blocks:
                 inv_d = 1.0 / np.diff(c, prepend=0.0)  # once per multipole
-                for gam, gv in zip(gamma, G):
-                    ab[0, k::s] = inv_d / gam
-                    ab[0, k:-s:s] += inv_d[1:] / gam
-                    ab[s, k:-s:s] = -inv_d[1:] / gam
-                    ab[m - k, k::s] = gv
+                for h in H:
+                    ab[0, k::s] = inv_d
+                    ab[0, k:-s:s] += inv_d[1:]
+                    ab[s, k:-s:s] = -inv_d[1:]
+                    ab[m - k, k::s] = h
                     k += 1
         if not np.isfinite(ab).all():
             raise np.linalg.LinAlgError("the banded matrix M has non-finite entries")
@@ -596,7 +578,7 @@ class SCFState:
     reassigned, `orbitals` and `eigenvalues` are tuples, every array it holds
     (the orbitals' and the snapshot orbitals' `u`, the snapshot field, the
     grid's points and the mesh arrays it builds from them, and the cached
-    operators' arrays, each exchange block's γ, G, c and γ·G rows included)
+    operators' arrays, each exchange block's H and c included)
     refuses writes, and a deep copy is the state itself.  `dataclasses.replace`
     gives a new state with an empty cache.  `trace` has one row per
     iteration, the same rows a ConvergenceError carries: energy, changes,

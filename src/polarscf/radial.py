@@ -12,15 +12,15 @@ The solvers work in z = sqrt(h*r)*u, where that measure is the identity:
 one metric of the kinetic stencil, the Fock operator and every norm and
 overlap of the mean-field solve.
 
-A grid holds a read-only copy of its points, and builds each array that
-depends only on the mesh (the weights, √(h·r), the kinetic stencil of each l,
-the multipole powers of each L) once, on first use, read-only.
+A grid holds a read-only copy of its points and builds each array that
+depends only on the mesh once, read-only: the weights and √(h·r) with the
+grid, the kinetic stencil of each l and the multipole powers of each L on
+first use.
 """
 
 import math
 import sys
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -33,6 +33,8 @@ MIN_SOLVER_POINTS = 16
 class RadialGrid:
     points: np.ndarray
     log_step: float  # h, the step of x = ln r: r_{i+1}/r_i = exp(h)
+    weights: np.ndarray = field(init=False, repr=False, compare=False)  # quadrature weights h*r_i
+    z_scale: np.ndarray = field(init=False, repr=False, compare=False)  # sqrt(h*r_i), u to z
     _constants: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -64,6 +66,10 @@ class RadialGrid:
             raise ParameterError(
                 f"r_max {float(r[-1])!r} is too large: the kinetic stencil's r_max^2 overflows"
             )
+        weights = h * r
+        for name, a in (("weights", weights), ("z_scale", np.sqrt(weights))):
+            a.flags.writeable = False
+            object.__setattr__(self, name, a)
 
     @property
     def N(self):
@@ -85,16 +91,6 @@ class RadialGrid:
                 a.flags.writeable = False
             self._constants[key] = arrays
         return self._constants[key]
-
-    @cached_property
-    def weights(self):
-        """Quadrature weights h*r_i."""
-        return self._constant("weights", lambda: self.log_step * self.points)
-
-    @cached_property
-    def z_scale(self):
-        """sqrt(h*r_i), the factor from u to the solvers' z."""
-        return self._constant("z_scale", lambda: np.sqrt(self.log_step * self.points))
 
     def multipole_powers(self, L: int):
         """(r^-(L+1), r^(2L+1)) of multipole order L: r_<^L / r_>^(L+1) = w_i·c_min(i,j)·w_j.

@@ -206,7 +206,7 @@ def test_exchange_cancels_direct_for_one_electron(h_run):
 
 
 def test_exchange_block_is_slater_potential_of_pair_density():
-    """One block (γ, g, c) on z is γ·z_b·V_L[u_b·u]: direct and exchange share one kernel."""
+    """One block (H, c) on z is (q/2)·λ_L·z_b·V_L[u_b·u]: direct and exchange share one kernel."""
     Z = 7.0
     g = make_grid(1e-6 / Z, 40.0, 400)
     source = replace(hydrogenic_orbital(Z, 2, 1, g), occupation=6)
@@ -214,9 +214,9 @@ def test_exchange_block_is_slater_potential_of_pair_density():
     blocks, _ = _exchange_terms(1, [source], g)
     z, z_b = u_to_z(target.u, g), u_to_z(source.u, g)
     assert len(blocks) == len(_couplings(1, 1)) == 2
-    for block, (L, _) in zip(blocks, _couplings(1, 1)):
+    for block, (L, lam) in zip(blocks, _couplings(1, 1)):
         got = _exchange_action([block], (), z)
-        ref = block[0] * z_b * slater_potential(source.u * target.u, L, g)
+        ref = 3.0 * lam * z_b * slater_potential(source.u * target.u, L, g)
         assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
@@ -293,22 +293,24 @@ STACKED_ATOMS = {
 
 
 def _per_block_exchange(channel_l, sources, g, x):
-    """Σ_k γ_k·g_k ⊙ K(c_k, g_k ⊙ x), one (source, multipole) generator at a time.
+    """Σ_k h_k ⊙ K(c_k, h_k ⊙ x), one (source, multipole) generator at a time.
 
     The reference kept in the tests for the stacked blocks: sources in the
-    order given, each with its multipoles in increasing L, γ = (q/2)·λ_L,
-    g = z_b ⊙ r^{-(L+1)}, c = r^{2L+1} and K the two cumulative sums.
+    order given, each with its multipoles in increasing L,
+    h = √((q/2)·λ_L)·z_b ⊙ r^{-(L+1)}, c = r^{2L+1} and K the two cumulative
+    sums.
     """
     r, h = g.points, g.log_step
     out = np.zeros_like(x)
     for o in sources:
         z_b = o.u * np.sqrt(h * r)
         for L, lam in _couplings(channel_l, o.l):
-            gamma, gv, c = 0.5 * o.occupation * lam, z_b * r ** -(L + 1), r ** (2 * L + 1)
-            y = gv * x
+            hv = np.sqrt(0.5 * o.occupation * lam) * z_b * r ** -(L + 1)
+            c = r ** (2 * L + 1)
+            y = hv * x
             k = np.cumsum(c * y)
             k[:-1] += c[:-1] * np.cumsum(y[::-1])[-2::-1]
-            out += gamma * gv * k
+            out += hv * k
     return out
 
 
@@ -324,12 +326,11 @@ def test_stacked_exchange_matches_per_block_rule(atom, channel_l):
     orbs = [replace(hydrogenic_orbital(Z, n, l, g), occupation=q) for n, l, q in shells]
     blocks, _ = _exchange_terms(channel_l, orbs, g)
     Ls = sorted({L for o in orbs for L, _ in _couplings(channel_l, o.l)})
-    assert [len(gamma) for gamma, _, _ in blocks] == [
-        sum(L in dict(_couplings(channel_l, o.l)) for o in orbs) for L in Ls
+    assert [H.shape for H, _ in blocks] == [
+        (sum(L in dict(_couplings(channel_l, o.l)) for o in orbs), g.N) for L in Ls
     ]
-    for (gamma, G, c), L in zip(blocks, Ls):
+    for (_, c), L in zip(blocks, Ls):
         assert c is g.multipole_powers(L)[1]
-        assert G.shape == (len(gamma), g.N)
     rng = np.random.default_rng(5)
     for x in (rng.standard_normal(g.N), u_to_z(orbs[-1].u, g)):
         ref = _per_block_exchange(channel_l, orbs, g, x)
@@ -340,16 +341,20 @@ def test_stacked_exchange_matches_per_block_rule(atom, channel_l):
             assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
-@pytest.mark.parametrize("channel_l", [0, 1])
-def test_shifted_solve_of_stacked_blocks_matches_dense(channel_l):
-    """K's channels hold blocks of two to four sources per multipole (and the 4s pin in
-    the s channel): the banded solve, generators interleaved, against a dense LU solve.
+@pytest.mark.parametrize(
+    "atom, channel_l", [("k", 0), ("k", 1), ("n", 1)], ids=["0", "1", "n-p"]
+)
+def test_shifted_solve_of_stacked_blocks_matches_dense(atom, channel_l):
+    """K's channels hold blocks of two to four sources per multipole (and the 4s pin, q = 1,
+    in the s channel), N's p channel the 1s, 2s block and the 2p pin of q = 3: the banded
+    solve, generators interleaved, and its capacitance against a dense LU solve.
     """
-    Z, shells = STACKED_ATOMS["k"]
+    Z, shells = dict(STACKED_ATOMS, n=(7.0, ((1, 0, 2), (2, 0, 2), (2, 1, 3))))[atom]
     g = make_grid(1e-6 / Z, 40.0, 300)
     orbs = [replace(hydrogenic_orbital(Z, n, l, g), occupation=q) for n, l, q in shells]
     op = _fock_operator(channel_l, Z, orbs, slater_potential(build_density(orbs, g), 0, g), g)
-    assert len(op.blocks) == 2 + channel_l and max(len(gamma) for gamma, _, _ in op.blocks) >= 2
+    assert len(op.blocks) == 2 + channel_l and max(len(H) for H, _ in op.blocks) >= 2
+    assert len(op.pins) == sum(q % 2 == 1 and l == channel_l for _, l, q in shells)
     C = op.to_dense()
     sigma = -(0.5 * Z**2 + 2.0)
     b = np.random.default_rng(29).standard_normal(g.N)
@@ -398,9 +403,9 @@ def _k_hydrogenic_operator(channel_l):
 @pytest.mark.parametrize("atom", ["li", "k"])
 @pytest.mark.parametrize("channel_l", [0, 1])
 def test_operator_apply_is_tridiagonal_minus_exchange(atom, channel_l, li_run):
-    """`FockOperator.apply`, with its γ·G rows kept, is bit for bit the stencil minus
-    `_exchange_action`: on the converged Li state's s and p channels (the s with its
-    2s pin) and on K's hydrogenic s (4s pin, four sources per multipole) and p channels.
+    """`FockOperator.apply` is bit for bit the stencil minus `_exchange_action`: on the
+    converged Li state's s and p channels (the s with its 2s pin) and on K's hydrogenic
+    s (4s pin, four sources per multipole) and p channels.
     """
     if atom == "li":
         state = li_run[0]
@@ -408,7 +413,6 @@ def test_operator_apply_is_tridiagonal_minus_exchange(atom, channel_l, li_run):
     else:
         op, z = _k_hydrogenic_operator(channel_l)
     assert len(op.pins) == (channel_l == 0)
-    assert [gG.shape for gG in op.scaled_rows] == [G.shape for _, G, _ in op.blocks]
     for x in (np.random.default_rng(31).standard_normal(z.size), z):
         ref = tridiag_apply(op.diag, op.off, x) - _exchange_action(op.blocks, op.pins, x)
         np.testing.assert_array_equal(op.apply(x), ref)
@@ -869,14 +873,13 @@ def test_state_refuses_every_edit(li_run):
 
 
 def test_cached_operator_refuses_edits(li_run):
-    """The cached operator's diagonal, off-diagonal, (γ, G, c) blocks, γ·G rows and pins are read-only."""
+    """The cached operator's diagonal, off-diagonal, (H, c) blocks and pins are read-only."""
     state, _ = li_run
     before = trace_energy(state)
     op = state.channel_operator(0)
     assert op.blocks and op.pins
     arrays = [op.diag, op.off]
-    arrays += [a for gamma, G, c in op.blocks for a in (gamma, G, c)]
-    arrays += list(op.scaled_rows)
+    arrays += [a for block in op.blocks for a in block]
     arrays += [a for pin in op.pins for a in pin]
     for array in arrays:
         with pytest.raises(ValueError, match="read-only"):
@@ -1047,10 +1050,10 @@ def test_solve_channel_refuses_non_finite_block(li_channel):
     diagonal, and the banded Cholesky would pass the NaN pivots it makes.
     """
     op, _, v0, ref_vals, _ = li_channel
-    gamma, G, c = op.blocks[0]
+    H, c = op.blocks[0]
     flat = c.copy()
     flat[1] = flat[0]
-    broken = replace(op, blocks=((gamma, G, flat),) + op.blocks[1:])
+    broken = replace(op, blocks=((H, flat),) + op.blocks[1:])
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # no NumPy warning on the way
         with pytest.raises(np.linalg.LinAlgError, match="non-finite"):
