@@ -16,7 +16,7 @@ The moving parts are:
   with two cumulative sums per multipole, and it solves shifted systems in O(N)
   because F − σ is the Schur complement of a banded matrix whose Cholesky
   factor, with an inertia check of a small capacitance matrix for the
-  odd-shell pins, certifies that σ lies below the whole spectrum,
+  open-shell pins, certifies that σ lies below the whole spectrum,
 * a shift-invert eigensolver that asks ARPACK for exactly the occupied
   pairs of a channel, in a Krylov space sized to them, warm-started from
   the previous iteration's orbitals with a shift just below its lowest
@@ -43,11 +43,12 @@ The moving parts are:
   form of the same converged operator.
 
 Exchange kernels carry weight q/2 per source shell (exact for closed
-shells).  Shells holding an odd electron additionally get a symmetric
-rank-two correction pinning the kernel's action on its own orbital to the
-shell's self-exchange (`_self_exchange`, also the energy's self term): for a
-lone electron the monopole self-potential, so its direct and exchange terms
-cancel at the operator level, not just in expectation values.
+shells).  Each open shell additionally gets a symmetric rank-two correction
+pinning the kernel's action on its own orbital to the shell's self-exchange
+(`_self_exchange`, also the energy's self term), whose Slater coefficients
+give the shell the energy of its Hund term: for a lone electron the monopole
+self-potential, so its direct and exchange terms cancel at the operator
+level, not just in expectation values.
 """
 
 from __future__ import annotations
@@ -79,6 +80,28 @@ from .radial import (
 # The angular coupling table is tabulated exactly for s..f shells.
 MAX_COUPLING_L = 3
 L_LETTERS = "spdf"
+
+# HUND_BETA[l][q − 1] holds β_k, k = 2, 4, …, 2l, of the shell l^q: its own
+# energy in its Hund term (S maximal, then L maximal) is
+# q(q−1)/2·F⁰ − (q/2)·Σ_k β_k·F^k, F^k its Slater integrals (Slater, Phys. Rev.
+# 34, 1293 (1929); Condon & Shortley, The Theory of Atomic Spectra (1935)), the
+# energy of the determinant with M_S = S and M_L = L.
+HUND_BETA = (
+    ((), ()),
+    ((0,), (1/5,), (2/5,), (3/10,), (8/25,), (2/5,)),
+    (
+        (0, 0), (8/49, 1/49), (10/49, 16/147), (3/14, 3/14), (2/7, 2/7),
+        (5/21, 5/21), (86/343, 72/343), (25/98, 43/196), (16/63, 16/63), (2/7, 2/7),
+    ),
+    (
+        (0, 0, 0), (1/9, 17/363, 25/14157), (26/135, 94/1089, 850/42471),
+        (19/90, 40/363, 2075/28314), (46/225, 232/1815, 1990/14157),
+        (2/9, 5/33, 250/1287), (4/15, 2/11, 100/429), (7/30, 7/44, 175/858),
+        (94/405, 496/3267, 23150/127413), (11/45, 278/1815, 2395/14157),
+        (122/495, 622/3993, 27250/155727), (13/54, 347/2178, 16525/84942),
+        (16/65, 24/143, 400/1859), (4/15, 2/11, 100/429),
+    ),
+)
 
 # The first shift-invert shift sits this far (hartree) below the channel's
 # estimated lowest level; each further try steps four times as far.
@@ -193,6 +216,13 @@ class AtomConfig:
             if (s.n, s.l) in seen:
                 raise ParameterError(f"shell {s.label} listed twice")
             seen.add((s.n, s.l))
+        # a spin subshell holds 2l + 1: one partly filled shell has one Hund term, two have several
+        partial = [s.label for s in shells if s.occupation % (2 * s.l + 1)]
+        if len(partial) > 1:
+            raise ParameterError(
+                f"shells {', '.join(partial)} each have a partly filled spin subshell; "
+                "at most one may, so that one Hund term fixes the energy"
+            )
 
     def resolved_grid(self) -> RadialGrid:
         r_min = self.grid.r_min if self.grid.r_min is not None else 1e-6 / self.z
@@ -312,18 +342,20 @@ def _pair_blocks(l_target: int, sources, g: RadialGrid):
     return [(np.array(rows), c) for _, (rows, c) in sorted(stacks.items())]
 
 
-def _self_exchange(o, z, g: RadialGrid):
-    """Exchange of shell o on its own z = u_to_z(o.u): the pin's target and the energy's self term.
+def _self_exchange(o, z, g: RadialGrid, less=0.0):
+    """Σ_L (κ_L − less·λ_L)·V_L[u²]·z for shell o and its own z = u_to_z(o.u).
 
-    A lone electron (q = 1) gets the bare monopole V₀[u²]·z, so its direct
-    and exchange terms cancel; any other shell (s_bb/q)·M z, with s_bb its
-    same-spin pair count and M its own kernel of `_pair_blocks`.
+    L and λ_L run over `_couplings(l, l)`; κ_0 = 1 and κ_L = β_L of
+    HUND_BETA for L > 0.  With less = 0 this is the shell's own exchange,
+    the energy's self term: −½·q·z·Σ_L κ_L·V_L[u²]·z gives the shell the
+    energy of its Hund term, and a lone electron's direct and exchange terms
+    cancel.  With less = q/2 it is what the open-shell pin adds to the
+    kernel's (q/2)·Σ_L λ_L·V_L[u²]·z, so no own kernel is built.
     """
-    q = o.occupation
-    if q == 1:
-        return slater_potential(o.u * o.u, 0, g) * z
-    Mz = _exchange_action(_pair_blocks(o.l, [(1.0, z, o.l)], g), (), z)
-    return (_pair_weights(q, o.l, q, o.l) / q) * Mz
+    u2, out = o.u * o.u, np.zeros(g.N)
+    for (L, lam), kappa in zip(_couplings(o.l, o.l), (1.0, *HUND_BETA[o.l][o.occupation - 1])):
+        out += (kappa - less * lam) * slater_potential(u2, L, g)
+    return out * z
 
 
 def _exchange_terms(channel_l, orbitals, g: RadialGrid):
@@ -337,8 +369,10 @@ def _exchange_terms(channel_l, orbitals, g: RadialGrid):
     C_ij = c_min(i,j) and c = r^{2L+1}; weight q/2 per source reproduces the
     closed-shell operator.  The blocks (H, c) are those of `_pair_blocks`,
     one per multipole L, the rows of H the sources that couple through L.
-    Odd shells add one pin (ρ, ẑ), the symmetric rank-two term ρẑᵀ + ẑρᵀ
-    mapping the action on z_b to `_self_exchange`.  Returns (blocks, pins).
+    Each open shell of the channel (q < 2(2l + 1)) adds one pin (ρ, ẑ), the
+    symmetric rank-two term ρẑᵀ + ẑρᵀ mapping the action on z_b to
+    `_self_exchange`: it adds d = Σ_L (κ_L − (q/2)·λ_L)·V_L[u²]·z_b to the
+    blocks' (q/2)·Σ_L λ_L·V_L[u²]·z_b.  Returns (blocks, pins).
     Raises ParameterError when c = r^{2L+1} of the largest multipole
     L = channel_l + max l_b would overflow at r_max.
     """
@@ -356,13 +390,8 @@ def _exchange_terms(channel_l, orbitals, g: RadialGrid):
     sources = [(0.5 * o.occupation, z_b, o.l) for o, z_b in zip(orbitals, zs)]
     blocks, pins = _pair_blocks(channel_l, sources, g), []
     for o, z_b in zip(orbitals, zs):
-        q_b = o.occupation
-        if q_b % 2 == 1 and o.l == channel_l:
-            # Pin the kernel's action on its own orbital to the self-exchange
-            # the energy uses: the bare monopole for q=1 (so direct and
-            # exchange cancel exactly), the same-spin weight for odd q>=3.
-            own = _pair_blocks(channel_l, [(1.0, z_b, o.l)], g)
-            d = _self_exchange(o, z_b, g) - (0.5 * q_b) * _exchange_action(own, (), z_b)
+        if o.l == channel_l and o.occupation < 2 * (2 * o.l + 1):
+            d = _self_exchange(o, z_b, g, 0.5 * o.occupation)
             znorm = math.sqrt(z_b @ z_b)
             zh = z_b / znorm
             dh = d / znorm
@@ -405,8 +434,9 @@ def _total_energy(z_nuc, orbitals, g: RadialGrid) -> float:
     one-electron part is z·((T − Z/r) z) on the tridiagonal the operator is
     built from.  The direct term is ½∫ρ·V₀[ρ] of the `build_density`
     density, one Slater transform.  A shell's self term is −½·q·z·`_self_exchange`,
-    the odd-shell pin's own rule, so one-electron systems reduce exactly to
-    the bare Hamiltonian.  Each pair a ≠ b, taken once, adds −s_ab·z_a·X_b·z_a,
+    the open-shell pin's own rule, so a shell's own energy is that of its
+    Hund term and one-electron systems reduce exactly to the bare
+    Hamiltonian.  Each pair a ≠ b, taken once, adds −s_ab·z_a·X_b·z_a,
     with s_ab its same-spin count and X_b the `_pair_blocks` kernel of b.
     """
     rho = build_density(orbitals, g)
@@ -434,7 +464,7 @@ class FockOperator:
     F = tridiag(diag, off) − Σ_k diag(h_k)·C_k·diag(h_k) − Σ_p (ρ_p ẑ_pᵀ + ẑ_p ρ_pᵀ)
     is the kinetic stencil plus the local potential, one exchange generator
     h_k per source shell and multipole, its angular weight folded in as a
-    square root, and one pin (ρ, ẑ) per odd shell (see `_exchange_terms`).
+    square root, and one pin (ρ, ẑ) per open shell (see `_exchange_terms`).
     `blocks` holds the generators one multipole at a time, (H, c) with the
     h_k of that multipole in the rows of H, against the c they share.
     """
@@ -616,7 +646,7 @@ def fock_apply(state: SCFState, target: RadialOrbital):
     """Apply the state's whole channel operator for target.l to a target.
 
     That is `state.channel_operator(target.l)`: kinetic − Z/r + field, minus
-    the exchange blocks and the odd-shell pins, applied in z and returned as u.
+    the exchange blocks and the open-shell pins, applied in z and returned as u.
     """
     g = state.grid
     if np.asarray(target.u).shape != g.points.shape:

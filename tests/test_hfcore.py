@@ -1,17 +1,21 @@
 """Mean-field machinery: coupling weights, potentials, exchange, SCF."""
 
 import copy
+import math
 import warnings
+from collections import defaultdict
 from dataclasses import FrozenInstanceError, replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from conftest import virial_residual
 from polarscf.errors import ConvergenceError, ParameterError
 from polarscf.hfcore import (
     EIGSH_TOL_FACTOR,
     FINAL_TOL_FACTOR,
+    HUND_BETA,
     SHIFT_MARGIN,
     AtomConfig,
     FockOperator,
@@ -234,10 +238,10 @@ def _dense_exchange(channel_l, sources, g):
     """Dense z-space exchange matrix with its pins: the reference kept in the tests.
 
     Each source block is (q/2)·Σ_L λ_L·(z_b z_bᵀ ⊙ K_L) with z_b = √(h·r)·u_b
-    and the kernel K_L = r_<^L / r_>^{L+1} written out entry by entry.  An odd
+    and the kernel K_L = r_<^L / r_>^{L+1} written out entry by entry.  An open
     shell adds the symmetric rank-two pin that maps its block's action on its
-    own orbital to the bare monopole self-potential (q = 1) or to the
-    energy-consistent weight (q >= 3).
+    own orbital to Σ_L κ_L·V_L[u²]·z_b, with κ_L the Hund determinant's
+    (`_hund_kappa`).
     """
     r, h = g.points, g.log_step
     r_lo, r_hi = np.minimum.outer(r, r), np.maximum.outer(r, r)
@@ -250,14 +254,11 @@ def _dense_exchange(channel_l, sources, g):
             K_L = r_lo**L / r_hi ** (L + 1)
             M += lam * (np.outer(z_b, z_b) * K_L)
         X += (0.5 * q) * M
-        if q % 2 == 1 and o.l == channel_l:
-            Mz = M @ z_b
-            if q == 1:
-                target = slater_potential(o.u**2, 0, g) * z_b
-            else:
-                target = (_pair_weights(q, o.l, q, o.l) / q) * Mz
+        if o.l == channel_l and q < 2 * (2 * o.l + 1):
+            kappa = _hund_kappa(o.l, q)
+            target = sum(kappa[L] * slater_potential(o.u**2, L, g) for L in kappa) * z_b
             zh = z_b / np.linalg.norm(z_b)
-            dh = (target - (0.5 * q) * Mz) / np.linalg.norm(z_b)
+            dh = (target - (0.5 * q) * (M @ z_b)) / np.linalg.norm(z_b)
             rho = dh - 0.5 * zh * (zh @ dh)
             X += np.outer(rho, zh) + np.outer(zh, rho)
     return X
@@ -267,7 +268,7 @@ def _dense_exchange(channel_l, sources, g):
 def test_exchange_matrix_matches_dense_kernel(channel_l):
     """Semiseparable generators against the dense r_<^L / r_>^{L+1} formula.
 
-    Only even occupations, so no odd-shell pin enters the matrix.
+    Only closed shells, so no open-shell pin enters the matrix.
     """
     Z = 10.0
     g = make_grid(1e-6 / Z, 40.0, 400)
@@ -354,7 +355,7 @@ def test_shifted_solve_of_stacked_blocks_matches_dense(atom, channel_l):
     orbs = [replace(hydrogenic_orbital(Z, n, l, g), occupation=q) for n, l, q in shells]
     op = _fock_operator(channel_l, Z, orbs, slater_potential(build_density(orbs, g), 0, g), g)
     assert len(op.blocks) == 2 + channel_l and max(len(H) for H, _ in op.blocks) >= 2
-    assert len(op.pins) == sum(q % 2 == 1 and l == channel_l for _, l, q in shells)
+    assert len(op.pins) == sum(q < 2 * (2 * l + 1) and l == channel_l for _, l, q in shells)
     C = op.to_dense()
     sigma = -(0.5 * Z**2 + 2.0)
     b = np.random.default_rng(29).standard_normal(g.N)
@@ -384,7 +385,7 @@ def test_operator_apply_matches_dense_oracle(Z, shells, channel_l):
     for zeta in (Z, 0.8 * Z):
         orbs = [replace(hydrogenic_orbital(zeta, n, l, g), occupation=q) for n, l, q in shells]
         op = _fock_operator(channel_l, Z, orbs, slater_potential(build_density(orbs, g), 0, g), g)
-        assert len(op.pins) == sum(q % 2 == 1 and l == channel_l for _, l, q in shells)
+        assert len(op.pins) == sum(q < 2 * (2 * l + 1) and l == channel_l for _, l, q in shells)
         X_ref = _dense_exchange(channel_l, orbs, g)
         for x in (rng.standard_normal(g.N), u_to_z(orbs[-1].u, g)):
             ref = X_ref @ x
@@ -456,6 +457,25 @@ def test_shell_spec_needs_integers():
     with pytest.raises(ParameterError, match="l must be an integer"):
         ShellSpec(2, 0.0, 1)
     assert ShellSpec(np.int64(2), np.int64(1), np.int64(3)).label == "2p"
+
+
+def test_atom_config_allows_one_partly_filled_spin_subshell():
+    """One l ≥ 1 shell may have a partly filled spin subshell; beside it every shell is closed,
+    has full spin subshells or is s¹.  A second such shell has no single Hund term."""
+    for shells in (
+        ((1, 0, 2), (2, 0, 1), (2, 1, 2)),
+        ((1, 0, 1), (2, 1, 3), (3, 2, 7)),
+        ((1, 0, 2), (2, 1, 6), (3, 2, 5), (4, 1, 4)),
+        ((1, 0, 2), (4, 3, 6)),
+    ):
+        AtomConfig(z=30.0, shells=shells)
+    for shells, names in (
+        (((1, 0, 2), (2, 1, 2), (3, 1, 1)), "2p, 3p"),
+        (((1, 0, 2), (2, 1, 4), (3, 2, 2)), "2p, 3d"),
+        (((1, 0, 2), (3, 2, 6), (4, 3, 1)), "3d, 4f"),
+    ):
+        with pytest.raises(ParameterError, match=f"shells {names} each have a partly filled"):
+            AtomConfig(z=30.0, shells=shells)
 
 
 def test_atom_config_validation():
@@ -547,14 +567,23 @@ def test_richardson_limit(z, shells, n_points, limit, bound):
 
 
 def test_helium_virial(he_run):
-    state, _ = he_run
-    g = state.grid
-    T = 0.0
-    for o in state.orbitals:
-        z = u_to_z(o.u, g)
-        T += o.occupation * float(z @ tridiag_apply(*kinetic_tridiagonal(g, o.l), z))
-    V = state.total_energy - T
-    assert abs(V / T + 2.0) < 1e-4
+    assert abs(virial_residual(he_run[0])) < 1e-4
+
+
+@pytest.mark.parametrize(
+    "z, p", [(6.0, 2), (8.0, 4), (9.0, 5)], ids=["c", "o", "f"]
+)
+def test_open_p_shell_is_stationary(z, p):
+    """C 2p², O 2p⁴ and F 2p⁵, each pinned to its Hund term, solve to a stationary point:
+    the virial residual −V/T − 2 of a tight run vanishes (the operator is the energy's gradient).
+    """
+    cfg = AtomConfig(
+        z=z,
+        shells=((1, 0, 2), (2, 0, 2), (2, 1, p)),
+        grid=GridParams(n_points=1000),
+        scf=SCFParams(tol_orbital=1e-10),
+    )
+    assert abs(virial_residual(scf_solve(cfg))) <= 1e-9
 
 
 def test_lithium_levels(li_run):
@@ -621,7 +650,7 @@ def test_trace_energy_coherent(he_run):
 
 
 def test_nitrogen_two_channel(n_run):
-    """s-p exchange multipoles and the odd-shell pin of a half-filled 2p."""
+    """s-p exchange multipoles and the open-shell pin of a half-filled 2p."""
     state, _ = n_run
     g = state.grid
     sum_eigen, trace_lhs = trace_energy(state)
@@ -676,12 +705,15 @@ def test_converged_orbitals_agree_in_both_metrics(li_run, n_run):
 def _pair_exchange(a, b, g):
     """Exchange energy of the ordered shell pair (a, b) in the pairwise oracle.
 
-    −½·s_ab·Σ_L λ_L·∫(u_a u_b)·V_L[u_a u_b]; a lone electron's self term is
-    the bare monopole −½·∫u²·V₀[u²].
+    −½·s_ab·Σ_L λ_L·∫(u_a u_b)·V_L[u_a u_b]; a shell's self term is that of
+    its Hund determinant, −½·q·Σ_L κ_L·∫u²·V_L[u²] (`_hund_kappa`).
     """
+    if a is b:
+        kappa = _hund_kappa(a.l, a.occupation)
+        return -0.5 * a.occupation * sum(
+            kappa[L] * integrate(a.u**2 * slater_potential(a.u**2, L, g), g) for L in kappa
+        )
     s_ab = _pair_weights(a.occupation, a.l, b.occupation, b.l)
-    if a is b and a.occupation == 1:
-        return -0.5 * integrate(a.u**2 * slater_potential(a.u**2, 0, g), g)
     cross = a.u * b.u
     acc = sum(lam * integrate(cross * slater_potential(cross, L, g), g)
               for L, lam in _couplings(a.l, b.l))
@@ -731,26 +763,171 @@ def test_total_energy_matches_pairwise_oracle(z, shells, n_points):
 
 @pytest.mark.parametrize(
     "Z, n, l, q",
-    [(3.0, 2, 0, 1), (5.0, 2, 1, 1), (7.0, 2, 1, 3), (10.0, 2, 1, 6)],
-    ids=["li-2s1", "b-2p1", "n-2p3", "ne-2p6"],
+    [
+        (3.0, 2, 0, 1), (5.0, 2, 1, 1), (6.0, 2, 1, 2), (7.0, 2, 1, 3), (8.0, 2, 1, 4),
+        (9.0, 2, 1, 5), (10.0, 2, 1, 6), (22.0, 3, 2, 2), (26.0, 3, 2, 6),
+    ],
+    ids=["li-2s1", "b-2p1", "c-2p2", "n-2p3", "o-2p4", "f-2p5", "ne-2p6", "ti-3d2", "fe-3d6"],
 )
 def test_operator_and_energy_share_self_exchange(Z, n, l, q):
     """The pinned operator's action on a shell's own orbital is `_self_exchange`,
     and −½·q·z·`_self_exchange` is the oracle's self-exchange energy.
 
     B 2p¹ is the case where the bare monopole differs from the kernel's own
-    M z; Ne 2p⁶ is full, so no pin enters and (q/2)·M z must agree unaided.
+    M z; C, O, F, Ti and Fe hold a partly filled spin subshell; Ne 2p⁶ is
+    full, so no pin enters and (q/2)·M z must agree unaided.
     """
     g = make_grid(1e-6 / Z, 40.0, 400)
     b = replace(hydrogenic_orbital(Z, n, l, g), occupation=q)
     z_b = u_to_z(b.u, g)
     blocks, pins = _exchange_terms(l, [b], g)
-    assert len(pins) == q % 2
+    assert len(pins) == int(q < 2 * (2 * l + 1))
     t = _self_exchange(b, z_b, g)
     got = _exchange_action(blocks, pins, z_b)
     assert np.max(np.abs(got - t)) <= 1e-13 * np.max(np.abs(t))
     energy, ref = -0.5 * q * float(z_b @ t), _pair_exchange(b, b, g)
     assert abs(energy - ref) <= 1e-13 * abs(ref)
+
+
+# ---------------------------------------------------------------------------
+# the Hund-term determinant
+
+
+def _three_j(j1, j2, j3, m1, m2, m3):
+    """Wigner 3j symbol (j1 j2 j3; m1 m2 m3) of integer arguments by Racah's formula."""
+    if m1 + m2 + m3 != 0 or not abs(j1 - j2) <= j3 <= j1 + j2:
+        return 0.0
+    if abs(m1) > j1 or abs(m2) > j2 or abs(m3) > j3:
+        return 0.0
+    f = math.factorial
+    triangle = f(j1 + j2 - j3) * f(j1 - j2 + j3) * f(j2 + j3 - j1) / f(j1 + j2 + j3 + 1)
+    norm = math.sqrt(
+        triangle * f(j1 + m1) * f(j1 - m1) * f(j2 + m2) * f(j2 - m2) * f(j3 + m3) * f(j3 - m3)
+    )
+    total = sum(
+        (-1) ** t
+        / (f(t) * f(j3 - j2 + t + m1) * f(j3 - j1 + t - m2)
+           * f(j1 + j2 - j3 - t) * f(j1 - t - m1) * f(j2 - t + m2))
+        for t in range(max(0, j2 - j3 - m1, j1 - j3 + m2), min(j1 + j2 - j3, j1 - m1, j2 + m2) + 1)
+    )
+    return (-1) ** (j1 - j2 - m3) * norm * total
+
+
+def _gaunt(l, m, lp, mp, k):
+    """c^k(lm, l′m′) = (−1)^m·√((2l+1)(2l′+1))·(l k l′; 0 0 0)·(l k l′; −m, m−m′, m′)."""
+    root = math.sqrt((2 * l + 1) * (2 * lp + 1))
+    return (-1) ** m * root * _three_j(l, k, lp, 0, 0, 0) * _three_j(l, k, lp, -m, m - mp, mp)
+
+
+def _hund_determinant(shells):
+    """Slater-integral coefficients of the M_S = S, M_L = L determinant's electron repulsion.
+
+    shells: (l, q) pairs.  Each shell fills spin up from m = l downwards, then
+    spin down from m = l downwards.  Σ_{i<j} [J_ij − δ(σ_i, σ_j)·K_ij] over
+    its spin orbitals, with J_ij = Σ_k c^k(l_i m_i, l_i m_i)·c^k(l_j m_j, l_j m_j)·F^k(a, b)
+    and K_ij = Σ_k c^k(l_i m_i, l_j m_j)²·G^k(a, b), is returned as
+    {(a, b, k): (f, g)}, a ≤ b the shells, f the coefficient of F^k(a, b) =
+    ∫u_a²·V_k[u_b²] and g that of G^k(a, b) = ∫u_a u_b·V_k[u_a u_b].
+    """
+    spin_orbitals = []
+    for a, (l, q) in enumerate(shells):
+        ms, up = range(l, -l - 1, -1), min(q, 2 * l + 1)
+        spin_orbitals += [(a, l, m, 0) for m in ms[:up]] + [(a, l, m, 1) for m in ms[: q - up]]
+    coef = defaultdict(lambda: [0.0, 0.0])
+    for i, (a, la, ma, sa) in enumerate(spin_orbitals):
+        for b, lb, mb, sb in spin_orbitals[i + 1 :]:
+            for k in range(la + lb + 1):
+                coef[a, b, k][0] += _gaunt(la, ma, la, ma, k) * _gaunt(lb, mb, lb, mb, k)
+                if sa == sb:
+                    coef[a, b, k][1] -= _gaunt(la, ma, lb, mb, k) ** 2
+    return coef
+
+
+def _hund_kappa(l, q):
+    """{k: κ_k} of the shell l^q alone, k = 0, 2, …, 2l: its Hund determinant's repulsion is
+    ½q²·F⁰ − ½q·Σ_k κ_k·F^k, so κ_k = q·δ_k0 − (2/q)·(f + g) of `_hund_determinant`."""
+    coef = _hund_determinant([(l, q)])
+    return {k: q * (k == 0) - 2.0 * sum(coef[0, 0, k]) / q for k in range(0, 2 * l + 1, 2)}
+
+
+def _determinant_energy(z_nuc, orbitals, g):
+    """E_det = Σ_a q_a·h_a + Σ_{i<j} [J_ij − δ(σ_i, σ_j)·K_ij] of the Hund determinant.
+
+    h_a = z·((T − Z/r) z) on the `kinetic_tridiagonal` stencil; the radial
+    integrals come from `slater_potential`, the angular ones from `_hund_determinant`.
+    """
+    E = 0.0
+    for a in orbitals:
+        diag, off = kinetic_tridiagonal(g, a.l)
+        z = u_to_z(a.u, g)
+        E += a.occupation * float(z @ tridiag_apply(diag - z_nuc / g.points, off, z))
+    coef = _hund_determinant([(o.l, o.occupation) for o in orbitals])
+    for (a, b, k), (f, gk) in coef.items():
+        ua, ub = orbitals[a].u, orbitals[b].u
+        E += f * integrate(ua**2 * slater_potential(ub**2, k, g), g)
+        E += gk * integrate(ua * ub * slater_potential(ua * ub, k, g), g)
+    return E
+
+
+def _hydrogenic_set(z_nuc, shells, n_points=400):
+    """Hydrogenic orbitals at Slater's screened charges, and their mesh."""
+    g = make_grid(1e-6 / z_nuc, 40.0, n_points)
+    specs = [ShellSpec(*s) for s in shells]
+    return [
+        replace(hydrogenic_orbital(zeff, s.n, s.l, g), occupation=s.occupation)
+        for zeff, s in zip(_slater_charges(z_nuc, specs), specs)
+    ], g
+
+
+_CORE_AR = ((1, 0, 2), (2, 0, 2), (2, 1, 6), (3, 0, 2), (3, 1, 6))
+HUND_ATOMS = {
+    "b": (5.0, ((1, 0, 2), (2, 0, 2), (2, 1, 1))),
+    "c": (6.0, ((1, 0, 2), (2, 0, 2), (2, 1, 2))),
+    "n": (7.0, ((1, 0, 2), (2, 0, 2), (2, 1, 3))),
+    "o": (8.0, ((1, 0, 2), (2, 0, 2), (2, 1, 4))),
+    "f": (9.0, ((1, 0, 2), (2, 0, 2), (2, 1, 5))),
+    "ne": (10.0, ((1, 0, 2), (2, 0, 2), (2, 1, 6))),
+    "ti": (22.0, _CORE_AR + ((3, 2, 2), (4, 0, 2))),
+    "v": (23.0, _CORE_AR + ((3, 2, 3), (4, 0, 2))),
+    "fe": (26.0, _CORE_AR + ((3, 2, 6), (4, 0, 2))),
+    "co": (27.0, _CORE_AR + ((3, 2, 7), (4, 0, 2))),
+    "ni": (28.0, _CORE_AR + ((3, 2, 8), (4, 0, 2))),
+    # beside the one partly filled spin subshell, an s¹ and a half-filled shell
+    "b-2s1-2p2": (5.0, ((1, 0, 2), (2, 0, 1), (2, 1, 2))),
+    "n-2p3-3d2": (7.0, ((1, 0, 2), (2, 0, 2), (2, 1, 3), (3, 2, 2))),
+}
+
+
+@pytest.mark.parametrize("atom", list(HUND_ATOMS))
+def test_total_energy_is_hund_determinant_energy(atom):
+    """`_total_energy` of hydrogenic orbitals is the energy of the M_S = S, M_L = L
+    determinant, whose angular algebra comes from Racah's 3j formula alone: for the
+    ground states of B–Ne and Ti–Ni, and for two excited states whose other open
+    shells (2s¹, 2p³) have full or empty spin subshells."""
+    z_nuc, shells = HUND_ATOMS[atom]
+    orbitals, g = _hydrogenic_set(z_nuc, shells)
+    ref = _determinant_energy(z_nuc, orbitals, g)
+    assert abs(_total_energy(z_nuc, orbitals, g) - ref) <= 1e-12 * abs(ref)
+
+
+@pytest.mark.parametrize(
+    "l, q",
+    [(l, q) for l in range(len(HUND_BETA)) for q in range(1, 2 * (2 * l + 1) + 1)],
+    ids=lambda v: str(v),
+)
+def test_hund_beta_table_is_the_determinant(l, q):
+    """Each HUND_BETA entry is the determinant's own-shell coefficient: the shell's repulsion
+    is q(q−1)/2·F⁰ − (q/2)·Σ_k β_k·F^k, and `_total_energy` of the shell alone is E_det."""
+    assert len(HUND_BETA[l]) == 2 * (2 * l + 1)
+    kappa = _hund_kappa(l, q)
+    assert abs(kappa[0] - 1.0) <= 1e-14
+    assert len(HUND_BETA[l][q - 1]) == l
+    for k, beta in zip(range(2, 2 * l + 1, 2), HUND_BETA[l][q - 1]):
+        assert abs(beta - kappa[k]) <= 1e-14
+    z_nuc = 2.0 * q
+    orbitals, g = _hydrogenic_set(z_nuc, ((l + 1, l, q),))
+    ref = _determinant_energy(z_nuc, orbitals, g)
+    assert abs(_total_energy(z_nuc, orbitals, g) - ref) <= 1e-12 * abs(ref)
 
 
 def test_total_energy_one_electron(h_run):

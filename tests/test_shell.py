@@ -458,6 +458,8 @@ def test_only_hfcore_imports_scipy():
         # finite inputs whose dressed level ε + f(0) overflows
         ["qp", "qp_levels=1e308", "sigma_kind=constant_shift", "sigma_shift=1e308"],
         ["qp", "qp_levels=-1e308", "sigma_kind=constant_shift", "sigma_shift=-1e308"],
+        # two shells with a partly filled spin subshell: no single Hund term
+        ["scf", "z=14", "shells=1s:2,2s:2,2p:2,3p:2"],
     ],
     ids=[
         "no-args", "missing-config", "inf", "nan", "qp-points", "n-max", "l-max",
@@ -470,6 +472,7 @@ def test_only_hfcore_imports_scipy():
         "pseudo-valence-not-occupied", "spectrum-too-many-rows", "qp-too-many-rows",
         "n-points-2pow61", "n-points-2pow63", "n-points-10pow30", "n-points-intp-max-8",
         "qp-dressed-level-overflow", "qp-dressed-level-overflow-negative",
+        "two-partly-filled-spin-subshells",
     ],
 )
 def test_bad_input_exits_3_without_traceback(argv):

@@ -12,7 +12,9 @@ gated.  Cases:
 
 * `scf` for He and Li at the default N=2000 (`end_to_end`), and for Ne, Na,
   Ar, K and Ca (`ungated`; with He and Li their channels hold one to four
-  wanted levels), each with iterations, factorizations and shift-invert
+  wanted levels) and C, O, F, Ti and Fe (`ungated`; an open 2p or 3d shell
+  with a partly filled spin subshell, at the energy of its Hund term), each
+  with its energy, iterations, factorizations and shift-invert
   solves from `state.trace` (in total, and in the first and the last
   iteration) and the trace's per-phase wall times summed over iterations
   (field, operator build, eigensolve, energy);
@@ -41,8 +43,11 @@ gated.  Cases:
   of `numpy`, `scipy`, `dataclasses`, `inspect`, `json`, `argparse` and the
   `polarscf` modules it loaded;
 * a fixed NumPy calibration loop (`calibration`), timed before the first
-  case and after the last: its time changes with the host's load, never
-  with the code, so it tells a busy host from a slower change.
+  case and after the last: no code change moves it, but it does not follow
+  the host's load closely enough to tell a busy host from a slower change.
+  A layer figure of one `BENCH_<N>.json` file set beside another's says
+  nothing about the code; only alternating processes order two files'
+  layer figures.
 
 The metadata gives `nproc`, the BLAS builds of NumPy and SciPy, the BLAS
 thread setting (one thread unless the environment sets another), whether
@@ -117,11 +122,16 @@ PHASES = ("field_s", "operator_s", "eigensolve_s", "energy_s")
 ATOMS = {
     "he": (2.0, ((1, 0, 2),)),
     "li": (3.0, ((1, 0, 2), (2, 0, 1))),
+    "c": (6.0, ((1, 0, 2), (2, 0, 2), (2, 1, 2))),
+    "o": (8.0, ((1, 0, 2), (2, 0, 2), (2, 1, 4))),
+    "f": (9.0, ((1, 0, 2), (2, 0, 2), (2, 1, 5))),
     "ne": (10.0, ((1, 0, 2), (2, 0, 2), (2, 1, 6))),
     "na": (11.0, ((1, 0, 2), (2, 0, 2), (2, 1, 6), (3, 0, 1))),
     "ar": (18.0, ((1, 0, 2), (2, 0, 2), (2, 1, 6), (3, 0, 2), (3, 1, 6))),
     "k": (19.0, ((1, 0, 2), (2, 0, 2), (2, 1, 6), (3, 0, 2), (3, 1, 6), (4, 0, 1))),
     "ca": (20.0, ((1, 0, 2), (2, 0, 2), (2, 1, 6), (3, 0, 2), (3, 1, 6), (4, 0, 2))),
+    "ti": (22.0, ((1, 0, 2), (2, 0, 2), (2, 1, 6), (3, 0, 2), (3, 1, 6), (3, 2, 2), (4, 0, 2))),
+    "fe": (26.0, ((1, 0, 2), (2, 0, 2), (2, 1, 6), (3, 0, 2), (3, 1, 6), (3, 2, 6), (4, 0, 2))),
 }
 # Fresh-process commands: the bare interpreter (None), perfbench's `cli`
 # workload (its random qp levels fixed), a bare import, and an `scf` He
@@ -373,6 +383,8 @@ def main():
         ("ungated", "scf_ar", lambda: scf_case("ar")),
         ("ungated", "scf_k", lambda: scf_case("k")),
         ("ungated", "scf_ca", lambda: scf_case("ca")),
+        *(("ungated", f"scf_{atom}", functools.partial(scf_case, atom))
+          for atom in ("c", "o", "f", "ti", "fe")),
         ("ungated", "scf_ar_tight", lambda: scf_case("ar", tol_orbital=TIGHT_TOL_ORBITAL)),
         ("ungated", "scf_k_tight", lambda: scf_case("k", tol_orbital=TIGHT_TOL_ORBITAL)),
         ("ungated", "scf_ca_tight", lambda: scf_case("ca", tol_orbital=TIGHT_TOL_ORBITAL)),
