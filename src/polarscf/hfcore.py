@@ -56,7 +56,6 @@ from __future__ import annotations
 import functools
 import math
 import numbers
-import sys
 import time
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
@@ -260,12 +259,6 @@ def _couplings(l_t: int, l_s: int) -> tuple:
 # Slater potentials (radial Poisson-like transforms)
 
 
-def _check_kernel(L, g: RadialGrid, what: str):
-    """Raise ParameterError when an order-L kernel's c = r^{2L+1} overflows at r_max."""
-    if (2 * L + 1) * math.log(g.r_max) > math.log(sys.float_info.max):
-        raise ParameterError(f"r_max {g.r_max!r} is too large: {what} r^{2 * L + 1} overflows")
-
-
 def _kernel(c, y):
     """Σ_j c_min(i,j)·y_j along the last axis of y in O(N): two cumulative sums."""
     cy = (c * y).cumsum(axis=-1)  # Σ_{j<=i} c_j·y_j
@@ -286,7 +279,6 @@ def slater_potential(f, L: int, g: RadialGrid):
     f = np.asarray(f, dtype=float)
     if f.shape != g.points.shape:
         raise ParameterError(f"source has shape {f.shape}, grid has {g.points.shape}")
-    _check_kernel(L, g, f"the L={L} Slater potential's kernel")
     w, c = g.multipole_powers(L)
     return w * _kernel(c, w * g.weights * f)
 
@@ -369,17 +361,13 @@ def _exchange_terms(channel_l, orbitals, g: RadialGrid):
     C_ij = c_min(i,j) and c = r^{2L+1}; weight q/2 per source reproduces the
     closed-shell operator.  The blocks (H, c) are those of `_pair_blocks`,
     one per multipole L, the rows of H the sources that couple through L.
-    Each open shell of the channel (q < 2(2l + 1)) adds one pin (ρ, ẑ), the
+    Each open shell of the channel (0 < q < 2(2l + 1)) adds one pin (ρ, ẑ), the
     symmetric rank-two term ρẑᵀ + ẑρᵀ mapping the action on z_b to
     `_self_exchange`: it adds d = Σ_L (κ_L − (q/2)·λ_L)·V_L[u²]·z_b to the
     blocks' (q/2)·Σ_L λ_L·V_L[u²]·z_b.  Returns (blocks, pins).
-    Raises ParameterError when c = r^{2L+1} of the largest multipole
-    L = channel_l + max l_b would overflow at r_max.
     """
     if channel_l < 0:
         raise ParameterError(f"angular momentum must be nonnegative, got l={channel_l}")
-    L_max = channel_l + max((o.l for o in orbitals), default=0)
-    _check_kernel(L_max, g, f"the l={channel_l} exchange kernel")
     zs = []
     for o in orbitals:
         if np.asarray(o.u).shape != g.points.shape:
@@ -390,7 +378,7 @@ def _exchange_terms(channel_l, orbitals, g: RadialGrid):
     sources = [(0.5 * o.occupation, z_b, o.l) for o, z_b in zip(orbitals, zs)]
     blocks, pins = _pair_blocks(channel_l, sources, g), []
     for o, z_b in zip(orbitals, zs):
-        if o.l == channel_l and o.occupation < 2 * (2 * o.l + 1):
+        if o.l == channel_l and 0 < o.occupation < 2 * (2 * o.l + 1):
             d = _self_exchange(o, z_b, g, 0.5 * o.occupation)
             znorm = math.sqrt(z_b @ z_b)
             zh = z_b / znorm
@@ -514,11 +502,12 @@ class FockOperator:
         with S ≻ 0, F − σ ≻ 0 exactly when K has the inertia of W⁻¹: one
         positive and one negative eigenvalue per pin.  Raises
         np.linalg.LinAlgError when either test fails, and before them when M
-        is not finite: once r^{2L+1} underflows near a tiny r_min, a zero
-        step of c makes C⁻¹ infinite, and the NaN pivots that follow would
-        pass LAPACK's positivity test.  The factor (pbtrf) and each solve
-        (pbtrs) call LAPACK's banded Cholesky routines directly, without
-        SciPy's per-call wrappers.
+        is not finite: a grid refuses a mesh whose r^{2L+1} is not a normal
+        float, but a step of c may still be too small to invert (a fine mesh
+        near that limit, or a block built elsewhere), and the NaN pivots of
+        an infinite C⁻¹ would pass LAPACK's positivity test.  The factor
+        (pbtrf) and each solve (pbtrs) call LAPACK's banded Cholesky routines
+        directly, without SciPy's per-call wrappers.
         """
         import scipy.linalg as sla  # loaded on first solve, not on import
 

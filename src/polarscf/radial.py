@@ -12,10 +12,11 @@ The solvers work in z = sqrt(h*r)*u, where that measure is the identity:
 one metric of the kinetic stencil, the Fock operator and every norm and
 overlap of the mean-field solve.
 
-A grid holds a read-only copy of its points and builds each array that
-depends only on the mesh once, read-only: the weights and √(h·r) with the
-grid, the kinetic stencil of each l and the multipole powers of each L on
-first use.
+A grid always keeps its own read-only copy of its points and builds each
+array that depends only on the mesh once, read-only: the weights and √(h·r)
+with the grid, the kinetic stencil of each l and the multipole powers of each
+L on first use, when the grid alone refuses an L whose r^(2L+1) is not a
+normal float at both ends of the mesh.
 """
 
 import math
@@ -38,15 +39,11 @@ class RadialGrid:
     _constants: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        r, h = self.points, self.log_step
-        # the mesh arrays are built from the points once, so the points must
-        # not change after: keep a read-only copy unless they already are a
-        # read-only float array that owns its data (make_grid's)
-        if not (isinstance(r, np.ndarray) and r.dtype == np.float64
-                and not r.flags.writeable and r.base is None):
-            r = np.array(r, dtype=float)
-            r.flags.writeable = False
-            object.__setattr__(self, "points", r)
+        # the mesh arrays are built from the points once, so the grid keeps its
+        # own read-only copy: no array or view the caller holds can move them
+        r, h = np.array(self.points, dtype=float), self.log_step
+        r.flags.writeable = False
+        object.__setattr__(self, "points", r)
         if r.ndim != 1 or len(r) < 2:
             raise ParameterError("grid needs at least 2 increasing points")
         if r[0] <= 0.0 or np.any(np.diff(r) <= 0.0):
@@ -95,10 +92,23 @@ class RadialGrid:
     def multipole_powers(self, L: int):
         """(r^-(L+1), r^(2L+1)) of multipole order L: r_<^L / r_>^(L+1) = w_i·c_min(i,j)·w_j.
 
-        The caller checks that r^(2L+1) fits a float at r_max.
+        Built once per L, after the one test of whether the mesh holds that
+        kernel: r^(2L+1) must be a normal float at both ends (then r^-(L+1) is
+        finite), or ParameterError; below it the diagonal and C⁻¹ are lost.
         """
-        r = self.points
-        return self._constant(("multipole", L), lambda: (r ** -(L + 1), r ** (2 * L + 1)))
+        def build():
+            p, r = 2 * L + 1, self.points
+            if p * math.log(self.r_min) < math.log(sys.float_info.min):
+                raise ParameterError(
+                    f"r_min {self.r_min!r} is too small: the L={L} kernel's r^{p} underflows"
+                )
+            if p * math.log(self.r_max) > math.log(sys.float_info.max):
+                raise ParameterError(
+                    f"r_max {self.r_max!r} is too large: the L={L} kernel's r^{p} overflows"
+                )
+            return r ** -(L + 1), r**p
+
+        return self._constant(("multipole", L), build)
 
 
 def make_grid(r_min: float, r_max: float, N: int) -> RadialGrid:
@@ -126,7 +136,6 @@ def make_grid(r_min: float, r_max: float, N: int) -> RadialGrid:
     h = math.log(ratio) / (N - 1)
     r = r_min * np.exp(h * np.arange(N))
     r[-1] = r_max  # exact endpoint
-    r.flags.writeable = False
     return RadialGrid(points=r, log_step=h)
 
 

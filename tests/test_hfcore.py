@@ -222,6 +222,11 @@ def test_exchange_block_is_slater_potential_of_pair_density():
         got = _exchange_action([block], (), z)
         ref = 3.0 * lam * z_b * slater_potential(source.u * target.u, L, g)
         assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+    # an empty source shell has zero rows and no pin: its exchange is exactly 0
+    g = make_grid(1e-6, 50.0, 400)
+    empty = hydrogenic_orbital(1.0, 1, 0, g)
+    assert empty.occupation == 0 and _exchange_terms(0, [empty], g)[1] == []
+    assert np.max(np.abs(exchange_apply([empty], hydrogenic_orbital(1.0, 2, 0, g), g))) == 0.0
 
 
 def test_exchange_source_on_other_grid_rejected():
@@ -1081,8 +1086,18 @@ def test_exchange_kernel_overflow_rejected():
             fock_apply(state, target)
         # the direct field shares the kernel: r^3 fits at L = 1, r^5 does not at L = 2
         assert np.all(np.isfinite(slater_potential(target.u**2, 1, state.grid)))
-        with pytest.raises(ParameterError, match="the L=2 Slater potential's kernel r\\^5"):
+        with pytest.raises(ParameterError, match="the L=2 kernel's r\\^5 overflows"):
             slater_potential(target.u**2, 2, state.grid)
+
+
+def test_slater_potential_refuses_underflowing_kernel():
+    """At r_min = 1e-50, r^13 of L = 6 underflows: ParameterError, not NaNs or a warning."""
+    g = make_grid(1e-50, 50.0, 400)
+    u = hydrogenic_orbital(1.0, 1, 0, g).u
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ParameterError, match="the L=6 kernel's r\\^13 underflows"):
+            slater_potential(u * u, 6, g)
 
 
 def test_nonconvergence_reports_trace():
@@ -1223,8 +1238,9 @@ def test_solve_channel_refuses_indefinite_capacitance(li_channel):
 def test_solve_channel_refuses_non_finite_block(li_channel):
     """A zero step in an exchange block's c makes M infinite; no shift is certified.
 
-    With r^{2L+1} underflowing to 0 at a tiny r_min, C⁻¹ has 1/0 on its
-    diagonal, and the banded Cholesky would pass the NaN pivots it makes.
+    A grid refuses a mesh whose r^{2L+1} underflows, but a block built some
+    other way may hold a zero step: then C⁻¹ has 1/0 on its diagonal, and the
+    banded Cholesky would pass the NaN pivots it makes.
     """
     op, _, v0, ref_vals, _ = li_channel
     H, c = op.blocks[0]

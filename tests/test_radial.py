@@ -1,6 +1,7 @@
 """Log-radial grid, quadrature, and the shifted kinetic stencil."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -50,7 +51,19 @@ def test_grid_keeps_a_read_only_copy_of_writable_points():
     assert g.weights is weights
     with pytest.raises(ValueError, match="read-only"):
         g.points[0] = 1.0
-    assert RadialGrid(ref.points, log_step=h).points is ref.points  # make_grid's is not copied
+    assert not np.shares_memory(RadialGrid(ref.points, log_step=h).points, ref.points)
+
+
+def test_grid_points_cannot_move_through_an_earlier_view():
+    """A writable view taken before its base was frozen moves neither points nor weights."""
+    ref = make_grid(1e-6, 50.0, 400)
+    r = np.array(ref.points)
+    view = r[:]
+    r.flags.writeable = False  # a read-only float array that owns its data
+    g = RadialGrid(r, log_step=ref.log_step)
+    view[5] *= 2.0
+    np.testing.assert_array_equal(g.points, ref.points)
+    np.testing.assert_array_equal(g.weights, g.log_step * g.points)
 
 
 def _assert_built_once(first, second, closed_form):
@@ -84,6 +97,32 @@ def test_multipole_powers_built_once_per_L(L):
     r = g.points
     powers = (r ** -(L + 1), r ** (2 * L + 1))
     _assert_built_once(g.multipole_powers(L), g.multipole_powers(L), powers)
+
+
+def _largest_normal_L(x):
+    """The largest L for which the float x**(2L+1) is normal: finite and >= float_info.min."""
+    with np.errstate(all="ignore"):
+        powers = [np.float64(x) ** (2 * L + 1) for L in range(40)]
+    normal = [sys.float_info.min <= p <= sys.float_info.max for p in powers]
+    return normal.index(False) - 1
+
+
+@pytest.mark.parametrize(
+    "r_min, r_max, end, top",
+    [
+        (1e-62, 50.0, "r_min", 1),  # r_min^5 = 1e-310 is subnormal, not 0: refused too
+        (1e-6, 1e61, "r_max", 2),  # r_max^5 = 1e305 fits, r_max^7 overflows
+    ],
+)
+def test_multipole_powers_refuse_what_the_mesh_cannot_hold(r_min, r_max, end, top):
+    """The largest L whose r^(2L+1) is a normal float at that end builds; L + 1 raises."""
+    g = make_grid(r_min, r_max, 400)
+    L = _largest_normal_L(getattr(g, end))
+    assert L == top
+    w, c = g.multipole_powers(L)
+    assert np.all(np.isfinite(w)) and np.all(np.isfinite(c)) and c[0] >= sys.float_info.min
+    with pytest.raises(ParameterError, match=f"{end} .* the L={L + 1} kernel's r\\^{2 * L + 3}"):
+        g.multipole_powers(L + 1)
 
 
 def test_make_grid_validation():

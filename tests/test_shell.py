@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 
 import polarscf
-from polarscf import shell
-from polarscf.errors import ParameterError
+from polarscf import hfcore, shell
+from polarscf.errors import ConvergenceError, ParameterError
 from polarscf.hfcore import FINAL_TOL_FACTOR
 from polarscf.shell import (
     RunConfig,
@@ -306,7 +306,7 @@ def test_trace_side_channel(tmp_path):
     assert list(rows[0]["shift"]) == ["0"]
 
 
-def test_trace_side_channel_pseudo_and_nonconvergence(tmp_path, capsys):
+def test_trace_side_channel_pseudo_and_nonconvergence(tmp_path, capsys, monkeypatch):
     trace = tmp_path / "t.jsonl"
     assert main(["pseudo", *FAST_SCF, "valence=1s", "--trace", str(trace), "--out",
                  str(tmp_path / "p.json")]) == 0
@@ -314,11 +314,14 @@ def test_trace_side_channel_pseudo_and_nonconvergence(tmp_path, capsys):
     argv = ["scf", "z=2.0", "shells=1s:2", "n_points=500", "r_max=40.0", "max_iter=2"]
     assert main([*argv, "--trace", str(trace)]) == 2
     assert len(trace.read_text().splitlines()) == 2
-    # at r_min=1e-80, r^5 underflows to 0 in the p channel's L=2 exchange block,
-    # so no shift is certified in iteration 1: exit 2 with an (empty) trace
+    # no shift certified in iteration 1: exit 2 with an (empty) trace
+    def uncertified(*args, **kwargs):
+        raise ConvergenceError("no certified shift")
+
+    monkeypatch.setattr(hfcore, "_solve_channel", uncertified)
     capsys.readouterr()
     ne = tmp_path / "ne.jsonl"
-    argv = ["scf", "z=10", "shells=1s:2,2s:2,2p:6", "r_min=1e-80", "n_points=400"]
+    argv = ["scf", "z=10", "shells=1s:2,2s:2,2p:6", "n_points=400"]
     assert main([*argv, "--trace", str(ne)]) == 2
     assert capsys.readouterr().err.startswith("polar-scf: not converged")
     assert ne.read_text() == ""
@@ -460,6 +463,12 @@ def test_only_hfcore_imports_scipy():
         ["qp", "qp_levels=-1e308", "sigma_kind=constant_shift", "sigma_shift=-1e308"],
         # two shells with a partly filled spin subshell: no single Hund term
         ["scf", "z=14", "shells=1s:2,2s:2,2p:2,3p:2"],
+        # r^(2L+1) is subnormal at r_min: r^5 (L = 2, p–p) at 1e-70 and 1e-80, and
+        # at 1e-50 every power from r^7 (L = 3) up, which an f shell's blocks need
+        ["scf", "z=10", "shells=1s:2,2s:2,2p:6", "r_min=1e-70", "n_points=400"],
+        ["scf", "z=10", "shells=1s:2,2s:2,2p:6", "r_min=1e-80", "n_points=400"],
+        ["scf", "z=60", "shells=1s:2,2s:2,2p:6,3s:2,3p:6,3d:10,4s:2,4p:6,4d:10,4f:2,"
+         "5s:2,5p:6,6s:2", "r_min=1e-50", "n_points=600"],
     ],
     ids=[
         "no-args", "missing-config", "inf", "nan", "qp-points", "n-max", "l-max",
@@ -472,7 +481,8 @@ def test_only_hfcore_imports_scipy():
         "pseudo-valence-not-occupied", "spectrum-too-many-rows", "qp-too-many-rows",
         "n-points-2pow61", "n-points-2pow63", "n-points-10pow30", "n-points-intp-max-8",
         "qp-dressed-level-overflow", "qp-dressed-level-overflow-negative",
-        "two-partly-filled-spin-subshells",
+        "two-partly-filled-spin-subshells", "kernel-underflow-ne-1e-70",
+        "kernel-underflow-ne-1e-80", "kernel-underflow-f-shell-1e-50",
     ],
 )
 def test_bad_input_exits_3_without_traceback(argv):

@@ -41,13 +41,11 @@ gated.  Cases:
   against), each in CLI_RUNS fresh processes (`ungated`, the `cli_` cases):
   the median and quartiles of the child's CPU and wall seconds, and which
   of `numpy`, `scipy`, `dataclasses`, `inspect`, `json`, `argparse` and the
-  `polarscf` modules it loaded;
-* a fixed NumPy calibration loop (`calibration`), timed before the first
-  case and after the last: no code change moves it, but it does not follow
-  the host's load closely enough to tell a busy host from a slower change.
-  A layer figure of one `BENCH_<N>.json` file set beside another's says
-  nothing about the code; only alternating processes order two files'
-  layer figures.
+  `polarscf` modules it loaded.
+
+A layer figure of one `BENCH_<N>.json` file set beside another's says
+nothing about the code: the host's load moves it too.  Only alternating
+processes order two files' layer figures.
 
 The metadata gives `nproc`, the BLAS builds of NumPy and SciPy, the BLAS
 thread setting (one thread unless the environment sets another), whether
@@ -289,23 +287,6 @@ def qr_case():
     return {"n_points": state.grid.N, **_per_call(lambda: _orthonormal_columns(panel))}
 
 
-def calibration_case():
-    """A fixed NumPy loop (dense solves and a sort, one BLAS thread) that no code change moves."""
-    rng = np.random.default_rng(0)
-    a, x = rng.standard_normal((300, 300)), rng.standard_normal(10**6)
-
-    def loop():
-        for _ in range(10):
-            np.linalg.solve(a, a)
-            np.sort(x)
-
-    records = []
-    for _ in range(RUNS):
-        _, wall, cpu = _timed(loop)
-        records.append({"wall_s": wall, "cpu_s": cpu})
-    return _median(records)
-
-
 def _children_cpu():
     kids = resource.getrusage(resource.RUSAGE_CHILDREN)
     return kids.ru_utime + kids.ru_stime
@@ -370,9 +351,8 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("out", help="JSON file to write, e.g. BENCH_<N>.json")
     out = Path(parser.parse_args().out)
-    doc = {"meta": metadata(), "calibration": {}, "end_to_end": {}, "ungated": {}, "layers": {}}
+    doc = {"meta": metadata(), "end_to_end": {}, "ungated": {}, "layers": {}}
     cases = [
-        ("calibration", "before", calibration_case),
         ("end_to_end", "scf_he", lambda: scf_case("he")),
         ("end_to_end", "scf_li", lambda: scf_case("li")),
         ("end_to_end", "pseudo_li_2s", pseudo_case),
@@ -393,7 +373,6 @@ def main():
         *(("layers", name, functools.partial(layer_case, name)) for name in LAYER_CASES),
         ("layers", "orthonormal_columns", qr_case),
         *(("ungated", f"cli_{kind}", functools.partial(cli_case, kind)) for kind in CLI_COMMANDS),
-        ("calibration", "after", calibration_case),
     ]
     for group, name, case in cases:
         rec = doc[group][name] = case()
