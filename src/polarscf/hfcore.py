@@ -39,8 +39,10 @@ The moving parts are:
   kept on the returned state next to the last snapshot, from which any
   channel's operator is built once; the returned state is read-only, so
   those operators always belong to its orbitals, and
-* trace bookkeeping that confronts the eigenvalue sum with the quadratic
-  form of the same converged operator.
+* the total energy ½·Σ_a q_a·z_a·(h_a + F_a)·z_a of one operator F_a per shell
+  (`_shell_actions`): a closed shell's channel operator, but not one beside an
+  open shell of the same l (rotating Li's 1s/2s lowers E), and trace bookkeeping
+  that confronts the eigenvalue sum with the quadratic form of the same operator.
 
 Exchange kernels carry weight q/2 per source shell (exact for closed
 shells).  Each open shell additionally gets a symmetric rank-two correction
@@ -415,30 +417,33 @@ def exchange_apply(orbitals, target: RadialOrbital, g: RadialGrid):
 # energy bookkeeping
 
 
-def _total_energy(z_nuc, orbitals, g: RadialGrid) -> float:
-    """Mean-field total energy of the current orbital set.
+def _shell_actions(z_nuc, orbitals, g: RadialGrid):
+    """Yields (z_a, h_a·z_a, F_a·z_a) per shell a, F_a·z_a = (1/2q_a)·∂E/∂z_a of `_total_energy`.
 
-    orbitals: normalized RadialOrbitals with integer occupations.  The
-    one-electron part is z·((T − Z/r) z) on the tridiagonal the operator is
-    built from.  The direct term is ½∫ρ·V₀[ρ] of the `build_density`
-    density, one Slater transform.  A shell's self term is −½·q·z·`_self_exchange`,
-    the open-shell pin's own rule, so a shell's own energy is that of its
-    Hund term and one-electron systems reduce exactly to the bare
-    Hamiltonian.  Each pair a ≠ b, taken once, adds −s_ab·z_a·X_b·z_a,
-    with s_ab its same-spin count and X_b the `_pair_blocks` kernel of b.
+    h_a = T_l − Z/r on the operator's tridiagonal, F_a·z_a = (h_a + V₀[ρ])·z_a −
+    `_self_exchange`(a, z_a) − Σ_{b≠a} (s_ab/q_a)·X_b·z_a with s_ab of `_pair_weights` and
+    X_b the `_pair_blocks` kernel of b.  λ_ab = q_a·z_b·F_a·z_a is the matrix Lagrange
+    multiplier: 2(λ_ab − λ_ba) is dE/dθ of a same-l pair's rotation (Roothaan 1960).
     """
-    rho = build_density(orbitals, g)
-    E = 0.5 * integrate(rho * slater_potential(rho, 0, g), g)
+    v0 = slater_potential(build_density(orbitals, g), 0, g)
     zs = [u_to_z(a.u, g) for a in orbitals]
     for i, (a, z_a) in enumerate(zip(orbitals, zs)):
         diag, off = kinetic_tridiagonal(g, a.l)
-        h_a = tridiag_apply(diag - z_nuc / g.points, off, z_a) - 0.5 * _self_exchange(a, z_a, g)
-        E += a.occupation * float(z_a @ h_a)
-        for b, z_b in zip(orbitals[i + 1 :], zs[i + 1 :]):
-            s_ab = _pair_weights(a.occupation, a.l, b.occupation, b.l)
-            blocks = _pair_blocks(a.l, [(1.0, z_b, b.l)], g)
-            E -= s_ab * float(z_a @ _exchange_action(blocks, (), z_a))
-    return E
+        hz = tridiag_apply(diag - z_nuc / g.points, off, z_a)
+        others = [(_pair_weights(a.occupation, a.l, b.occupation, b.l) / a.occupation, z_b, b.l)
+                  for j, (b, z_b) in enumerate(zip(orbitals, zs)) if j != i]
+        x = _exchange_action(_pair_blocks(a.l, others, g), (), z_a)
+        yield z_a, hz, hz + v0 * z_a - _self_exchange(a, z_a, g) - x
+
+
+def _total_energy(z_nuc, orbitals, g: RadialGrid) -> float:
+    """Total energy ½·Σ_a q_a·z_a·(h_a + F_a)·z_a of normalized orbitals with integer occupations.
+
+    A shell's self term −½·q·z·`_self_exchange` is the open-shell pin's own rule: its own
+    energy is that of its Hund term, and one electron reduces to the bare Hamiltonian.
+    """
+    actions = zip(orbitals, _shell_actions(z_nuc, orbitals, g))
+    return 0.5 * sum(a.occupation * float(z @ (hz + fz)) for a, (z, hz, fz) in actions)
 
 
 # ---------------------------------------------------------------------------
@@ -730,12 +735,12 @@ def _solve_channel(op: FockOperator, count, z_nuc, eps_low, v0, tol=0.0):
         solves += 1
         return solve(b)
 
-    A = spla.LinearOperator((N, N), matvec=op.apply, dtype=float)
     OPinv = spla.LinearOperator((N, N), matvec=shift_invert, dtype=float)
     ncv = min(N, KRYLOV_PER_PAIR * count)
     try:
+        # with sigma and OPinv, eigsh's 'normal' mode reads only A's shape and dtype
         vals, vecs = spla.eigsh(
-            A, k=count, sigma=sigma, which="LM", v0=v0, OPinv=OPinv, tol=tol, ncv=ncv
+            OPinv, k=count, sigma=sigma, which="LM", v0=v0, OPinv=OPinv, tol=tol, ncv=ncv
         )
     except spla.ArpackError as exc:
         raise ConvergenceError(f"ARPACK failed at shift {sigma}: {exc}") from None

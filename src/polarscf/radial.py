@@ -16,7 +16,7 @@ A grid always keeps its own read-only copy of its points and builds each
 array that depends only on the mesh once, read-only: the weights and √(h·r)
 with the grid, the kinetic stencil of each l and the multipole powers of each
 L on first use, when the grid alone refuses an L whose r^(2L+1) is not a
-normal float at both ends of the mesh.
+normal float at both ends of the mesh or whose first step is not.
 """
 
 import math
@@ -93,20 +93,21 @@ class RadialGrid:
         """(r^-(L+1), r^(2L+1)) of multipole order L: r_<^L / r_>^(L+1) = w_i·c_min(i,j)·w_j.
 
         Built once per L, after the one test of whether the mesh holds that
-        kernel: r^(2L+1) must be a normal float at both ends (then r^-(L+1) is
-        finite), or ParameterError; below it the diagonal and C⁻¹ are lost.
+        kernel: c = r^(2L+1) at both ends and its first step c_1 − c_0 must be
+        normal floats, or ParameterError; below them the diagonal and C⁻¹ are lost.
         """
         def build():
             p, r = 2 * L + 1, self.points
-            if p * math.log(self.r_min) < math.log(sys.float_info.min):
-                raise ParameterError(
-                    f"r_min {self.r_min!r} is too small: the L={L} kernel's r^{p} underflows"
-                )
             if p * math.log(self.r_max) > math.log(sys.float_info.max):
                 raise ParameterError(
                     f"r_max {self.r_max!r} is too large: the L={L} kernel's r^{p} overflows"
                 )
-            return r ** -(L + 1), r**p
+            c = r**p  # C⁻¹ starts 1/c_0, 1/(c_1 − c_0)
+            if min(c[0], c[1] - c[0]) < sys.float_info.min:
+                raise ParameterError(
+                    f"r_min {self.r_min!r} is too small: the L={L} kernel's r^{p} underflows"
+                )
+            return r ** -(L + 1), c
 
         return self._constant(("multipole", L), build)
 

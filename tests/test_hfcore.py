@@ -28,8 +28,10 @@ from polarscf.hfcore import (
     _exchange_terms,
     _fock_operator,
     _orthonormal_columns,
+    _orthonormal_orbitals,
     _pair_weights,
     _self_exchange,
+    _shell_actions,
     _slater_charges,
     _solve_channel,
     _total_energy,
@@ -51,6 +53,7 @@ from polarscf.radial import (
     make_grid,
     tridiag_apply,
     u_to_z,
+    z_to_u,
 )
 
 
@@ -759,7 +762,7 @@ def _pairwise_total_energy(z_nuc, orbitals, g):
     ids=["he", "li", "n", "ne", "k"],
 )
 def test_total_energy_matches_pairwise_oracle(z, shells, n_points):
-    """One direct transform of the total density and a ≤ b exchange pairs, against all pairs."""
+    """The per-shell quadratic form ½·Σ q_a·z_a·(h_a + F_a)·z_a against all ordered pairs."""
     state = scf_solve(AtomConfig(z=z, shells=shells, grid=GridParams(n_points=n_points)))
     ref = _pairwise_total_energy(state.config.z, state.orbitals, state.grid)
     assert _total_energy(state.config.z, state.orbitals, state.grid) == state.total_energy
@@ -943,6 +946,113 @@ def test_total_energy_one_electron(h_run):
     z = u_to_z(state.orbitals[0].u, g)
     bare = float(z @ tridiag_apply(diag - 1.0 / g.points, off, z))
     assert abs(state.total_energy - bare) <= 1e-14
+
+
+# ---------------------------------------------------------------------------
+# the energy's gradient: per-shell operators and the matrix Lagrange multiplier
+
+
+def _lagrange_matrix(z_nuc, orbitals, g):
+    """λ[a, b] = q_a·z_b·F_a·z_a of `_shell_actions`: the matrix Lagrange multiplier."""
+    actions = list(_shell_actions(z_nuc, orbitals, g))
+    return np.array([
+        [a.occupation * float(z_b @ fz_a) for z_b, _, _ in actions]
+        for a, (_, _, fz_a) in zip(orbitals, actions)
+    ])
+
+
+def _rotation_gradients(z_nuc, orbitals, g):
+    """{(a, b): 2(λ_ab − λ_ba)} over the same-l shell pairs a < b: dE/dθ of their rotation."""
+    lam = _lagrange_matrix(z_nuc, orbitals, g)
+    return {
+        (a, b): 2.0 * (lam[a, b] - lam[b, a])
+        for a in range(len(orbitals)) for b in range(a + 1, len(orbitals))
+        if orbitals[a].l == orbitals[b].l
+    }
+
+
+def _rotated(orbitals, g, a, b, theta):
+    """The orbitals with (z_a, z_b) turned to (cos θ·z_a + sin θ·z_b, cos θ·z_b − sin θ·z_a)."""
+    z_a, z_b = u_to_z(orbitals[a].u, g), u_to_z(orbitals[b].u, g)
+    c, s = math.cos(theta), math.sin(theta)
+    out = list(orbitals)
+    out[a] = replace(orbitals[a], u=z_to_u(c * z_a + s * z_b, g))
+    out[b] = replace(orbitals[b], u=z_to_u(c * z_b - s * z_a, g))
+    return out
+
+
+@pytest.mark.parametrize(
+    "z_nuc, shells, a, b",
+    [
+        (3.0, ((1, 0, 2), (2, 0, 1)), 0, 1),
+        (11.0, ((1, 0, 2), (2, 0, 2), (2, 1, 6), (3, 0, 1)), 1, 3),
+        (13.0, ((1, 0, 2), (2, 0, 2), (2, 1, 6), (3, 0, 2), (3, 1, 1)), 2, 4),
+    ],
+    ids=["li-1s-2s", "na-2s-3s", "al-2p-3p"],
+)
+def test_lagrange_antisymmetry_is_the_rotation_gradient(z_nuc, shells, a, b):
+    """2(λ_ab − λ_ba) is dE/dθ of `_total_energy` under a rotation of the pair (a, b).
+
+    Hydrogenic orbitals at Slater's charges, orthonormalized per channel (no
+    SCF), so the gradient is far from zero; the reference is the Richardson
+    extrapolation (4·D(θ/2) − D(θ))/3 of central differences D, whose θ²
+    truncation cancels.
+    """
+    raw, g = _hydrogenic_set(z_nuc, shells)
+    channels = {}
+    for i, o in enumerate(raw):
+        channels.setdefault(o.l, []).append(i)
+    orbitals = _orthonormal_orbitals(np.concatenate([o.u for o in raw]), raw, channels, g)
+
+    def slope(theta):
+        plus = _total_energy(z_nuc, _rotated(orbitals, g, a, b, theta), g)
+        minus = _total_energy(z_nuc, _rotated(orbitals, g, a, b, -theta), g)
+        return (plus - minus) / (2.0 * theta)
+
+    theta = 1e-3
+    richardson = (4.0 * slope(0.5 * theta) - slope(theta)) / 3.0
+    gradient = _rotation_gradients(z_nuc, orbitals, g)[a, b]
+    assert abs(gradient - richardson) <= 1e-8 * max(1.0, abs(gradient))
+
+
+_TIGHT_ATOMS = {
+    "he": (2.0, ((1, 0, 2),)),
+    "c": (6.0, ((1, 0, 2), (2, 0, 2), (2, 1, 2))),
+    "n": (7.0, ((1, 0, 2), (2, 0, 2), (2, 1, 3))),
+    "o": (8.0, ((1, 0, 2), (2, 0, 2), (2, 1, 4))),
+    "ne": (10.0, ((1, 0, 2), (2, 0, 2), (2, 1, 6))),
+}
+
+
+@pytest.fixture(scope="module")
+def tight_states():
+    """He, C, N, O and Ne at tol_orbital=1e-10 on a 600-point mesh."""
+    return {
+        name: scf_solve(
+            AtomConfig(z=z, shells=shells, grid=GridParams(n_points=600),
+                       scf=SCFParams(tol_orbital=1e-10))
+        )
+        for name, (z, shells) in _TIGHT_ATOMS.items()
+    }
+
+
+@pytest.mark.parametrize("atom", ["c", "n", "o", "ne"])
+def test_same_l_pairs_are_stationary(atom, tight_states):
+    """|2(λ_ab − λ_ba)| ≤ 1e-9 for every same-l pair of a tight solve (each a closed-shell pair)."""
+    state = tight_states[atom]
+    gradients = _rotation_gradients(state.config.z, state.orbitals, state.grid)
+    assert gradients
+    assert max(abs(v) for v in gradients.values()) <= 1e-9
+
+
+@pytest.mark.parametrize("atom", ["he", "ne"])
+def test_closed_shell_operator_is_the_energy_gradient(atom, tight_states):
+    """For closed shells the SCF channel operator applied to a snapshot orbital z_a is F_a·z_a."""
+    state = tight_states[atom]
+    orbitals = state._snapshot[0]
+    for a, (z_a, _, fz_a) in zip(orbitals, _shell_actions(state.config.z, orbitals, state.grid)):
+        got = state.channel_operator(a.l).apply(z_a)
+        assert np.max(np.abs(got - fz_a)) <= 1e-8 * np.max(np.abs(fz_a))
 
 
 @pytest.mark.parametrize(

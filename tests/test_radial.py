@@ -99,28 +99,39 @@ def test_multipole_powers_built_once_per_L(L):
     _assert_built_once(g.multipole_powers(L), g.multipole_powers(L), powers)
 
 
-def _largest_normal_L(x):
-    """The largest L for which the float x**(2L+1) is normal: finite and >= float_info.min."""
+def _largest_normal_L(g, end):
+    """The largest L for which the float c = x**(2L+1) at that end x of g is normal
+    (finite and >= float_info.min), and at r_min its first step x**(2L+1)·(e^((2L+1)h) − 1) too."""
+    x, normal = np.float64(getattr(g, end)), []
     with np.errstate(all="ignore"):
-        powers = [np.float64(x) ** (2 * L + 1) for L in range(40)]
-    normal = [sys.float_info.min <= p <= sys.float_info.max for p in powers]
+        for L in range(40):
+            p = 2 * L + 1
+            c = [x**p] if end == "r_max" else [x**p, x**p * np.expm1(p * g.log_step)]
+            normal.append(all(sys.float_info.min <= v <= sys.float_info.max for v in c))
     return normal.index(False) - 1
 
 
 @pytest.mark.parametrize(
-    "r_min, r_max, end, top",
+    "r_min, r_max, n_points, end, top",
     [
-        (1e-62, 50.0, "r_min", 1),  # r_min^5 = 1e-310 is subnormal, not 0: refused too
-        (1e-6, 1e61, "r_max", 2),  # r_max^5 = 1e305 fits, r_max^7 overflows
+        (1e-62, 50.0, 400, "r_min", 1),  # r_min^5 = 1e-310 is subnormal, not 0: refused too
+        (1e-6, 1e61, 400, "r_max", 2),  # r_max^5 = 1e305 fits, r_max^7 overflows
+        # r_min^5 = 1.0e-307 is normal, but on the fine mesh its first step 3.8e-309 is not
+        (4e-62, 50.0, 20000, "r_min", 1),
+        (4e-62, 50.0, 400, "r_min", 2),  # the coarse mesh's first step, 5e-307, is normal
     ],
+    ids=["1e-62-50.0-r_min-1", "1e-06-1e+61-r_max-2", "4e-62-50.0-20000-r_min-1",
+         "4e-62-50.0-400-r_min-2"],
 )
-def test_multipole_powers_refuse_what_the_mesh_cannot_hold(r_min, r_max, end, top):
-    """The largest L whose r^(2L+1) is a normal float at that end builds; L + 1 raises."""
-    g = make_grid(r_min, r_max, 400)
-    L = _largest_normal_L(getattr(g, end))
+def test_multipole_powers_refuse_what_the_mesh_cannot_hold(r_min, r_max, n_points, end, top):
+    """The largest L whose r^(2L+1), and its first step, are normal floats at that end builds;
+    L + 1 raises."""
+    g = make_grid(r_min, r_max, n_points)
+    L = _largest_normal_L(g, end)
     assert L == top
     w, c = g.multipole_powers(L)
-    assert np.all(np.isfinite(w)) and np.all(np.isfinite(c)) and c[0] >= sys.float_info.min
+    assert np.all(np.isfinite(w)) and np.all(np.isfinite(c))
+    assert min(c[0], c[1] - c[0]) >= sys.float_info.min
     with pytest.raises(ParameterError, match=f"{end} .* the L={L + 1} kernel's r\\^{2 * L + 3}"):
         g.multipole_powers(L + 1)
 
